@@ -173,7 +173,10 @@ def _build_sub(cfg, key, cls, fields, where=None):
 
 
 def _build_outages(cfg):
-    raw = _pop_list(cfg, "outages", [])
+    # an empty list means no outage, unlike the sweep lists
+    raw = cfg.pop("outages", [])
+    if not isinstance(raw, list):
+        raise ConfigError("config.outages must be a list")
     windows = []
     for i, item in enumerate(raw):
         where = f"outages[{i}]"
@@ -294,7 +297,10 @@ def _run_single(cfg, config_dir, seed_override, outdir):
         if not path.is_file():
             raise ConfigError(f"measurement log not found: {path}")
         records = read_measurement_log(path)
-        ms = measurement_set_from_records(records, setup)
+        try:
+            ms = measurement_set_from_records(records, setup)
+        except ValueError as exc:
+            raise ConfigError(f"measurement log {path}: {exc}") from exc
         write_log = False
     else:
         ms = synth_measurements(setup)

@@ -2,8 +2,8 @@
 
 Direct-path fix from RTT plus departure angles; joint multi-path fix over
 two or more validated single-bounce observations via linear least squares;
-a constrained single-path fallback; and the locus residual that scores one
-reflected path against a predicted position.
+and the locus residual that scores one reflected path against a predicted
+position.
 
 The single-bounce measurement equation: with departure direction u_dep,
 arrival direction u_arr (UE toward the bounce), total length L and unknown
@@ -13,7 +13,9 @@ first-leg length leg, the UE position satisfies
       = (bs - L * u_arr) + leg * (u_dep + u_arr)
 
 One path therefore pins p to a line segment (leg in [0, L]); two or more
-paths make the joint system overdetermined in (p, leg_1..leg_K).
+paths make the joint system overdetermined in (p, leg_1..leg_K). Each leg
+enters its own path's equations only, so the joint fix eliminates the legs
+and solves a 3x3 normal system in p (4x4 with a yaw unknown).
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scene import SPEED_OF_LIGHT, unit_from_angles
+
+# Largest eigenvalue ratio of a reduced normal matrix that still yields a
+# fix. It bounds the squared singular-value ratio of the reduced system; the
+# square root of this ratio under the same bound passes same-wall pairs.
+COND_MAX = 1e8
 
 
 @dataclass
@@ -48,12 +55,13 @@ def _angle_std_rad(var_angle_deg2: float) -> float:
     return math.radians(math.sqrt(var_angle_deg2))
 
 
-def _unit_jacobian(az: float, el: float):
-    """Columns d(unit)/d(az), d(unit)/d(el)."""
-    ca, sa = math.cos(az), math.sin(az)
-    ce, se = math.cos(el), math.sin(el)
-    j_az = np.array([-ce * sa, ce * ca, 0.0])
-    j_el = np.array([-se * ca, -se * sa, ce])
+def _unit_jacobian(az, el):
+    """Columns d(unit)/d(az), d(unit)/d(el); broadcasts over angle arrays,
+    each column shaped (..., 3)."""
+    ca, sa = np.cos(az), np.sin(az)
+    ce, se = np.cos(el), np.sin(el)
+    j_az = np.stack([-ce * sa, ce * ca, np.zeros_like(ca)], axis=-1)
+    j_el = np.stack([-se * ca, -se * sa, ce], axis=-1)
     return j_az, j_el
 
 
@@ -74,130 +82,131 @@ def los_fix(bs, obs, var_range_m2: float = 0.0, var_angle_deg2: float = 0.0) -> 
     return Fix(t=obs.t, p=p, cov=cov, residual=0.0, source="los")
 
 
+def _normal_inverse(N: np.ndarray):
+    """Inverse of a symmetric normal matrix, or None when it is singular or
+    its eigenvalue ratio exceeds COND_MAX. The inverse comes from LU, not
+    from the eigenvectors: the yaw column is ~L times the position columns,
+    and LU keeps that scaling out of the error."""
+    lam = np.linalg.eigvalsh(N)
+    if lam[0] <= 0.0 or lam[-1] > COND_MAX * lam[0]:
+        return None
+    return np.linalg.inv(N)
+
+
 def sbr_fix(
     pairs,
     var_range_m2: float = 0.0,
     var_angle_deg2: float = 0.0,
     var_aoa_extra_rad2: float = 0.0,
-    cond_max: float = 1e8,
     estimate_yaw: bool = False,
-    weighted: bool = True,
 ):
     """Joint fix over K >= 2 single-bounce paths.
 
     pairs: list of (BaseStation, SbrObs). Unknowns are (p, leg_1..leg_K);
     each path contributes the three equations
-        p - leg_k * (u_dep_k + u_arr_k) = bs_k - L_k * u_arr_k.
-    Solved by SVD least squares. Returns None instead of a wrong answer when
-    the system is ill-conditioned (> cond_max) or any recovered first leg
-    falls outside [0, L_k].
+        p - leg_k * d_k = y_k,  d_k = u_dep_k + u_arr_k,  y_k = bs_k - L_k * u_arr_k.
+    leg_k appears in its own path only, so projecting with
+    P_k = I - d_k d_k^T / |d_k|^2 eliminates it and leaves the 3x3 normal
+    system (sum_k P_k) p = sum_k P_k y_k; each leg then follows by a dot
+    product, leg_k = d_k . (p - y_k) / |d_k|^2 (variable projection).
+    Returns None instead of a wrong answer when the normal matrix is
+    singular or its eigenvalue ratio exceeds COND_MAX, or when any recovered
+    first leg falls outside [0, L_k].
 
-    weighted scales each path's equations by its expected noise (longer legs
-    amplify angle noise), which matters when path lengths vary a lot.
+    A first unit-weight pass gives reference legs; the second pass scales
+    each path by its expected noise (longer legs amplify angle noise), which
+    matters when path lengths vary a lot.
 
     estimate_yaw appends one unknown: a common nav-frame yaw misalignment of
     the attitude that globalized the arrival angles. Its column per path is
-    (L_k - leg_k) * (z_hat x u_arr_k), linearized at first-pass leg values.
-    The estimate and its variance land in Fix.yaw / Fix.yaw_var so a fusion
-    filter can correct heading from the same measurements. Needs K >= 3 for
-    vertical-wall paths: u_dep + u_arr and the yaw column are then all
-    horizontal, and the K=2 horizontal subsystem has more unknowns than
-    equations, so the condition check reports no fix.
+    (L_k - leg_k) * (z_hat x u_arr_k), linearized at first-pass leg values,
+    which makes the second pass 4x4. The estimate and its variance land in
+    Fix.yaw / Fix.yaw_var so a fusion filter can correct heading from the
+    same measurements. Needs K >= 3 for vertical-wall paths: u_dep + u_arr
+    and the yaw column are then all horizontal, and the K=2 horizontal
+    subsystem has more unknowns than equations, so the condition check
+    reports no fix.
 
     Covariance comes from first-order propagation of the declared range and
-    angle variances through the solver; var_aoa_extra_rad2 adds attitude
-    uncertainty to the arrival angles beyond what estimate_yaw models.
+    angle variances through the same reduced system; var_aoa_extra_rad2 adds
+    attitude uncertainty to the arrival angles beyond what estimate_yaw
+    models.
     """
     K = len(pairs)
     if K < 2:
         raise ValueError("joint fix needs at least two paths")
-    A = np.zeros((3 * K, 3 + K))
-    y = np.zeros(3 * K)
-    lengths = np.empty(K)
-    units = []
-    t_obs = pairs[0][1].t
-    for k, (bs, obs) in enumerate(pairs):
-        L = SPEED_OF_LIGHT * obs.toa
-        u_dep = unit_from_angles(obs.aod_az, obs.aod_el)
-        u_arr = unit_from_angles(obs.aoa_az, obs.aoa_el)
-        rows = slice(3 * k, 3 * k + 3)
-        A[rows, :3] = np.eye(3)
-        A[rows, 3 + k] = -(u_dep + u_arr)
-        y[rows] = bs.p - L * u_arr
-        lengths[k] = L
-        units.append((u_dep, u_arr, obs))
-    u_svd, s, vt = np.linalg.svd(A, full_matrices=False)
-    if s[-1] <= 0.0 or s[0] / s[-1] > cond_max:
+    bs_p = np.array([bs.p for bs, _ in pairs], dtype=float)
+    toa, aod_az, aod_el, aoa_az, aoa_el = np.array(
+        [(o.toa, o.aod_az, o.aod_el, o.aoa_az, o.aoa_el) for _, o in pairs]
+    ).T
+    lengths = SPEED_OF_LIGHT * toa
+    u_dep = unit_from_angles(aod_az, aod_el)
+    u_arr = unit_from_angles(aoa_az, aoa_el)
+    d = u_dep + u_arr
+    y = bs_p - lengths[:, None] * u_arr
+    dd = np.einsum("ki,ki->k", d, d)
+    if np.any(dd <= 0.0):
         return None
-    x = vt.T @ ((u_svd.T @ y) / s)
-    legs0 = x[3:]
+    proj = np.eye(3) - d[:, :, None] * d[:, None, :] / dd[:, None, None]
 
+    # first pass: unit weights, position only
+    n_inv = _normal_inverse(proj.sum(axis=0))
+    if n_inv is None:
+        return None
+    p0 = n_inv @ np.einsum("kij,kj->i", proj, y)
+    legs_ref = np.clip(np.einsum("ki,ki->k", p0 - y, d) / dd, 0.0, lengths)
+
+    # second pass: noise-scaled paths, optional shared yaw column; the
+    # per-path unknowns are B_k theta with B_k = [I | c_k]
     va = _angle_std_rad(var_angle_deg2) ** 2
     va_arr = va + var_aoa_extra_rad2
-    n_unk = 3 + K + (1 if estimate_yaw else 0)
-    if weighted or estimate_yaw:
-        # second pass: noise-scaled rows, optional shared yaw column
-        legs_ref = np.clip(legs0, 0.0, lengths)
-        if weighted:
-            s2 = var_range_m2 + va * legs_ref**2 + va_arr * (lengths - legs_ref) ** 2
-            w = 1.0 / np.sqrt(np.maximum(s2, 1e-12))
-            w /= w.max()
-        else:
-            w = np.ones(K)
-        A2 = np.zeros((3 * K, n_unk))
-        y2 = np.empty(3 * K)
-        for k, (u_dep, u_arr, obs) in enumerate(units):
-            rows = slice(3 * k, 3 * k + 3)
-            A2[rows, : 3 + K] = w[k] * A[rows]
-            if estimate_yaw:
-                A2[rows, 3 + K] = (
-                    w[k] * (lengths[k] - legs_ref[k]) * np.array([-u_arr[1], u_arr[0], 0.0])
-                )
-            y2[rows] = w[k] * y[rows]
-        u_svd, s, vt = np.linalg.svd(A2, full_matrices=False)
-        if s[-1] <= 0.0 or s[0] / s[-1] > cond_max:
-            return None
-        x = vt.T @ ((u_svd.T @ y2) / s)
-        row_w = np.repeat(w, 3)
-    else:
-        row_w = np.ones(3 * K)
-
-    p = x[:3]
-    legs = x[3 : 3 + K]
-    psi = float(x[3 + K]) if estimate_yaw else None
-    for k in range(K):
-        tol = 1e-9 * max(1.0, lengths[k])
-        if legs[k] < -tol or legs[k] > lengths[k] + tol:
-            return None
-    # unweighted equation misfit, with the yaw term included when estimated
-    r = A @ np.concatenate([p, legs]) - y
+    s2 = var_range_m2 + va * legs_ref**2 + va_arr * (lengths - legs_ref) ** 2
+    w = 1.0 / np.sqrt(np.maximum(s2, 1e-12))
+    w /= w.max()
+    zxu = np.stack([-u_arr[:, 1], u_arr[:, 0], np.zeros(K)], axis=1)
+    B = np.zeros((K, 3, 4 if estimate_yaw else 3))
+    B[:, :, :3] = np.eye(3)
     if estimate_yaw:
-        for k, (u_dep, u_arr, obs) in enumerate(units):
-            rows = slice(3 * k, 3 * k + 3)
-            r[rows] += psi * (lengths[k] - legs[k]) * np.array([-u_arr[1], u_arr[0], 0.0])
+        B[:, :, 3] = (lengths - legs_ref)[:, None] * zxu
+    wbp = (w**2)[:, None, None] * np.einsum("kia,kij->kaj", B, proj)
+    n_inv = _normal_inverse(np.einsum("kaj,kjb->ab", wbp, B))
+    if n_inv is None:
+        return None
+    theta = n_inv @ np.einsum("kaj,kj->a", wbp, y)
+    p = theta[:3]
+    psi = float(theta[3]) if estimate_yaw else None
+    legs = np.einsum("ki,ki->k", B @ theta - y, d) / dd
+    tol = 1e-9 * np.maximum(1.0, lengths)
+    if np.any(legs < -tol) or np.any(legs > lengths + tol):
+        return None
+    # unweighted equation misfit, with the yaw term included when estimated
+    r = p - legs[:, None] * d - y
+    if estimate_yaw:
+        r += psi * (lengths - legs)[:, None] * zxu
     residual = float(np.sqrt(np.mean(r**2)))
-    path_residuals = [float(np.linalg.norm(r[3 * k : 3 * k + 3])) for k in range(K)]
+    path_residuals = np.linalg.norm(r, axis=1).tolist()
 
-    # First-order sensitivity: A dx = dy - dA x, columns per input
+    # First-order sensitivity: the reduced system maps each path's equation
+    # perturbation dy_k - dA_k x onto theta; columns per path are the inputs
     # [L_k, aod_az_k, aod_el_k, aoa_az_k, aoa_el_k].
-    rhs = np.zeros((3 * K, 5 * K))
-    sig2 = np.empty(5 * K)
-    for k, (u_dep, u_arr, obs) in enumerate(units):
-        rows = slice(3 * k, 3 * k + 3)
-        cols = slice(5 * k, 5 * k + 5)
-        jd_az, jd_el = _unit_jacobian(obs.aod_az, obs.aod_el)
-        ja_az, ja_el = _unit_jacobian(obs.aoa_az, obs.aoa_el)
-        rhs[rows, 5 * k + 0] = -u_arr
-        rhs[rows, 5 * k + 1] = legs[k] * jd_az
-        rhs[rows, 5 * k + 2] = legs[k] * jd_el
-        rhs[rows, 5 * k + 3] = (legs[k] - lengths[k]) * ja_az
-        rhs[rows, 5 * k + 4] = (legs[k] - lengths[k]) * ja_el
-        sig2[cols] = [var_range_m2, va, va, va_arr, va_arr]
-    j_all = vt.T @ ((u_svd.T @ (row_w[:, None] * rhs)) / s[:, None])
-    j_p = j_all[:3]
-    cov = (j_p * sig2) @ j_p.T
+    jd_az, jd_el = _unit_jacobian(aod_az, aod_el)
+    ja_az, ja_el = _unit_jacobian(aoa_az, aoa_el)
+    rhs = np.stack(
+        [
+            -u_arr,
+            legs[:, None] * jd_az,
+            legs[:, None] * jd_el,
+            (legs - lengths)[:, None] * ja_az,
+            (legs - lengths)[:, None] * ja_el,
+        ],
+        axis=2,
+    )
+    j_all = np.einsum("ab,kbj,kjc->kac", n_inv, wbp, rhs)
+    sig2 = np.array([var_range_m2, va, va, va_arr, va_arr])
+    j_p = j_all[:, :3]
+    cov = np.einsum("kic,c,kjc->ij", j_p, sig2, j_p)
     fix = Fix(
-        t=t_obs,
+        t=pairs[0][1].t,
         p=p,
         cov=cov,
         residual=residual,
@@ -206,32 +215,11 @@ def sbr_fix(
         path_residuals=path_residuals,
     )
     if estimate_yaw:
-        j_psi = j_all[3 + K]
+        j_psi = j_all[:, 3]
         fix.yaw = psi
-        fix.yaw_var = float((j_psi * sig2) @ j_psi)
-        fix.yaw_pos_cov = (j_p * sig2) @ j_psi
+        fix.yaw_var = float(np.einsum("kc,c,kc->", j_psi, sig2, j_psi))
+        fix.yaw_pos_cov = np.einsum("kic,c,kc->i", j_p, sig2, j_psi)
     return fix
-
-
-def sbr_fix_single(bs, obs, known_height_m: float, eps_cond: float = 1e-2):
-    """Single-path fix with the UE height constrained.
-
-    The height equation fixes the first-leg length only when the vertical
-    components of the two directions do not cancel; vertical reflectors make
-    them cancel exactly, so this fallback declines on such geometry instead
-    of dividing by ~0.
-    """
-    L = SPEED_OF_LIGHT * obs.toa
-    u_dep = unit_from_angles(obs.aod_az, obs.aod_el)
-    u_arr = unit_from_angles(obs.aoa_az, obs.aoa_el)
-    denom = u_dep[2] + u_arr[2]
-    if not math.isfinite(eps_cond) or abs(denom) <= eps_cond:
-        return None
-    leg = (known_height_m - bs.p[2] + L * u_arr[2]) / denom
-    if leg < 0.0 or leg > L:
-        return None
-    p = bs.p + leg * u_dep - (L - leg) * u_arr
-    return Fix(t=obs.t, p=p, cov=np.zeros((3, 3)), residual=0.0, source="sbr", n_paths=1)
 
 
 def sbr_locus_residual(bs, obs, ref_p) -> float:
@@ -266,11 +254,3 @@ def sbr_locus_residuals(bs_positions, lengths, u_deps, u_arrs, ref_p) -> np.ndar
     leg = np.clip(np.divide(num, dd, out=np.zeros_like(num), where=dd > 0.0), 0.0, lengths)
     closest = base + leg[:, None] * direction
     return np.linalg.norm(ref_p - closest, axis=1)
-
-
-def velocity_from_fixes(prev: Fix, curr: Fix) -> np.ndarray:
-    """First-difference velocity between consecutive fixes, m/s."""
-    dt = curr.t - prev.t
-    if dt <= 0.0:
-        raise ValueError("fixes must be time-ordered")
-    return (curr.p - prev.p) / dt

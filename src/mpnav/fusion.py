@@ -4,7 +4,8 @@ Prediction pushes sigma points of the 15-dimensional error state
 [dp, dv, dtheta, db_g, db_a] through the strapdown mechanization, each point
 carrying its own bias hypothesis; the attitude error is a body-frame rotation
 vector injected as q <- q * exp(dtheta), which keeps quaternions out of the
-covariance algebra. Updates are position fixes with an innovation gate.
+covariance algebra. Updates are position (and yaw) fixes, linear in the
+error state: closed-form Kalman steps behind an innovation gate.
 
 The covariance tracks delta = true (-) estimate, i.e. truth = estimate (+)
 delta with p/v/bias addition and quaternion right-multiplication for
@@ -40,7 +41,8 @@ class NumericError(RuntimeError):
 
 @dataclass
 class UkfParams:
-    """Sigma-point scaling plus continuous-time process noise densities.
+    """Sigma-point scaling (prediction only) plus continuous-time process
+    noise densities.
 
     q_vel and q_att should match the IMU white-noise densities squared
     ((m/s^2)^2/Hz and (rad/s)^2/Hz); the bias densities stay zero when biases
@@ -222,16 +224,14 @@ def _gate_for_dim(gate_dof3: float, dim: int) -> float:
     return float(chi2.ppf(conf, dim))
 
 
-def _ut_update(fs: FilterState, z, z_pts, R, gate, pts, wm, wc):
-    z = np.asarray(z, dtype=float)
-    z_mean = wm @ z_pts
-    dz = z_pts - z_mean
-    S = (wc * dz.T) @ dz + R
-    C = (wc * pts.T) @ dz  # 15xM cross covariance
-    nu = z - z_mean
+def _kf_update(fs: FilterState, nu, H, R, gate):
+    """Closed-form Kalman step for a measurement linear in the error state:
+    innovation nu, Jacobian H (m x 15), noise R; gated on the NIS."""
+    PHt = fs.P @ H.T
+    S = H @ PHt + R
     try:
         s_inv_nu = np.linalg.solve(S, nu)
-        K = np.linalg.solve(S, C.T).T
+        K = np.linalg.solve(S, PHt.T).T
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"singular innovation covariance: {exc}") from exc
     nis = float(nu @ s_inv_nu)
@@ -247,14 +247,13 @@ def _ut_update(fs: FilterState, z, z_pts, R, gate, pts, wm, wc):
 def update_position(fs: FilterState, fix, R, params: UkfParams):
     """Position-fix measurement update with NIS gating.
 
-    Returns (state, UpdateInfo); the state is unchanged when the normalized
-    innovation squared exceeds the gate, which protects the filter from
-    admission-gate leakage.
+    The fix observes dp directly (H = [I 0]). Returns (state, UpdateInfo);
+    the state is unchanged when the normalized innovation squared exceeds
+    the gate, which protects the filter from admission-gate leakage.
     """
     R = np.asarray(R, dtype=float).reshape(3, 3)
-    pts, wm, wc = sigma_points(np.zeros(N_ERR), fs.P, params.alpha, params.beta, params.kappa)
-    z_pts = fs.p + pts[:, _SL["p"]]
-    return _ut_update(fs, fix.p, z_pts, R, params.nis_gate, pts, wm, wc)
+    nu = np.asarray(fix.p, dtype=float) - fs.p
+    return _kf_update(fs, nu, np.eye(3, N_ERR), R, params.nis_gate)
 
 
 def update_position_yaw(fs: FilterState, fix, R, params: UkfParams):
@@ -267,9 +266,9 @@ def update_position_yaw(fs: FilterState, fix, R, params: UkfParams):
     block first.
     """
     R = np.asarray(R, dtype=float).reshape(4, 4)
-    pts, wm, wc = sigma_points(np.zeros(N_ERR), fs.P, params.alpha, params.beta, params.kappa)
-    row_z = quat.to_matrix(fs.q_bn)[2]
-    z_pts = np.column_stack([fs.p + pts[:, _SL["p"]], pts[:, _SL["att"]] @ row_z])
-    z = np.concatenate([np.asarray(fix.p, dtype=float), [fix.yaw]])
+    H = np.zeros((4, N_ERR))
+    H[:3] = np.eye(3, N_ERR)
+    H[3, _SL["att"]] = quat.to_matrix(fs.q_bn)[2]
+    nu = np.concatenate([np.asarray(fix.p, dtype=float) - fs.p, [fix.yaw]])
     gate = _gate_for_dim(params.nis_gate, 4)
-    return _ut_update(fs, z, z_pts, R, gate, pts, wm, wc)
+    return _kf_update(fs, nu, H, R, gate)

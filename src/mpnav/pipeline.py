@@ -440,14 +440,9 @@ def run_pair(setup: RunSetup):
     """Run the with/without-reflections arms on one shared measurement set
     (common random numbers). Returns (result_with, result_without)."""
     ms = synth_measurements(setup)
-    res_with = run_filter(ms, replace_setup(setup, with_sbr=True))
-    res_without = run_filter(ms, replace_setup(setup, with_sbr=False))
+    res_with = run_filter(ms, replace(setup, with_sbr=True))
+    res_without = run_filter(ms, replace(setup, with_sbr=False))
     return res_with, res_without
-
-
-def replace_setup(setup: RunSetup, **kwargs) -> RunSetup:
-    """dataclasses.replace that tolerates the derived ukf default."""
-    return replace(setup, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +461,10 @@ def records_from_measurement_set(ms: MeasurementSet):
 def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementSet:
     """Rebuild a MeasurementSet from parsed log records; the truth trajectory
     still comes from the scenario (the log carries no truth), and bias truth
-    is unknown, so consistency statistics are unavailable on ingested runs."""
+    is unknown, so consistency statistics are unavailable on ingested runs.
+
+    Raises ValueError when the log cannot feed the filter: an IMU sample
+    count other than the scenario's, or no odometer records."""
     epoch_idx, _, n_samples = _epoch_indices(setup)
     times = np.arange(n_samples + 1) / setup.rates.imu_hz
     poses = trajectory_poses(setup.scenario.trajectory, times)
@@ -493,10 +491,12 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
         raise ValueError(
             f"log has {len(imu)} IMU samples, scenario expects {n_samples}"
         )
+    if not records.get("odo"):
+        raise ValueError("log has no odometer records")
     return MeasurementSet(
         poses=poses,
         imu=imu,
-        odo=records.get("odo", []),
+        odo=records["odo"],
         epochs=epochs,
         truth_biases=None,
     )

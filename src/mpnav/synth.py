@@ -65,7 +65,6 @@ class SbrObs:
 class NoiseCfg:
     var_range_m2: float = 0.5
     var_angle_deg2: float = 0.01
-    seed: int = 0
 
     def __post_init__(self):
         if self.var_range_m2 < 0 or self.var_angle_deg2 < 0:

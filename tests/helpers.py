@@ -1,17 +1,21 @@
-"""Shared scene generators for the test suite.
+"""Shared scene generators and reference solvers for the test suite.
 
 Rejection-samples random worlds until the requested propagation geometry
 exists; all randomness flows through a caller-provided Generator so every
-test controls its own seed.
+test controls its own seed. sbr_fix_svd is the dense-SVD reflection solver
+that mpnav.fixes.sbr_fix must reproduce.
 """
 
 import numpy as np
 
+from mpnav.fixes import Fix, _angle_std_rad, _unit_jacobian
 from mpnav.scene import (
+    SPEED_OF_LIGHT,
     BaseStation,
     Wall,
     double_bounce_path,
     specular_path,
+    unit_from_angles,
 )
 
 
@@ -113,3 +117,143 @@ def random_double_bounce(rng, max_tries=400):
             if path is not None:
                 return bs, ue, (first, second), path
     raise RuntimeError("no double-bounce geometry found")
+
+
+def sbr_fix_svd(
+    pairs,
+    var_range_m2: float = 0.0,
+    var_angle_deg2: float = 0.0,
+    var_aoa_extra_rad2: float = 0.0,
+    cond_max: float = 1e8,
+    estimate_yaw: bool = False,
+    weighted: bool = True,
+):
+    """Reference joint fix over K >= 2 single-bounce paths: the full
+    3K x (3+K) system solved by SVD, legs included.
+
+    pairs: list of (BaseStation, SbrObs). Unknowns are (p, leg_1..leg_K);
+    each path contributes the three equations
+        p - leg_k * (u_dep_k + u_arr_k) = bs_k - L_k * u_arr_k.
+    Solved by SVD least squares. Returns None instead of a wrong answer when
+    the system is ill-conditioned (> cond_max) or any recovered first leg
+    falls outside [0, L_k].
+
+    weighted scales each path's equations by its expected noise (longer legs
+    amplify angle noise), which matters when path lengths vary a lot.
+
+    estimate_yaw appends one unknown: a common nav-frame yaw misalignment of
+    the attitude that globalized the arrival angles. Its column per path is
+    (L_k - leg_k) * (z_hat x u_arr_k), linearized at first-pass leg values.
+    The estimate and its variance land in Fix.yaw / Fix.yaw_var so a fusion
+    filter can correct heading from the same measurements. Needs K >= 3 for
+    vertical-wall paths: u_dep + u_arr and the yaw column are then all
+    horizontal, and the K=2 horizontal subsystem has more unknowns than
+    equations, so the condition check reports no fix.
+
+    Covariance comes from first-order propagation of the declared range and
+    angle variances through the solver; var_aoa_extra_rad2 adds attitude
+    uncertainty to the arrival angles beyond what estimate_yaw models.
+    """
+    K = len(pairs)
+    if K < 2:
+        raise ValueError("joint fix needs at least two paths")
+    A = np.zeros((3 * K, 3 + K))
+    y = np.zeros(3 * K)
+    lengths = np.empty(K)
+    units = []
+    t_obs = pairs[0][1].t
+    for k, (bs, obs) in enumerate(pairs):
+        L = SPEED_OF_LIGHT * obs.toa
+        u_dep = unit_from_angles(obs.aod_az, obs.aod_el)
+        u_arr = unit_from_angles(obs.aoa_az, obs.aoa_el)
+        rows = slice(3 * k, 3 * k + 3)
+        A[rows, :3] = np.eye(3)
+        A[rows, 3 + k] = -(u_dep + u_arr)
+        y[rows] = bs.p - L * u_arr
+        lengths[k] = L
+        units.append((u_dep, u_arr, obs))
+    u_svd, s, vt = np.linalg.svd(A, full_matrices=False)
+    if s[-1] <= 0.0 or s[0] / s[-1] > cond_max:
+        return None
+    x = vt.T @ ((u_svd.T @ y) / s)
+    legs0 = x[3:]
+
+    va = _angle_std_rad(var_angle_deg2) ** 2
+    va_arr = va + var_aoa_extra_rad2
+    n_unk = 3 + K + (1 if estimate_yaw else 0)
+    if weighted or estimate_yaw:
+        # second pass: noise-scaled rows, optional shared yaw column
+        legs_ref = np.clip(legs0, 0.0, lengths)
+        if weighted:
+            s2 = var_range_m2 + va * legs_ref**2 + va_arr * (lengths - legs_ref) ** 2
+            w = 1.0 / np.sqrt(np.maximum(s2, 1e-12))
+            w /= w.max()
+        else:
+            w = np.ones(K)
+        A2 = np.zeros((3 * K, n_unk))
+        y2 = np.empty(3 * K)
+        for k, (u_dep, u_arr, obs) in enumerate(units):
+            rows = slice(3 * k, 3 * k + 3)
+            A2[rows, : 3 + K] = w[k] * A[rows]
+            if estimate_yaw:
+                A2[rows, 3 + K] = (
+                    w[k] * (lengths[k] - legs_ref[k]) * np.array([-u_arr[1], u_arr[0], 0.0])
+                )
+            y2[rows] = w[k] * y[rows]
+        u_svd, s, vt = np.linalg.svd(A2, full_matrices=False)
+        if s[-1] <= 0.0 or s[0] / s[-1] > cond_max:
+            return None
+        x = vt.T @ ((u_svd.T @ y2) / s)
+        row_w = np.repeat(w, 3)
+    else:
+        row_w = np.ones(3 * K)
+
+    p = x[:3]
+    legs = x[3 : 3 + K]
+    psi = float(x[3 + K]) if estimate_yaw else None
+    for k in range(K):
+        tol = 1e-9 * max(1.0, lengths[k])
+        if legs[k] < -tol or legs[k] > lengths[k] + tol:
+            return None
+    # unweighted equation misfit, with the yaw term included when estimated
+    r = A @ np.concatenate([p, legs]) - y
+    if estimate_yaw:
+        for k, (u_dep, u_arr, obs) in enumerate(units):
+            rows = slice(3 * k, 3 * k + 3)
+            r[rows] += psi * (lengths[k] - legs[k]) * np.array([-u_arr[1], u_arr[0], 0.0])
+    residual = float(np.sqrt(np.mean(r**2)))
+    path_residuals = [float(np.linalg.norm(r[3 * k : 3 * k + 3])) for k in range(K)]
+
+    # First-order sensitivity: A dx = dy - dA x, columns per input
+    # [L_k, aod_az_k, aod_el_k, aoa_az_k, aoa_el_k].
+    rhs = np.zeros((3 * K, 5 * K))
+    sig2 = np.empty(5 * K)
+    for k, (u_dep, u_arr, obs) in enumerate(units):
+        rows = slice(3 * k, 3 * k + 3)
+        cols = slice(5 * k, 5 * k + 5)
+        jd_az, jd_el = _unit_jacobian(obs.aod_az, obs.aod_el)
+        ja_az, ja_el = _unit_jacobian(obs.aoa_az, obs.aoa_el)
+        rhs[rows, 5 * k + 0] = -u_arr
+        rhs[rows, 5 * k + 1] = legs[k] * jd_az
+        rhs[rows, 5 * k + 2] = legs[k] * jd_el
+        rhs[rows, 5 * k + 3] = (legs[k] - lengths[k]) * ja_az
+        rhs[rows, 5 * k + 4] = (legs[k] - lengths[k]) * ja_el
+        sig2[cols] = [var_range_m2, va, va, va_arr, va_arr]
+    j_all = vt.T @ ((u_svd.T @ (row_w[:, None] * rhs)) / s[:, None])
+    j_p = j_all[:3]
+    cov = (j_p * sig2) @ j_p.T
+    fix = Fix(
+        t=t_obs,
+        p=p,
+        cov=cov,
+        residual=residual,
+        source="sbr",
+        n_paths=K,
+        path_residuals=path_residuals,
+    )
+    if estimate_yaw:
+        j_psi = j_all[3 + K]
+        fix.yaw = psi
+        fix.yaw_var = float((j_psi * sig2) @ j_psi)
+        fix.yaw_pos_cov = (j_p * sig2) @ j_psi
+    return fix

@@ -126,6 +126,45 @@ def test_numeric_failure_exits_4(tmp_path):
     assert not out2.exists()
 
 
+def edited_log(tmp_path, keep):
+    """Write the mini run's measurement log with only the records keep()
+    accepts; returns the path of an ingest config for it."""
+    cfg = write_config(tmp_path, mini_config())
+    out = tmp_path / "src_run"
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_OK
+    lines = (out / "measurements.jsonl").read_text().splitlines()
+    kept = [line for i, line in enumerate(lines) if keep(i, json.loads(line))]
+    (tmp_path / "edited.jsonl").write_text("\n".join(kept) + "\n")
+    return write_config(tmp_path, mini_config(measurement_log="edited.jsonl"), "ingest.json")
+
+
+def test_log_with_wrong_imu_count_exits_2(tmp_path, capsys):
+    # the log opens with the IMU stream: drop its first sample
+    cfg = edited_log(tmp_path, lambda i, d: i > 0)
+    out = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
+    assert "IMU samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_log_without_odometer_exits_2(tmp_path, capsys):
+    cfg = edited_log(tmp_path, lambda i, d: d["kind"] != "odo")
+    out = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
+    assert "odometer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_outage_list_means_no_outage(tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main([str(write_config(tmp_path, mini_config())), "--output-dir", str(out1)]) == EXIT_OK
+    cfg = write_config(tmp_path, mini_config(outages=[]), "empty.json")
+    assert main([str(cfg), "--output-dir", str(out2)]) == EXIT_OK
+    assert (out1 / "errors_with.csv").read_bytes() == (out2 / "errors_with.csv").read_bytes()
+    bad = write_config(tmp_path, mini_config(outages={}), "bad.json")
+    assert main([str(bad), "--output-dir", str(tmp_path / "c")]) == EXIT_CONFIG
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path, mini_config())
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -148,8 +148,8 @@ def test_update_position_limit_cases():
 
 
 def test_update_position_matches_linear_kf():
-    # the transform is exact for a linear measurement, so the UT update must
-    # reproduce the closed-form Kalman step
+    # both updates are linear in the error state: each must reproduce the
+    # Kalman step written out with an explicit H
     rng = np.random.default_rng(11)
     a = rng.normal(size=(N_ERR, N_ERR))
     P0 = a @ a.T + N_ERR * np.eye(N_ERR)
@@ -169,6 +169,30 @@ def test_update_position_matches_linear_kf():
     assert quat.to_rotvec(fs.q_bn) == pytest.approx(dx[6:9], abs=1e-8)
     assert fs.b_g == pytest.approx(dx[9:12], abs=1e-8)
     assert np.allclose(fs.P, P1, atol=1e-7)
+
+    # position + yaw: the yaw row is the third row of R(q) on the attitude
+    # block, and its innovation is the fix's yaw offset itself
+    q0 = quat.from_euler(0.1, -0.2, 0.7)
+    fs0 = FilterState(t=0.0, p=[1.0, 2.0, 0.5], v=np.zeros(3), q_bn=q0, P=P0)
+    fix = SimpleNamespace(p=np.array([1.5, 1.8, 0.4]), yaw=0.3)
+    R4 = np.diag([0.5, 0.7, 0.9, 0.05])
+    R4[:3, 3] = R4[3, :3] = [0.01, -0.02, 0.005]
+    fs, info = update_position_yaw(fs0, fix, R4, UkfParams())
+    H = np.zeros((4, N_ERR))
+    H[:3, :3] = np.eye(3)
+    H[3, 6:9] = quat.to_matrix(q0)[2]
+    nu = np.concatenate([fix.p - fs0.p, [fix.yaw]])
+    S = H @ P0 @ H.T + R4
+    K = P0 @ H.T @ np.linalg.inv(S)
+    dx = K @ nu
+    assert info.accepted
+    assert info.nis == pytest.approx(nu @ np.linalg.solve(S, nu), rel=1e-9)
+    assert fs.p == pytest.approx(fs0.p + dx[:3], abs=1e-8)
+    assert fs.v == pytest.approx(dx[3:6], abs=1e-8)
+    d_att = quat.to_rotvec(quat.multiply(quat.conjugate(q0), fs.q_bn))
+    assert d_att == pytest.approx(dx[6:9], abs=1e-8)
+    assert fs.b_a == pytest.approx(dx[12:15], abs=1e-8)
+    assert np.allclose(fs.P, P0 - K @ S @ K.T, atol=1e-7)
 
 
 def test_update_position_tightens_every_axis():

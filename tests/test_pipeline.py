@@ -8,7 +8,6 @@ from mpnav.pipeline import (
     RunSetup,
     measurement_set_from_records,
     records_from_measurement_set,
-    replace_setup,
     run,
     run_filter,
     run_pair,
@@ -171,12 +170,3 @@ def test_setup_validation():
         fast_setup(duration_s=0.2)
     with pytest.raises(ValueError):
         fast_setup(duration_s=-1.0)
-
-
-def test_replace_setup_keeps_derived_filter_params():
-    setup = fast_setup(seed=4)
-    other = replace_setup(setup, with_sbr=False)
-    assert other.with_sbr is False
-    assert other.seed == setup.seed
-    assert other.ukf.q_vel == setup.ukf.q_vel
-    assert other.scenario is setup.scenario
