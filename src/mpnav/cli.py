@@ -296,9 +296,8 @@ def _run_single(cfg, config_dir, seed_override, outdir):
             path = config_dir / path
         if not path.is_file():
             raise ConfigError(f"measurement log not found: {path}")
-        records = read_measurement_log(path)
         try:
-            ms = measurement_set_from_records(records, setup)
+            ms = measurement_set_from_records(read_measurement_log(path), setup)
         except ValueError as exc:
             raise ConfigError(f"measurement log {path}: {exc}") from exc
         write_log = False

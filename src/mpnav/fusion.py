@@ -182,7 +182,8 @@ def predict(fs: FilterState, gyros, accels, dts, params: UkfParams, trapezoid: b
 
     gyros/accels: (m, 3) arrays, dts: (m,) per-sample intervals covering
     (fs.t, fs.t + sum(dts)]. Each sigma point is mechanized with its own bias
-    subvector; process noise enters as Q * elapsed time.
+    subvector, the whole interval in one call; process noise enters as
+    Q * elapsed time.
     """
     gyros = np.atleast_2d(np.asarray(gyros, dtype=float))
     accels = np.atleast_2d(np.asarray(accels, dtype=float))
@@ -191,8 +192,8 @@ def predict(fs: FilterState, gyros, accels, dts, params: UkfParams, trapezoid: b
         raise ValueError("IMU intervals must be positive")
     pts, wm, wc = sigma_points(np.zeros(N_ERR), fs.P, params.alpha, params.beta, params.kappa)
     p, v, q, bg, ba = _inject(fs, pts)
-    for k in range(len(dts)):
-        p, v, q = mechanize_arrays(p, v, q, bg, ba, gyros[k], accels[k], dts[k], trapezoid=trapezoid)
+    p, v, q = mechanize_arrays(p, v, q, bg, ba, gyros, accels, dts, trapezoid=trapezoid)
+    p, v, q = p[-1], v[-1], q[-1]
     p_mean = wm @ p
     v_mean = wm @ v
     bg_mean = wm @ bg

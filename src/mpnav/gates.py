@@ -46,20 +46,22 @@ def classify_los(obs, plm, cfg: GateConfig) -> bool:
     return abs(d_time - d_rss) <= cfg.range_consistency_m
 
 
-def oori_check(obs, fix_residual_m: float, cfg: GateConfig) -> bool:
-    """Admit a reflected observation as a genuine single bounce.
+def oori_check(aod_el, aoa_el, fix_residual_m, cfg: GateConfig):
+    """Admit reflected observations as genuine single bounces; takes the
+    arrays of one epoch's paths (or scalars) and returns (admit,
+    elevation_ok) boolean arrays of their shape.
 
     Two conditions: (a) a vertical reflector preserves the vertical component
     of the propagation direction, so the departure and arrival elevations
     must be opposite, |sin(aod_el) + sin(aoa_el)| <= eps; and (b) the
     observation's solution locus must pass near the predicted position,
     fix_residual_m <= threshold. Higher-order bounces generically fail (b)
-    even though vertical walls let them sneak past (a).
+    even though vertical walls let them sneak past (a). A path with
+    elevation_ok but not admit failed (b) only.
     """
-    dz = math.sin(obs.aod_el) + math.sin(obs.aoa_el)
-    if abs(dz) > cfg.elevation_eps_rad:
-        return False
-    return fix_residual_m <= cfg.residual_m
+    dz = np.sin(np.asarray(aod_el, dtype=float)) + np.sin(np.asarray(aoa_el, dtype=float))
+    elevation_ok = ~(np.abs(dz) > cfg.elevation_eps_rad)
+    return elevation_ok & (np.asarray(fix_residual_m) <= cfg.residual_m), elevation_ok
 
 
 def motion_gate(candidate_p, prior_p, odo_dist_m: float, dt: float, cfg: GateConfig) -> bool:

@@ -8,8 +8,6 @@ earth-rate terms sit below the sensor errors being modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import quat
@@ -17,63 +15,42 @@ from . import quat
 GRAVITY = np.array([0.0, 0.0, -9.80665])  # ENU, m/s^2
 
 
-@dataclass
-class NavState:
-    """Dead-reckoning state. q_bn rotates body vectors into ENU."""
-
-    p: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    q_bn: np.ndarray = field(default_factory=quat.identity)
-    b_g: np.ndarray = field(default_factory=lambda: np.zeros(3))  # gyro bias, rad/s
-    b_a: np.ndarray = field(default_factory=lambda: np.zeros(3))  # accel bias, m/s^2
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float).reshape(3)
-        self.v = np.asarray(self.v, dtype=float).reshape(3)
-        self.q_bn = np.asarray(self.q_bn, dtype=float).reshape(4)
-        self.b_g = np.asarray(self.b_g, dtype=float).reshape(3)
-        self.b_a = np.asarray(self.b_a, dtype=float).reshape(3)
-
-    def copy(self) -> "NavState":
-        return NavState(
-            p=self.p.copy(),
-            v=self.v.copy(),
-            q_bn=self.q_bn.copy(),
-            b_g=self.b_g.copy(),
-            b_a=self.b_a.copy(),
-        )
-
-
 def mechanize_arrays(p, v, q, b_g, b_a, gyro, accel, dt, trapezoid=True):
-    """One mechanization step on stacked states; broadcasts over leading axes.
+    """Mechanize one IMU interval of m samples on stacked states.
 
-    Attitude first (exponential map of the compensated rate), then velocity
-    with the new attitude, then position; trapezoidal position integration by
-    default, rectangular (new velocity) otherwise.
+    gyro, accel: (m, 3) body-frame samples; dt: (m,) sample intervals. The
+    state p, v (..., 3), q (..., 4) and biases b_g, b_a (..., 3) broadcast
+    over leading axes (sigma points). Per sample: attitude first (exponential
+    map of the compensated rate), then velocity with the new attitude, then
+    position; trapezoidal position integration by default, rectangular (new
+    velocity) otherwise. Returns (p, v, q) after every sample, each with a
+    leading axis of length m.
+
+    Only the attitude chain runs sample by sample. The rotation increments
+    come from one exponential map and the nav-frame accelerations from one
+    rotation; velocity and position are running sums that add in sample
+    order, so the result equals stepping the samples one at a time bit for
+    bit.
     """
-    dq = quat.from_rotvec((gyro - b_g) * dt)
-    q_new = quat.normalize(quat.multiply(q, dq))
-    a_nav = quat.rotate(q_new, accel - b_a) + GRAVITY
-    v_new = v + a_nav * dt
+    gyro = np.asarray(gyro, dtype=float)
+    accel = np.asarray(accel, dtype=float)
+    dt = np.asarray(dt, dtype=float)
+    p = np.asarray(p, dtype=float)
+    v = np.asarray(v, dtype=float)
+    # per-sample inputs: the sample axis first, then the state's leading axes
+    lead = (slice(None),) + (None,) * (np.ndim(q) - 1)
+    dq = quat.from_rotvec((gyro[lead] - b_g) * dt[lead][..., None])
+    qs = quat.chain(q, dq)
+    a_nav = quat.rotate(qs, accel[lead] - b_a) + GRAVITY
+    dt3 = dt[lead][..., None]
+    v = np.broadcast_to(v, a_nav.shape[1:])
+    vs = np.cumsum(np.concatenate([v[None], a_nav * dt3]), axis=0)
     if trapezoid:
-        p_new = p + 0.5 * (v + v_new) * dt
+        dp = 0.5 * (vs[:-1] + vs[1:]) * dt3
     else:
-        p_new = p + v_new * dt
-    return p_new, v_new, q_new
-
-
-def mechanize_step(s: NavState, imu, dt: float, trapezoid: bool = True) -> NavState:
-    """Advance one IMU interval. imu needs .gyro and .accel (body frame)."""
-    if not 0.0 < dt <= 0.1:
-        raise ValueError(f"dt must be in (0, 0.1] s, got {dt}")
-    gyro = np.asarray(imu.gyro, dtype=float)
-    accel = np.asarray(imu.accel, dtype=float)
-    if not (np.all(np.isfinite(gyro)) and np.all(np.isfinite(accel))):
-        raise ValueError("non-finite IMU sample")
-    p, v, q = mechanize_arrays(
-        s.p, s.v, s.q_bn, s.b_g, s.b_a, gyro, accel, dt, trapezoid=trapezoid
-    )
-    return NavState(p=p, v=v, q_bn=q, b_g=s.b_g.copy(), b_a=s.b_a.copy())
+        dp = vs[1:] * dt3
+    ps = np.cumsum(np.concatenate([np.broadcast_to(p, dp.shape[1:])[None], dp]), axis=0)
+    return ps[1:], vs[1:], qs
 
 
 def drift_profile(poses, imu_err, rate: float, rng, trapezoid: bool = True):
@@ -85,19 +62,26 @@ def drift_profile(poses, imu_err, rate: float, rng, trapezoid: bool = True):
     from .synth import synth_imu  # runtime import keeps module layering acyclic
 
     samples = synth_imu(poses, imu_err, rate, rng)
-    s = NavState(
-        p=poses[0].p.copy(),
-        v=poses[0].v.copy(),
-        q_bn=quat.from_euler(*poses[0].att),
+    t = np.array([po.t for po in poses])
+    dts = np.diff(t)
+    if not np.all((dts > 0.0) & (dts <= 0.1)):
+        raise ValueError(f"IMU intervals must be in (0, 0.1] s, got {dts.min()}..{dts.max()}")
+    gyros = np.stack([s.gyro for s in samples])
+    accels = np.stack([s.accel for s in samples])
+    if not (np.all(np.isfinite(gyros)) and np.all(np.isfinite(accels))):
+        raise ValueError("non-finite IMU sample")
+    zeros = np.zeros(3)
+    p, _, _ = mechanize_arrays(
+        poses[0].p,
+        poses[0].v,
+        quat.from_euler(*poses[0].att),
+        zeros,
+        zeros,
+        gyros,
+        accels,
+        dts,
+        trapezoid=trapezoid,
     )
-    n = len(samples)
-    t = np.empty(n + 1)
-    err = np.empty(n + 1)
-    t[0] = poses[0].t
-    err[0] = 0.0
-    for k, sample in enumerate(samples):
-        dt = poses[k + 1].t - poses[k].t
-        s = mechanize_step(s, sample, dt, trapezoid=trapezoid)
-        t[k + 1] = poses[k + 1].t
-        err[k + 1] = float(np.linalg.norm(s.p - poses[k + 1].p))
+    truth = np.stack([po.p for po in poses[1:]])
+    err = np.concatenate([[0.0], np.linalg.norm(p - truth, axis=1)])
     return t, err

@@ -27,15 +27,14 @@ from .scene import (
 )
 from .synth import (
     ImuErrorModel,
+    LosObs,
     NoiseCfg,
     PathLossModel,
     SbrObs,
     apply_noise,
     apply_outages,
     synth_imu,
-    synth_los,
     synth_odo,
-    synth_sbr,
 )
 
 
@@ -148,52 +147,54 @@ def synth_measurements(setup: RunSetup) -> MeasurementSet:
     walls = setup.scenario.walls
     stations = setup.scenario.base_stations
     arrays = SceneArrays(stations, walls)
+    bs_p = np.stack([bs.p for bs in stations])
     epochs = []
     for idx in epoch_idx:
         pose = poses[idx]
-        q_pose = quat.from_euler(*pose.att)
-        los = []
-        vis = arrays.los_mask(pose.p)
-        for b, bs in enumerate(stations):
-            if not vis[b]:
-                continue
-            obs = synth_los(bs, pose, setup.path_loss)
-            los.append(apply_noise(obs, setup.noise, streams["obs"]))
-        sbr = []
+        q_conj = quat.conjugate(quat.from_euler(*pose.att))
+        # direct paths of the visible stations, in station order
+        vis = np.flatnonzero(arrays.los_mask(pose.p))
+        d_vec = pose.p - bs_p[vis]
+        # row norms summed as np.linalg.norm sums one vector
+        d = np.sqrt((d_vec[:, None, :] @ d_vec[:, :, None])[:, 0, 0])
+        if np.any(d <= 0.0):
+            raise ValueError("UE and BS positions coincide")
+        # reflected paths: single bounces station-major then wall, doubles last
         bi, _, _, _, _, ln, ud, ua = arrays.specular_arrays(pose.p)
-        if bi.size:
-            aod_az, aod_el = angles_from_unit(ud)
-            aoa_az, aoa_el = angles_from_unit(ua)
-            u_body = quat.rotate(quat.conjugate(q_pose), ua)
-            aob_az, aob_el = angles_from_unit(u_body)
-            rss = setup.path_loss.rss(ln, bounces=1)
-            toa = ln / SPEED_OF_LIGHT
-            for k in range(bi.size):
-                obs = SbrObs(
-                    bs_id=stations[bi[k]].id,
-                    t=pose.t,
-                    toa=float(toa[k]),
-                    aod_az=float(aod_az[k]),
-                    aod_el=float(aod_el[k]),
-                    aoa_az=float(aoa_az[k]),
-                    aoa_el=float(aoa_el[k]),
-                    rss=float(rss[k]),
-                    truth_bounces=1,
-                    aoa_az_body=float(aob_az[k]),
-                    aoa_el_body=float(aob_el[k]),
-                )
-                sbr.append(apply_noise(obs, setup.noise, streams["obs"]))
+        bounces = np.ones(bi.size, dtype=int)
         if setup.include_double_bounce:
-            for bs in stations:
+            doubles = []
+            for b, bs in enumerate(stations):
                 for w1 in walls:
                     for w2 in walls:
-                        if w1.id == w2.id:
-                            continue
-                        path = double_bounce_path(bs, pose.p, w1, w2)
-                        if path is None:
-                            continue
-                        obs = synth_sbr(path, pose, setup.path_loss, q_bn=q_pose)
-                        sbr.append(apply_noise(obs, setup.noise, streams["obs"]))
+                        if w1.id != w2.id:
+                            path = double_bounce_path(bs, pose.p, w1, w2)
+                            if path is not None:
+                                doubles.append((b, path))
+            if doubles:
+                bi = np.concatenate([bi, [b for b, _ in doubles]]).astype(int)
+                ln = np.concatenate([ln, [path.length for _, path in doubles]])
+                ud = np.concatenate([ud, [path.u_dep for _, path in doubles]])
+                ua = np.concatenate([ua, [path.u_arr for _, path in doubles]])
+                bounces = np.concatenate([bounces, [path.bounces for _, path in doubles]])
+        n_los = vis.size
+        aod_az, aod_el = angles_from_unit(np.concatenate([d_vec, ud]))
+        aoa_az, aoa_el = angles_from_unit(np.concatenate([-d_vec, ua]))
+        tof = np.concatenate([2.0 * d / SPEED_OF_LIGHT, ln / SPEED_OF_LIGHT])
+        clean = np.stack([tof, aod_az, aod_el, aoa_az, aoa_el], axis=1)
+        body = np.stack(angles_from_unit(quat.rotate(q_conj, ua)), axis=1)
+        noisy, body = apply_noise(clean, setup.noise, streams["obs"], n_los=n_los, body=body)
+        rss = setup.path_loss.rss(
+            np.concatenate([d, ln]), bounces=np.concatenate([np.zeros(n_los, dtype=int), bounces])
+        )
+        rows, rss, body = noisy.tolist(), rss.tolist(), body.tolist()
+        los = [
+            LosObs(stations[b].id, pose.t, *rows[k], rss[k]) for k, b in enumerate(vis.tolist())
+        ]
+        sbr = [
+            SbrObs(stations[b].id, pose.t, *rows[n_los + k], rss[n_los + k], nb, *body[k])
+            for k, (b, nb) in enumerate(zip(bi.tolist(), bounces.tolist()))
+        ]
         los = apply_outages(pose.t, los, setup.outages)
         epochs.append(EpochMeasurements(t=pose.t, pose_index=idx, los=los, sbr=sbr))
     return MeasurementSet(poses=poses, imu=imu, odo=odo, epochs=epochs, truth_biases=biases)
@@ -235,6 +236,61 @@ def _init_filter(setup: RunSetup, pose0, rng) -> FilterState:
     return FilterState(
         t=pose0.t, p=pose0.p + dp, v=pose0.v + dv, q_bn=q0, P=P0 + 1e-12 * np.eye(15)
     )
+
+
+def screen_sbr(sbr, bs_by_id, q_bn, p_ref, setup: RunSetup):
+    """Bounce-order screen of one epoch's reflected records, on arrays.
+
+    With setup.use_body_aoa the body-frame arrival angles are globalized
+    with the attitude q_bn. Each path's locus is scored against p_ref, one
+    oori_check screens them all, and the strongest setup.max_sbr_paths
+    admitted paths are kept, ties in record order. Returns (pairs, counts):
+    the (BaseStation, SbrObs) pairs for sbr_fix and the admitted/rejected
+    counts keyed like run_filter's counters.
+    """
+    bs_pos = np.stack([bs_by_id[o.bs_id].p for o in sbr])
+    obs = np.array([(o.toa, o.aod_az, o.aod_el, o.aoa_az, o.aoa_el, o.rss) for o in sbr])
+    if setup.use_body_aoa:
+        body = np.array([(o.aoa_az_body, o.aoa_el_body) for o in sbr])
+        u_glob = quat.rotate(q_bn, unit_from_angles(body[:, 0], body[:, 1]))
+        obs[:, 3], obs[:, 4] = angles_from_unit(u_glob)
+    residuals = sbr_locus_residuals(
+        bs_pos,
+        obs[:, 0] * SPEED_OF_LIGHT,
+        unit_from_angles(obs[:, 1], obs[:, 2]),
+        unit_from_angles(obs[:, 3], obs[:, 4]),
+        p_ref,
+    )
+    admit, elevation_ok = oori_check(obs[:, 2], obs[:, 4], residuals, setup.gate_cfg)
+    n_admit = int(np.count_nonzero(admit))
+    n_elev = int(np.count_nonzero(~elevation_ok))
+    counts = {
+        "sbr_admitted": n_admit,
+        "sbr_rejected_elevation": n_elev,
+        "sbr_rejected_residual": len(sbr) - n_admit - n_elev,
+    }
+    keep = np.flatnonzero(admit)
+    if setup.max_sbr_paths and keep.size > setup.max_sbr_paths:
+        keep = keep[np.argsort(-obs[keep, 5], kind="stable")[: setup.max_sbr_paths]]
+    pairs = []
+    for k in keep.tolist():
+        o = sbr[k]
+        if setup.use_body_aoa:
+            o = SbrObs(
+                bs_id=o.bs_id,
+                t=o.t,
+                toa=o.toa,
+                aod_az=o.aod_az,
+                aod_el=o.aod_el,
+                aoa_az=float(obs[k, 3]),
+                aoa_el=float(obs[k, 4]),
+                rss=o.rss,
+                truth_bounces=o.truth_bounces,
+                aoa_az_body=o.aoa_az_body,
+                aoa_el_body=o.aoa_el_body,
+            )
+        pairs.append((bs_by_id[o.bs_id], o))
+    return pairs, counts
 
 
 def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
@@ -329,37 +385,9 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
         if setup.with_sbr:
             counters["sbr_total"] += len(epoch.sbr)
         if setup.with_sbr and len(epoch.sbr) >= 2:
-            if setup.use_body_aoa:
-                body = np.array([(o.aoa_az_body, o.aoa_el_body) for o in epoch.sbr])
-                u_glob = quat.rotate(fs.q_bn, unit_from_angles(body[:, 0], body[:, 1]))
-                az, el = angles_from_unit(u_glob)
-                est_obs = [
-                    replace(o, aoa_az=float(a), aoa_el=float(e))
-                    for o, a, e in zip(epoch.sbr, az, el)
-                ]
-            else:
-                est_obs = list(epoch.sbr)
-            bs_pos = np.stack([bs_by_id[o.bs_id].p for o in est_obs])
-            lengths = np.array([o.toa for o in est_obs]) * SPEED_OF_LIGHT
-            u_deps = unit_from_angles(
-                np.array([o.aod_az for o in est_obs]), np.array([o.aod_el for o in est_obs])
-            )
-            u_arrs = unit_from_angles(
-                np.array([o.aoa_az for o in est_obs]), np.array([o.aoa_el for o in est_obs])
-            )
-            residuals = sbr_locus_residuals(bs_pos, lengths, u_deps, u_arrs, fs.p)
-            admitted = []
-            for obs, resid in zip(est_obs, residuals):
-                if oori_check(obs, float(resid), setup.gate_cfg):
-                    admitted.append((bs_by_id[obs.bs_id], obs))
-                    counters["sbr_admitted"] += 1
-                elif abs(np.sin(obs.aod_el) + np.sin(obs.aoa_el)) > setup.gate_cfg.elevation_eps_rad:
-                    counters["sbr_rejected_elevation"] += 1
-                else:
-                    counters["sbr_rejected_residual"] += 1
-            if setup.max_sbr_paths and len(admitted) > setup.max_sbr_paths:
-                # keep the strongest returns; stable sort keeps ties ordered
-                admitted = sorted(admitted, key=lambda bo: -bo[1].rss)[: setup.max_sbr_paths]
+            admitted, counts = screen_sbr(epoch.sbr, bs_by_id, fs.q_bn, fs.p, setup)
+            for key, n in counts.items():
+                counters[key] += n
             if len(admitted) >= 2:
                 # with body-frame arrival angles the solver co-estimates the
                 # yaw misalignment of the fused attitude; roll/pitch error
@@ -464,7 +492,8 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
     is unknown, so consistency statistics are unavailable on ingested runs.
 
     Raises ValueError when the log cannot feed the filter: an IMU sample
-    count other than the scenario's, or no odometer records."""
+    count other than the scenario's, no odometer records, or a base station
+    the scenario does not have."""
     epoch_idx, _, n_samples = _epoch_indices(setup)
     times = np.arange(n_samples + 1) / setup.rates.imu_hz
     poses = trajectory_poses(setup.scenario.trajectory, times)
@@ -493,6 +522,10 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
         )
     if not records.get("odo"):
         raise ValueError("log has no odometer records")
+    known = {bs.id for bs in setup.scenario.base_stations}
+    unknown = {o.bs_id for kind in ("los", "sbr") for o in records.get(kind, [])} - known
+    if unknown:
+        raise ValueError(f"log names base stations not in the scenario: {sorted(unknown)}")
     return MeasurementSet(
         poses=poses,
         imu=imu,

@@ -20,8 +20,9 @@ def identity() -> np.ndarray:
 
 
 def normalize(q: np.ndarray) -> np.ndarray:
+    # the sum np.linalg.norm(q, axis=-1) takes, without its call overhead
     q = np.asarray(q, dtype=float)
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return q / np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
 
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -35,6 +36,35 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
     out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
     out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
+
+
+def chain(q: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    """Running products q (x) dq[0] (x) dq[1] ..., renormalized after each
+    factor; returns every partial product, shape (m, ..., 4).
+
+    Equal bit for bit to repeating q = normalize(multiply(q, dq[k])): each
+    output component sums the same four products in the same order (a's w,
+    x, y, z), with the signs moved onto the precomputed dq factors, which
+    leaves every rounding unchanged.
+    """
+    dq = np.asarray(dq, dtype=float)
+    w, x, y, z = (dq[..., i] for i in range(4))
+    # factors[k, j]: the dq[k] terms that multiply component j of the left side
+    factors = np.stack(
+        [
+            np.stack([w, x, y, z], axis=-1),
+            np.stack([-x, w, -z, y], axis=-1),
+            np.stack([-y, z, w, -x], axis=-1),
+            np.stack([-z, -y, x, w], axis=-1),
+        ],
+        axis=1,
+    )
+    q = np.asarray(q, dtype=float)
+    out = np.empty(dq.shape[:1] + np.broadcast_shapes(q.shape, dq.shape[1:]))
+    for k, f in enumerate(factors):
+        q = q[..., 0:1] * f[0] + q[..., 1:2] * f[1] + q[..., 2:3] * f[2] + q[..., 3:4] * f[3]
+        q = out[k] = normalize(q)
     return out
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -183,18 +184,16 @@ def synth_los(bs, pose, plm: PathLossModel) -> LosObs:
     )
 
 
-def synth_sbr(path, pose, plm: PathLossModel, q_bn=None) -> SbrObs:
+def synth_sbr(path, pose, plm: PathLossModel) -> SbrObs:
     """Noise-free reflected-path observables.
 
     Works for single- and double-bounce path records (anything exposing
     length, u_dep, u_arr, bounces); the body-frame arrival angles use the
-    pose's true attitude. Pass q_bn to skip recomputing it from pose.att
-    when synthesizing many paths at one pose.
+    pose's true attitude.
     """
     aod_az, aod_el = angles_from_unit(path.u_dep)
     aoa_az, aoa_el = angles_from_unit(path.u_arr)
-    if q_bn is None:
-        q_bn = quat.from_euler(*pose.att)
+    q_bn = quat.from_euler(*pose.att)
     u_body = quat.rotate(quat.conjugate(q_bn), path.u_arr)
     aoa_az_b, aoa_el_b = angles_from_unit(u_body)
     return SbrObs(
@@ -212,42 +211,51 @@ def synth_sbr(path, pose, plm: PathLossModel, q_bn=None) -> SbrObs:
     )
 
 
-def _wrap_az(az: float) -> float:
-    return math.atan2(math.sin(az), math.cos(az))
+def _wrap_az(az):
+    return np.arctan2(np.sin(az), np.cos(az))
 
 
-def _clip_el(el: float) -> float:
-    return min(max(el, -math.pi / 2), math.pi / 2)
+def _clip_el(el):
+    return np.clip(el, -math.pi / 2, math.pi / 2)
 
 
-def apply_noise(obs, cfg: NoiseCfg, rng):
-    """Return a noisy copy of a LoS or reflected observation.
+def apply_noise(obs, cfg: NoiseCfg, rng, n_los: int = 0, body=None):
+    """Noisy copy of one epoch's observables, perturbed as one block.
 
-    Always consumes exactly five unit-normal draws per record, so sweeps with
-    different variances share one underlying stream (common random numbers)
-    and zero-variance output equals the input bitwise.
+    obs: (n, 5) rows [time of flight, aod_az, aod_el, aoa_az, aoa_el], one
+    per record in record order. The first n_los rows are direct paths, whose
+    time of flight is the two-way rtt; the rest are reflected paths with a
+    one-way toa. body: optional (n - n_los, 2) body-frame arrival angles
+    [az, el] of the reflected rows; they take the same angle errors as the
+    global arrival angles. Returns (obs, body) noisy copies.
+
+    Draws one (n, 5) block of unit normals, so exactly five per record in
+    record order at any variance: sweeps with different variances share one
+    underlying stream (common random numbers), and zero-variance output
+    equals the input bitwise.
     """
     if cfg.var_range_m2 < 0 or cfg.var_angle_deg2 < 0:
         raise ValueError("noise variances must be >= 0")
-    z = rng.standard_normal(5)
+    obs = np.asarray(obs, dtype=float)
+    z = rng.standard_normal((len(obs), 5))
     sig_r = math.sqrt(cfg.var_range_m2)
     sig_a = math.radians(math.sqrt(cfg.var_angle_deg2))
-    out = replace(obs)
+    out = obs.copy()
+    body_out = None if body is None else np.array(body, dtype=float)
     if sig_r > 0.0:
-        if isinstance(obs, LosObs):
-            out.rtt = obs.rtt + 2.0 * sig_r * z[0] / SPEED_OF_LIGHT
-        else:
-            out.toa = obs.toa + sig_r * z[0] / SPEED_OF_LIGHT
+        scale = np.full(len(obs), sig_r)
+        scale[:n_los] = 2.0 * sig_r
+        out[:, 0] = obs[:, 0] + scale * z[:, 0] / SPEED_OF_LIGHT
     if sig_a > 0.0:
-        out.aod_az = _wrap_az(obs.aod_az + sig_a * z[1])
-        out.aod_el = _clip_el(obs.aod_el + sig_a * z[2])
-        out.aoa_az = _wrap_az(obs.aoa_az + sig_a * z[3])
-        out.aoa_el = _clip_el(obs.aoa_el + sig_a * z[4])
-        if isinstance(obs, SbrObs):
+        ang = obs[:, 1:] + sig_a * z[:, 1:]
+        out[:, 1::2] = _wrap_az(ang[:, 0::2])
+        out[:, 2::2] = _clip_el(ang[:, 1::2])
+        if body is not None:
             # same physical angle error, expressed in the body frame
-            out.aoa_az_body = _wrap_az(obs.aoa_az_body + sig_a * z[3])
-            out.aoa_el_body = _clip_el(obs.aoa_el_body + sig_a * z[4])
-    return out
+            ang_b = body_out + sig_a * z[n_los:, 3:]
+            body_out[:, 0] = _wrap_az(ang_b[:, 0])
+            body_out[:, 1] = _clip_el(ang_b[:, 1])
+    return out, body_out
 
 
 def apply_outages(t: float, obs_list, windows):
@@ -354,7 +362,16 @@ def _record_to_dict(rec) -> dict:
     raise TypeError(f"unknown record type {type(rec).__name__}")
 
 
+def _vec3(d: dict, key: str) -> np.ndarray:
+    v = np.asarray(d[key], dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"{key} must hold three numbers")
+    return v
+
+
 def _record_from_dict(d: dict):
+    if not isinstance(d, dict):
+        raise ValueError("record is not a JSON object")
     kind = d.get("kind")
     if kind == "los":
         return LosObs(
@@ -382,14 +399,29 @@ def _record_from_dict(d: dict):
             aoa_el_body=float(d.get("aoa_el_body_rad", 0.0)),
         )
     if kind == "imu":
-        return ImuSample(
-            t=float(d["t_s"]),
-            gyro=np.asarray(d["gyro_rps"], dtype=float),
-            accel=np.asarray(d["accel_mps2"], dtype=float),
-        )
+        return ImuSample(t=float(d["t_s"]), gyro=_vec3(d, "gyro_rps"), accel=_vec3(d, "accel_mps2"))
     if kind == "odo":
         return OdoSample(t=float(d["t_s"]), speed=float(d["speed_mps"]))
     raise ValueError(f"unknown record kind {kind!r}")
+
+
+# per record kind: the log key of each number and a function returning the
+# record's numbers in that order, for the finiteness check of a log read
+_NUMBERS = {
+    "los": (
+        ("t_s", "rtt_s", "aod_az_rad", "aod_el_rad", "aoa_az_rad", "aoa_el_rad", "rss_dbm"),
+        attrgetter("t", "rtt", "aod_az", "aod_el", "aoa_az", "aoa_el", "rss"),
+    ),
+    "sbr": (
+        ("t_s", "toa_s", "aod_az_rad", "aod_el_rad", "aoa_az_rad", "aoa_el_rad", "rss_dbm")
+        + ("aoa_az_body_rad", "aoa_el_body_rad"),
+        attrgetter(
+            "t", "toa", "aod_az", "aod_el", "aoa_az", "aoa_el", "rss", "aoa_az_body", "aoa_el_body"
+        ),
+    ),
+    "imu": (("t_s",) + ("gyro_rps",) * 3 + ("accel_mps2",) * 3, lambda r: (r.t, *r.gyro, *r.accel)),
+    "odo": (("t_s", "speed_mps"), attrgetter("t", "speed")),
+}
 
 
 def write_measurement_log(path, records) -> None:
@@ -401,14 +433,29 @@ def write_measurement_log(path, records) -> None:
 
 def read_measurement_log(path) -> dict:
     """Parse a log back into {'los': [...], 'sbr': [...], 'imu': [...],
-    'odo': [...]} preserving file order."""
+    'odo': [...]} preserving file order.
+
+    Raises ValueError naming the 1-based line of the first record that is
+    not a JSON object, has an unknown kind, lacks a key, holds a value that
+    is not a number (or three, for IMU vectors) where one belongs, or holds
+    a number that is not finite."""
     out = {"los": [], "sbr": [], "imu": [], "odo": []}
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for n, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            d = json.loads(line)
-            rec = _record_from_dict(d)
+            try:
+                d = json.loads(line)
+                rec = _record_from_dict(d)
+                keys, numbers = _NUMBERS[d["kind"]]
+                values = numbers(rec)
+                if not all(map(math.isfinite, values)):
+                    bad = next(k for k, x in zip(keys, values) if not math.isfinite(x))
+                    raise ValueError(f"{bad} is not finite")
+            except KeyError as exc:
+                raise ValueError(f"line {n}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"line {n}: {exc}") from exc
             out[d["kind"]].append(rec)
     return out

@@ -1,22 +1,34 @@
-"""Shared scene generators and reference solvers for the test suite.
+"""Shared scene generators and reference implementations for the test suite.
 
 Rejection-samples random worlds until the requested propagation geometry
 exists; all randomness flows through a caller-provided Generator so every
-test controls its own seed. sbr_fix_svd is the dense-SVD reflection solver
-that mpnav.fixes.sbr_fix must reproduce.
+test controls its own seed. The references are the plain per-path,
+per-sample and per-record forms that the batched program code must
+reproduce: sbr_fix_svd (the dense-SVD reflection solver behind
+mpnav.fixes.sbr_fix), mechanize_per_sample (behind
+mpnav.ins.mechanize_arrays), apply_noise_per_record (behind
+mpnav.synth.apply_noise) and sbr_screen_per_record (the reflected-path
+screen of mpnav.pipeline.run_filter).
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 
+from mpnav import quat
 from mpnav.fixes import Fix, _angle_std_rad, _unit_jacobian
+from mpnav.ins import GRAVITY
 from mpnav.scene import (
     SPEED_OF_LIGHT,
     BaseStation,
     Wall,
+    angles_from_unit,
     double_bounce_path,
     specular_path,
     unit_from_angles,
 )
+from mpnav.synth import LosObs, SbrObs, apply_noise
 
 
 def random_wall(rng, ident="w0", center_span=80.0, min_len=20.0, max_len=120.0):
@@ -257,3 +269,125 @@ def sbr_fix_svd(
         fix.yaw_var = float((j_psi * sig2) @ j_psi)
         fix.yaw_pos_cov = (j_p * sig2) @ j_psi
     return fix
+
+
+def mechanize_step(p, v, q, b_g, b_a, gyro, accel, dt, trapezoid=True):
+    """One mechanization step on stacked states; broadcasts over leading axes.
+
+    Attitude first (exponential map of the compensated rate), then velocity
+    with the new attitude, then position; trapezoidal position integration by
+    default, rectangular (new velocity) otherwise.
+    """
+    dq = quat.from_rotvec((gyro - b_g) * dt)
+    q_new = quat.normalize(quat.multiply(q, dq))
+    a_nav = quat.rotate(q_new, accel - b_a) + GRAVITY
+    v_new = v + a_nav * dt
+    if trapezoid:
+        p_new = p + 0.5 * (v + v_new) * dt
+    else:
+        p_new = p + v_new * dt
+    return p_new, v_new, q_new
+
+
+def mechanize_per_sample(p, v, q, b_g, b_a, gyros, accels, dts, trapezoid=True):
+    """Reference for mechanize_arrays: one mechanize_step per IMU sample,
+    states stacked per sample along a new leading axis."""
+    out = []
+    for k in range(len(dts)):
+        p, v, q = mechanize_step(p, v, q, b_g, b_a, gyros[k], accels[k], dts[k], trapezoid)
+        out.append((p, v, q))
+    return tuple(np.stack(x) for x in zip(*out))
+
+
+def _wrap_az(az: float) -> float:
+    return math.atan2(math.sin(az), math.cos(az))
+
+
+def _clip_el(el: float) -> float:
+    return min(max(el, -math.pi / 2), math.pi / 2)
+
+
+def apply_noise_per_record(obs, cfg, rng):
+    """Reference for apply_noise: a noisy copy of one LoS or reflected
+    record, consuming exactly five unit-normal draws."""
+    if cfg.var_range_m2 < 0 or cfg.var_angle_deg2 < 0:
+        raise ValueError("noise variances must be >= 0")
+    z = rng.standard_normal(5)
+    sig_r = math.sqrt(cfg.var_range_m2)
+    sig_a = math.radians(math.sqrt(cfg.var_angle_deg2))
+    out = replace(obs)
+    if sig_r > 0.0:
+        if isinstance(obs, LosObs):
+            out.rtt = obs.rtt + 2.0 * sig_r * z[0] / SPEED_OF_LIGHT
+        else:
+            out.toa = obs.toa + sig_r * z[0] / SPEED_OF_LIGHT
+    if sig_a > 0.0:
+        out.aod_az = _wrap_az(obs.aod_az + sig_a * z[1])
+        out.aod_el = _clip_el(obs.aod_el + sig_a * z[2])
+        out.aoa_az = _wrap_az(obs.aoa_az + sig_a * z[3])
+        out.aoa_el = _clip_el(obs.aoa_el + sig_a * z[4])
+        if isinstance(obs, SbrObs):
+            out.aoa_az_body = _wrap_az(obs.aoa_az_body + sig_a * z[3])
+            out.aoa_el_body = _clip_el(obs.aoa_el_body + sig_a * z[4])
+    return out
+
+
+def add_noise(records, cfg, rng):
+    """Noisy copies of LoS and reflected records (LoS first) through the
+    program's epoch-block apply_noise: five draws per record, in order."""
+    n_los = sum(isinstance(o, LosObs) for o in records)
+    if any(isinstance(o, LosObs) for o in records[n_los:]):
+        raise ValueError("LoS records must come first")
+    los, sbr = records[:n_los], records[n_los:]
+    obs = [(o.rtt, o.aod_az, o.aod_el, o.aoa_az, o.aoa_el) for o in los]
+    obs += [(o.toa, o.aod_az, o.aod_el, o.aoa_az, o.aoa_el) for o in sbr]
+    body = [(o.aoa_az_body, o.aoa_el_body) for o in sbr]
+    noisy, body = apply_noise(
+        np.reshape(obs, (-1, 5)), cfg, rng, n_los=n_los, body=np.reshape(body, (-1, 2))
+    )
+    rows, body = noisy.tolist(), body.tolist()
+    out = [
+        replace(o, rtt=r[0], aod_az=r[1], aod_el=r[2], aoa_az=r[3], aoa_el=r[4])
+        for o, r in zip(los, rows)
+    ]
+    out += [
+        replace(
+            o,
+            toa=r[0],
+            aod_az=r[1],
+            aod_el=r[2],
+            aoa_az=r[3],
+            aoa_el=r[4],
+            aoa_az_body=b[0],
+            aoa_el_body=b[1],
+        )
+        for o, r, b in zip(sbr, rows[n_los:], body)
+    ]
+    return out
+
+
+def sbr_screen_per_record(sbr, bs_by_id, q_bn, p_ref, setup):
+    """Reference for pipeline.screen_sbr: globalize, score, screen and
+    select one record at a time. Returns (pairs, counts) like screen_sbr."""
+    from mpnav.fixes import sbr_locus_residual
+
+    counts = {"sbr_admitted": 0, "sbr_rejected_elevation": 0, "sbr_rejected_residual": 0}
+    eps = setup.gate_cfg.elevation_eps_rad
+    admitted = []
+    for o in sbr:
+        if setup.use_body_aoa:
+            u_glob = quat.rotate(q_bn, unit_from_angles(o.aoa_az_body, o.aoa_el_body))
+            az, el = angles_from_unit(u_glob)
+            o = replace(o, aoa_az=float(az), aoa_el=float(el))
+        bs = bs_by_id[o.bs_id]
+        resid = sbr_locus_residual(bs, o, p_ref)
+        if abs(math.sin(o.aod_el) + math.sin(o.aoa_el)) > eps:
+            counts["sbr_rejected_elevation"] += 1
+        elif resid <= setup.gate_cfg.residual_m:
+            counts["sbr_admitted"] += 1
+            admitted.append((bs, o))
+        else:
+            counts["sbr_rejected_residual"] += 1
+    if setup.max_sbr_paths and len(admitted) > setup.max_sbr_paths:
+        admitted = sorted(admitted, key=lambda bo: -bo[1].rss)[: setup.max_sbr_paths]
+    return admitted, counts

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from helpers import random_double_bounce, random_single_bounce, random_two_path_scene
+from helpers import add_noise, random_double_bounce, random_single_bounce, random_two_path_scene
 from mpnav import quat
 from mpnav.cli import EXIT_OK, main as cli_main
 from mpnav.evaluate import run_noise_sweep, run_outage_sweep
@@ -29,7 +29,6 @@ from mpnav.synth import (
     ImuErrorModel,
     NoiseCfg,
     PathLossModel,
-    apply_noise,
     synth_imu,
     synth_los,
     synth_sbr,
@@ -126,14 +125,14 @@ def test_criterion_3_bounce_order_screen():
     ok_single = 0
     for _ in range(1000):
         bs, ue, _, path = random_single_bounce(rng)
-        obs = apply_noise(synth_sbr(path, still_pose(ue), PLM), noise, rng)
-        if oori_check(obs, sbr_locus_residual(bs, obs, ue), cfg):
+        (obs,) = add_noise([synth_sbr(path, still_pose(ue), PLM)], noise, rng)
+        if oori_check(obs.aod_el, obs.aoa_el, sbr_locus_residual(bs, obs, ue), cfg)[0]:
             ok_single += 1
     ok_double = 0
     for _ in range(1000):
         bs, ue, _, path = random_double_bounce(rng)
-        obs = apply_noise(synth_sbr(path, still_pose(ue), PLM), noise, rng)
-        if not oori_check(obs, sbr_locus_residual(bs, obs, ue), cfg):
+        (obs,) = add_noise([synth_sbr(path, still_pose(ue), PLM)], noise, rng)
+        if not oori_check(obs.aod_el, obs.aoa_el, sbr_locus_residual(bs, obs, ue), cfg)[0]:
             ok_double += 1
     elapsed = time.perf_counter() - t0
     accuracy = (ok_single + ok_double) / 2000.0
@@ -145,6 +144,7 @@ def test_criterion_3_bounce_order_screen():
     assert report("criterion 3 bounce-order screen", ok, detail), detail
 
 
+@pytest.mark.slow
 def test_criterion_4_outage_sweep():
     t0 = time.perf_counter()
     sweep = run_outage_sweep()
@@ -182,6 +182,7 @@ def test_criterion_4_outage_sweep():
     assert report("criterion 4 outage sweep", ok, detail), detail
 
 
+@pytest.mark.slow
 def test_criterion_5_noise_sweep():
     t0 = time.perf_counter()
     sweep = run_noise_sweep()
@@ -223,6 +224,7 @@ def test_criterion_5_noise_sweep():
     assert report("criterion 5 noise robustness", ok, detail), detail
 
 
+@pytest.mark.slow
 def test_criterion_6_filter_consistency():
     scenario = ring_scenario(speed_mps=8.0)
     rates = Rates(imu_hz=20.0, obs_hz=2.0, odo_hz=2.0)
@@ -279,11 +281,18 @@ def test_criterion_7_dead_reckoning():
         gyro_bias_std=0.0, accel_bias_std=0.0, gyro_noise_density=0.0, accel_noise_density=0.0
     )
     imu = synth_imu(poses, clean, 100.0, np.random.default_rng(0))
-    p, v, q = poses[0].p.copy(), poses[0].v.copy(), quat.from_euler(*poses[0].att)
     zeros = np.zeros(3)
-    for s in imu:
-        p, v, q = mechanize_arrays(p, v, q, zeros, zeros, s.gyro, s.accel, 0.01)
-    round_trip = float(np.linalg.norm(p - poses[-1].p))
+    p, _, _ = mechanize_arrays(
+        poses[0].p,
+        poses[0].v,
+        quat.from_euler(*poses[0].att),
+        zeros,
+        zeros,
+        np.stack([s.gyro for s in imu]),
+        np.stack([s.accel for s in imu]),
+        np.full(len(imu), 0.01),
+    )
+    round_trip = float(np.linalg.norm(p[-1] - poses[-1].p))
 
     biased = ImuErrorModel(bias_mode="fixed_magnitude")
     curves = []

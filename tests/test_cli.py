@@ -108,7 +108,9 @@ def test_numeric_failure_exits_4(tmp_path):
     cfg = write_config(tmp_path, mini_config())
     out1 = tmp_path / "out1"
     assert main([str(cfg), "--output-dir", str(out1)]) == EXIT_OK
-    # poison one IMU sample; the filter must notice, not write garbage
+    # poison one IMU sample with a finite but absurd specific force (the log
+    # reader refuses non-finite numbers); the filter must notice, not write
+    # garbage
     log = tmp_path / "broken.jsonl"
     lines = (out1 / "measurements.jsonl").read_text().splitlines()
     poisoned = False
@@ -116,7 +118,7 @@ def test_numeric_failure_exits_4(tmp_path):
     for line in lines:
         d = json.loads(line)
         if not poisoned and d["kind"] == "imu":
-            d["accel_mps2"] = [float("nan")] * 3
+            d["accel_mps2"] = [1e100] * 3
             poisoned = True
         fixed.append(json.dumps(d))
     log.write_text("\n".join(fixed) + "\n")
@@ -126,16 +128,26 @@ def test_numeric_failure_exits_4(tmp_path):
     assert not out2.exists()
 
 
-def edited_log(tmp_path, keep):
-    """Write the mini run's measurement log with only the records keep()
-    accepts; returns the path of an ingest config for it."""
+def edited_lines(tmp_path, edit):
+    """Write the mini run's measurement log with its lines passed through
+    edit(lines); returns the path of an ingest config for it."""
     cfg = write_config(tmp_path, mini_config())
     out = tmp_path / "src_run"
     assert main([str(cfg), "--output-dir", str(out)]) == EXIT_OK
     lines = (out / "measurements.jsonl").read_text().splitlines()
-    kept = [line for i, line in enumerate(lines) if keep(i, json.loads(line))]
-    (tmp_path / "edited.jsonl").write_text("\n".join(kept) + "\n")
+    (tmp_path / "edited.jsonl").write_text("\n".join(edit(lines)) + "\n")
     return write_config(tmp_path, mini_config(measurement_log="edited.jsonl"), "ingest.json")
+
+
+def edited_log(tmp_path, keep):
+    """The mini run's measurement log with only the records keep() accepts."""
+    return edited_lines(
+        tmp_path, lambda lines: [line for i, line in enumerate(lines) if keep(i, json.loads(line))]
+    )
+
+
+def first_of_kind(lines, kind):
+    return next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
 
 
 def test_log_with_wrong_imu_count_exits_2(tmp_path, capsys):
@@ -153,6 +165,59 @@ def test_log_without_odometer_exits_2(tmp_path, capsys):
     assert main([str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
     assert "odometer" in capsys.readouterr().err
     assert not out.exists()
+
+
+def assert_bad_log(tmp_path, capsys, cfg, *needles):
+    out = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    for needle in needles:
+        assert needle in err
+    assert not out.exists()
+
+
+def test_log_with_truncated_last_line_exits_2(tmp_path, capsys):
+    cfg = edited_lines(tmp_path, lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]])
+    n = len((tmp_path / "edited.jsonl").read_text().splitlines())
+    assert_bad_log(tmp_path, capsys, cfg, f"line {n}:")
+
+
+def test_log_with_sbr_record_without_toa_exits_2(tmp_path, capsys):
+    def drop_toa(lines):
+        k = first_of_kind(lines, "sbr")
+        d = json.loads(lines[k])
+        del d["toa_s"]
+        return lines[:k] + [json.dumps(d)] + lines[k + 1 :]
+
+    cfg = edited_lines(tmp_path, drop_toa)
+    k = first_of_kind((tmp_path / "edited.jsonl").read_text().splitlines(), "sbr")
+    assert_bad_log(tmp_path, capsys, cfg, f"line {k + 1}:", "toa_s")
+
+
+def test_log_with_non_finite_number_exits_2(tmp_path, capsys):
+    # NaN in one gyro sample: refused at ingest, naming the record's line
+    def poison(lines):
+        d = json.loads(lines[3])
+        assert d["kind"] == "imu"
+        d["gyro_rps"][1] = float("nan")
+        return lines[:3] + [json.dumps(d)] + lines[4:]
+
+    cfg = edited_lines(tmp_path, poison)
+    assert_bad_log(tmp_path, capsys, cfg, "line 4:", "gyro_rps")
+
+
+def test_log_with_unknown_base_station_exits_2(tmp_path, capsys):
+    def rename(lines):
+        out = []
+        for line in lines:
+            d = json.loads(line)
+            if d.get("bs_id") == "bs1":
+                d["bs_id"] = "bs9"
+            out.append(json.dumps(d))
+        return out
+
+    cfg = edited_lines(tmp_path, rename)
+    assert_bad_log(tmp_path, capsys, cfg, "bs9")
 
 
 def test_empty_outage_list_means_no_outage(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    add_noise,
     random_multi_path_scene,
     random_single_bounce,
     random_two_path_scene,
@@ -24,7 +25,7 @@ from mpnav.scene import (
     specular_path,
     unit_from_angles,
 )
-from mpnav.synth import NoiseCfg, PathLossModel, SbrObs, apply_noise, synth_los, synth_sbr
+from mpnav.synth import NoiseCfg, PathLossModel, SbrObs, synth_los, synth_sbr
 
 PLM = PathLossModel()
 
@@ -36,6 +37,10 @@ def pose_at(p, t=0.0):
 def sbr_pairs(scene_pairs, ue):
     pose = pose_at(ue)
     return [(bs, synth_sbr(path, pose, PLM)) for bs, path in scene_pairs]
+
+
+def noisy_pairs(pairs, cfg, rng):
+    return [(bs, o) for (bs, _), o in zip(pairs, add_noise([o for _, o in pairs], cfg, rng))]
 
 
 def test_los_fix_inverts_synth():
@@ -90,7 +95,7 @@ def test_los_fix_covariance_matches_monte_carlo():
     cfg = NoiseCfg(var_range_m2=0.5, var_angle_deg2=0.01)
     predicted = los_fix(bs, clean, cfg.var_range_m2, cfg.var_angle_deg2).cov
     errs = np.stack(
-        [los_fix(bs, apply_noise(clean, cfg, rng)).p - ue for _ in range(4000)]
+        [los_fix(bs, add_noise([clean], cfg, rng)[0]).p - ue for _ in range(4000)]
     )
     emp = errs.T @ errs / len(errs)
     assert np.allclose(np.diag(emp), np.diag(predicted), rtol=0.15, atol=1e-6)
@@ -163,7 +168,7 @@ def test_sbr_fix_residual_zero_vs_noisy():
     scene, ue = random_two_path_scene(rng)
     pairs = sbr_pairs(scene, ue)
     assert sbr_fix(pairs).residual <= 1e-9
-    noisy = [(bs, apply_noise(o, NoiseCfg(1.0, 0.01), rng)) for bs, o in pairs]
+    noisy = noisy_pairs(pairs, NoiseCfg(1.0, 0.01), rng)
     fix = sbr_fix(noisy, var_range_m2=1.0, var_angle_deg2=0.01)
     if fix is not None:
         assert fix.residual > 1e-6
@@ -175,9 +180,7 @@ def test_sbr_fix_least_squares_optimality():
     # reduce the residual
     rng = np.random.default_rng(5)
     scene, ue = random_two_path_scene(rng)
-    pairs = [
-        (bs, apply_noise(o, NoiseCfg(0.5, 0.01), rng)) for bs, o in sbr_pairs(scene, ue)
-    ]
+    pairs = noisy_pairs(sbr_pairs(scene, ue), NoiseCfg(0.5, 0.01), rng)
     fix = sbr_fix(pairs)
     assert fix is not None
     K = len(pairs)
@@ -224,7 +227,7 @@ def test_sbr_fix_matches_svd_reference():
         for _ in range(8):
             scene, ue = random_multi_path_scene(rng, n_paths=n_paths, min_split_rad=min_split)
             clean = sbr_pairs(scene, ue)
-            noisy = [(bs, apply_noise(o, cfg, rng)) for bs, o in clean]
+            noisy = noisy_pairs(clean, cfg, rng)
             for pairs in (clean, noisy):
                 for kwargs in variants:
                     ref = sbr_fix_svd(pairs, **kwargs)
@@ -261,7 +264,7 @@ def test_sbr_fix_covariance_matches_monte_carlo():
     cfg = NoiseCfg(var_range_m2=0.5, var_angle_deg2=0.01)
     errs, nees = [], []
     for _ in range(2000):
-        noisy = [(bs, apply_noise(o, cfg, rng)) for bs, o in clean]
+        noisy = noisy_pairs(clean, cfg, rng)
         fix = sbr_fix(noisy, cfg.var_range_m2, cfg.var_angle_deg2)
         if fix is None:
             continue

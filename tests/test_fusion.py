@@ -5,9 +5,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from helpers import mechanize_per_sample
 from scipy.stats import chi2
 
-from mpnav import quat
+from mpnav import fusion, quat
 from mpnav.fusion import (
     N_ERR,
     FilterState,
@@ -79,14 +80,41 @@ def test_predict_tracks_mechanization():
     accels = np.tile(UP_ACCEL, (n, 1))
     dts = np.full(n, 0.01)
     out = predict(fs, gyros, accels, dts, params)
-    p, v, q = fs.p.copy(), fs.v.copy(), fs.q_bn.copy()
-    for k in range(n):
-        p, v, q = mechanize_arrays(p, v, q, np.zeros(3), np.zeros(3), gyros[k], accels[k], dts[k])
+    p, v, _ = mechanize_arrays(fs.p, fs.v, fs.q_bn, np.zeros(3), np.zeros(3), gyros, accels, dts)
     assert out.t == pytest.approx(0.5)
-    assert out.p == pytest.approx(p, abs=1e-9)
-    assert out.v == pytest.approx(v, abs=1e-9)
+    assert out.p == pytest.approx(p[-1], abs=1e-9)
+    assert out.v == pytest.approx(v[-1], abs=1e-9)
     _, _, yaw = quat.to_euler(out.q_bn)
     assert yaw == pytest.approx(0.2 * 0.5, abs=1e-9)
+
+
+def test_predict_matches_per_sample_reference(monkeypatch):
+    # the interval-wide mechanization gives the same prediction, bit for bit,
+    # as stepping every sigma point one IMU sample at a time
+    rng = np.random.default_rng(21)
+    fs = FilterState(
+        t=3.0,
+        p=[10.0, -4.0, 1.5],
+        v=[7.5, 2.0, 0.1],
+        q_bn=quat.from_euler(0.02, -0.01, 1.1),
+        b_g=[1e-4, -2e-4, 5e-5],
+        b_a=[1e-3, 2e-3, -1e-3],
+        # distinct bias sigmas per axis, so every sigma point has its own biases
+        P=np.diag([0.25] * 3 + [0.01] * 3 + [2.5e-5] * 3 + [1e-8, 4e-8, 9e-8] + [1e-6, 4e-6, 9e-6]),
+    )
+    params = UkfParams(q_vel=1e-6, q_att=1e-8)
+    for trapezoid in (True, False):
+        for m in (1, 10):
+            gyros = rng.normal(0.0, 0.2, (m, 3))
+            accels = rng.normal(0.0, 1.0, (m, 3)) + UP_ACCEL
+            dts = np.full(m, 0.05)
+            got = predict(fs, gyros, accels, dts, params, trapezoid=trapezoid)
+            with monkeypatch.context() as mp:
+                mp.setattr(fusion, "mechanize_arrays", mechanize_per_sample)
+                ref = predict(fs, gyros, accels, dts, params, trapezoid=trapezoid)
+            assert got.t == ref.t
+            for name in ("p", "v", "q_bn", "b_g", "b_a", "P"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
 def test_predict_biases_spread_velocity():

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_double_bounce, random_single_bounce
+from helpers import add_noise, random_double_bounce, random_single_bounce
 
 from mpnav.fixes import sbr_locus_residual
 from mpnav.gates import GateConfig, classify_los, motion_gate, oori_check
 from mpnav.scene import Pose, specular_path
-from mpnav.synth import NoiseCfg, PathLossModel, apply_noise, synth_los, synth_sbr
+from mpnav.synth import NoiseCfg, PathLossModel, synth_los, synth_sbr
 
 PLM = PathLossModel()
 CFG = GateConfig()
@@ -56,7 +56,7 @@ def test_classify_los_threshold_monotone():
 
     for k in range(50):
         bs = BaseStation(id="a", p=rng.uniform(-50, 50, 3) + [0, 0, 60])
-        obs = apply_noise(synth_los(bs, pose_at(rng.uniform(-30, 30, 3)), PLM), noise, rng)
+        (obs,) = add_noise([synth_los(bs, pose_at(rng.uniform(-30, 30, 3)), PLM)], noise, rng)
         thr = rng.uniform(0.1, 20.0)
         admitted = classify_los(obs, PLM, GateConfig(range_consistency_m=thr))
         for scale in (1.5, 3.0, 10.0):
@@ -71,7 +71,7 @@ def test_oori_admits_noise_free_single_bounces():
         obs = synth_sbr(path, pose_at(ue), PLM)
         residual = sbr_locus_residual(bs, obs, ue)
         assert residual <= 1e-6
-        assert oori_check(obs, residual, CFG)
+        assert oori_check(obs.aod_el, obs.aoa_el, residual, CFG)[0]
 
 
 def test_oori_rejects_double_bounces():
@@ -82,7 +82,7 @@ def test_oori_rejects_double_bounces():
         bs, ue, walls, path = random_double_bounce(rng)
         obs = synth_sbr(path, pose_at(ue), PLM)
         residual = sbr_locus_residual(bs, obs, ue)
-        if not oori_check(obs, residual, CFG):
+        if not oori_check(obs.aod_el, obs.aoa_el, residual, CFG)[0]:
             rejected += 1
     assert rejected >= 0.95 * n
 
@@ -93,8 +93,8 @@ def test_oori_zero_eps_rejects_noisy():
     hits = 0
     for _ in range(50):
         bs, ue, wall, path = random_single_bounce(rng)
-        obs = apply_noise(synth_sbr(path, pose_at(ue), PLM), NoiseCfg(0.5, 0.01), rng)
-        if oori_check(obs, 0.0, cfg):
+        (obs,) = add_noise([synth_sbr(path, pose_at(ue), PLM)], NoiseCfg(0.5, 0.01), rng)
+        if oori_check(obs.aod_el, obs.aoa_el, 0.0, cfg)[0]:
             hits += 1
     assert hits == 0
 

@@ -1,16 +1,36 @@
 import numpy as np
 import pytest
+from helpers import mechanize_per_sample
 
 from mpnav import quat
-from mpnav.ins import GRAVITY, NavState, drift_profile, mechanize_step
+from mpnav.ins import drift_profile, mechanize_arrays
 from mpnav.scene import trajectory_poses
-from mpnav.synth import ImuErrorModel, ImuSample, synth_imu
+from mpnav.synth import ImuErrorModel, synth_imu
 
 ZERO_ERR = ImuErrorModel(
     gyro_bias_std=0.0, accel_bias_std=0.0, gyro_noise_density=0.0, accel_noise_density=0.0
 )
 
-STATIONARY = ImuSample(t=0.0, gyro=np.zeros(3), accel=np.array([0.0, 0.0, 9.80665]))
+UP = np.array([0.0, 0.0, 9.80665])
+ZERO3 = np.zeros(3)
+
+
+def constant_imu(n, gyro=(0.0, 0.0, 0.0), accel=UP):
+    """n identical body-frame samples: (gyros, accels)."""
+    gyros = np.tile(np.asarray(gyro, dtype=float), (n, 1))
+    return gyros, np.tile(np.asarray(accel, dtype=float), (n, 1))
+
+
+def mechanize_from(p, v, q, gyros, accels, dt):
+    """Mechanize a stream at a fixed interval from one state, biases zero:
+    the states after every sample."""
+    dts = np.full(len(gyros), dt)
+    return mechanize_arrays(p, v, q, ZERO3, ZERO3, gyros, accels, dts)
+
+
+def from_rest(n, dt, gyro=(0.0, 0.0, 0.0)):
+    """Mechanize n constant samples from rest at the origin, level."""
+    return mechanize_from(ZERO3, ZERO3, quat.identity(), *constant_imu(n, gyro=gyro), dt)
 
 
 def circle_spec(speed=8.0, radius=100.0):
@@ -24,84 +44,81 @@ def circle_spec(speed=8.0, radius=100.0):
 
 
 def test_equilibrium_state_unchanged():
-    s = NavState()
-    for _ in range(200):
-        s = mechanize_step(s, STATIONARY, 0.01)
-    assert np.allclose(s.p, 0.0, atol=1e-12)
-    assert np.allclose(s.v, 0.0, atol=1e-12)
-    assert np.allclose(s.q_bn, quat.identity(), atol=1e-12)
+    p, v, q = from_rest(200, 0.01)
+    assert np.allclose(p[-1], 0.0, atol=1e-12)
+    assert np.allclose(v[-1], 0.0, atol=1e-12)
+    assert np.allclose(q[-1], quat.identity(), atol=1e-12)
 
 
 def test_pure_yaw_rate_closed_form():
     omega = 0.3
-    s = NavState()
-    sample = ImuSample(t=0.0, gyro=np.array([0.0, 0.0, omega]), accel=np.array([0.0, 0.0, 9.80665]))
     n, dt = 600, 0.01
-    for _ in range(n):
-        s = mechanize_step(s, sample, dt)
-    yaw = quat.to_euler(s.q_bn)[2]
+    p, v, q = from_rest(n, dt, gyro=[0.0, 0.0, omega])
+    yaw = quat.to_euler(q[-1])[2]
     assert yaw == pytest.approx(omega * n * dt, abs=1e-9)
     # body z stays up, so the gravity-compensating accel keeps p, v fixed
-    assert np.allclose(s.v, 0.0, atol=1e-9)
-    assert np.allclose(s.p, 0.0, atol=1e-9)
+    assert np.allclose(v[-1], 0.0, atol=1e-9)
+    assert np.allclose(p[-1], 0.0, atol=1e-9)
 
 
 def test_zero_dt_limit_and_bounds():
-    s = NavState(p=[1.0, 2.0, 3.0], v=[0.5, 0.0, 0.0])
-    out = mechanize_step(s, STATIONARY, 1e-9)
-    assert np.allclose(out.p - s.p, s.v * 1e-9, atol=1e-15)
-    assert np.allclose(out.v, s.v, atol=1e-12)
-    assert np.allclose(out.q_bn, s.q_bn, atol=1e-12)
+    p0, v0 = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.0, 0.0])
+    p, v, q = mechanize_from(p0, v0, quat.identity(), *constant_imu(1), 1e-9)
+    assert np.allclose(p[-1] - p0, v0 * 1e-9, atol=1e-15)
+    assert np.allclose(v[-1], v0, atol=1e-12)
+    assert np.allclose(q[-1], quat.identity(), atol=1e-12)
+    # drift_profile refuses intervals outside (0, 0.1] s and non-finite samples
+    for rate in (5.0, 9.0):
+        times = np.arange(0.0, 2.0 + 0.5 / rate, 1.0 / rate)
+        with pytest.raises(ValueError):
+            poses = trajectory_poses(circle_spec(), times)
+            drift_profile(poses, ZERO_ERR, rate, np.random.default_rng(0))
+    times = np.arange(0.0, 2.0 + 0.005, 0.01)
+    poses = trajectory_poses(circle_spec(), times)
     with pytest.raises(ValueError):
-        mechanize_step(s, STATIONARY, 0.0)
+        drift_profile([poses[0], poses[0], *poses[1:]], ZERO_ERR, 100.0, np.random.default_rng(0))
+    nan_err = ImuErrorModel(gyro_noise_density=float("nan"))
     with pytest.raises(ValueError):
-        mechanize_step(s, STATIONARY, 0.2)
-    with pytest.raises(ValueError):
-        mechanize_step(s, ImuSample(t=0.0, gyro=np.array([np.nan, 0, 0]), accel=np.zeros(3)), 0.01)
+        drift_profile(poses, nan_err, 100.0, np.random.default_rng(0))
 
 
 def test_quaternion_norm_preserved():
     rng = np.random.default_rng(0)
-    s = NavState()
-    for _ in range(500):
-        sample = ImuSample(t=0.0, gyro=rng.uniform(-1, 1, 3), accel=rng.uniform(-12, 12, 3))
-        s = mechanize_step(s, sample, 0.01)
-        assert abs(np.linalg.norm(s.q_bn) - 1.0) <= 1e-9
+    gyros = rng.uniform(-1, 1, (500, 3))
+    accels = rng.uniform(-12, 12, (500, 3))
+    _, _, q = mechanize_from(ZERO3, ZERO3, quat.identity(), gyros, accels, 0.01)
+    assert np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= 1e-9)
 
 
 def test_uncompensated_gyro_bias_drift():
     bias = 0.01
     # yaw-axis bias: closed-form heading drift, and no position error at all
     # because body z stays up and gravity still cancels
-    s = NavState()
-    sample = ImuSample(t=0.0, gyro=np.array([0.0, 0.0, bias]), accel=np.array([0.0, 0.0, 9.80665]))
-    for _ in range(6000):
-        s = mechanize_step(s, sample, 0.01)
-    assert quat.to_euler(s.q_bn)[2] == pytest.approx(0.6, abs=1e-6)
-    assert np.linalg.norm(s.p) < 1e-9
+    p, _, q = from_rest(6000, 0.01, gyro=[0.0, 0.0, bias])
+    assert quat.to_euler(q[-1])[2] == pytest.approx(0.6, abs=1e-6)
+    assert np.linalg.norm(p[-1]) < 1e-9
     # roll-axis bias tilts the believed attitude, so the gravity compensation
     # leaks into velocity and position error grows superlinearly (~t^3)
-    s = NavState()
-    sample = ImuSample(t=0.0, gyro=np.array([bias, 0.0, 0.0]), accel=np.array([0.0, 0.0, 9.80665]))
-    errs = {}
-    for k in range(6000):
-        s = mechanize_step(s, sample, 0.01)
-        if k + 1 in (3000, 6000):
-            errs[(k + 1) * 0.01] = np.linalg.norm(s.p)
+    p, _, _ = from_rest(6000, 0.01, gyro=[bias, 0.0, 0.0])
+    errs = {30.0: np.linalg.norm(p[2999]), 60.0: np.linalg.norm(p[5999])}
     assert errs[60.0] > 4.0 * errs[30.0]
     assert errs[60.0] == pytest.approx(9.80665 * bias * 60.0**3 / 6.0, rel=0.05)
+
+
+def stream_arrays(samples):
+    return np.stack([s.gyro for s in samples]), np.stack([s.accel for s in samples])
 
 
 def test_round_trip_noiseless_imu():
     rate = 100.0
     times = np.arange(0.0, 60.0 + 0.5 / rate, 1.0 / rate)
     poses = trajectory_poses(circle_spec(), times)
-    samples = synth_imu(poses, ZERO_ERR, rate, np.random.default_rng(1))
-    s = NavState(p=poses[0].p, v=poses[0].v, q_bn=quat.from_euler(*poses[0].att))
-    worst = 0.0
-    for k, sample in enumerate(samples):
-        s = mechanize_step(s, sample, times[k + 1] - times[k])
-        worst = max(worst, float(np.linalg.norm(s.p - poses[k + 1].p)))
+    gyros, accels = stream_arrays(synth_imu(poses, ZERO_ERR, rate, np.random.default_rng(1)))
+    q0 = quat.from_euler(*poses[0].att)
+    dts = np.diff(times)
+    p, _, _ = mechanize_arrays(poses[0].p, poses[0].v, q0, ZERO3, ZERO3, gyros, accels, dts)
+    truth = np.stack([po.p for po in poses[1:]])
+    worst = float(np.max(np.linalg.norm(p - truth, axis=1)))
     assert worst < 0.01
 
 
@@ -113,10 +130,33 @@ def test_round_trip_known_biases_compensated():
     b_g = np.array([1e-3, -2e-3, 3e-3])
     b_a = np.array([0.01, 0.02, -0.01])
     samples = synth_imu(poses, ZERO_ERR, rate, np.random.default_rng(2), biases=(b_g, b_a))
-    s = NavState(p=poses[0].p, v=poses[0].v, q_bn=quat.from_euler(*poses[0].att), b_g=b_g, b_a=b_a)
-    for k, sample in enumerate(samples):
-        s = mechanize_step(s, sample, times[k + 1] - times[k])
-    assert np.linalg.norm(s.p - poses[-1].p) < 0.01
+    gyros, accels = stream_arrays(samples)
+    q0 = quat.from_euler(*poses[0].att)
+    p, _, _ = mechanize_arrays(poses[0].p, poses[0].v, q0, b_g, b_a, gyros, accels, np.diff(times))
+    assert np.linalg.norm(p[-1] - poses[-1].p) < 0.01
+
+
+def test_mechanize_arrays_matches_per_sample_reference():
+    # bit for bit, on stacked states with per-point biases and on one state
+    rng = np.random.default_rng(11)
+    for trapezoid in (True, False):
+        for m in (1, 2, 10, 37):
+            for n in (None, 31):
+                lead = () if n is None else (n,)
+                p = rng.normal(0.0, 100.0, lead + (3,))
+                v = rng.normal(0.0, 5.0, lead + (3,))
+                q = quat.normalize(rng.normal(size=lead + (4,)))
+                b_g = rng.normal(0.0, 1e-3, lead + (3,))
+                b_a = rng.normal(0.0, 1e-2, lead + (3,))
+                gyros = rng.normal(0.0, 0.5, (m, 3))
+                accels = rng.normal(0.0, 5.0, (m, 3)) + UP
+                dts = rng.uniform(0.005, 0.1, m)
+                args = (p, v, q, b_g, b_a, gyros, accels, dts)
+                got = mechanize_arrays(*args, trapezoid=trapezoid)
+                ref = mechanize_per_sample(*args, trapezoid=trapezoid)
+                for g, r in zip(got, ref):
+                    assert g.shape == r.shape
+                    assert np.array_equal(g, r)
 
 
 def test_drift_profile_zero_error_and_determinism():

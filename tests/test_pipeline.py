@@ -1,23 +1,34 @@
 """End-to-end runs: synthesis determinism, gating behavior, log bridging."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from helpers import apply_noise_per_record, sbr_screen_per_record
 
+from mpnav import quat
 from mpnav.pipeline import (
     Rates,
     RunSetup,
+    _rng_streams,
     measurement_set_from_records,
     records_from_measurement_set,
     run,
     run_filter,
     run_pair,
+    screen_sbr,
     synth_measurements,
 )
-from mpnav.scene import ring_scenario
+from mpnav.scene import SceneArrays, double_bounce_path, ring_scenario
 from mpnav.synth import (
     ImuErrorModel,
+    LosObs,
     OutageWindow,
+    apply_outages,
     read_measurement_log,
+    synth_los,
+    synth_sbr,
     write_measurement_log,
 )
 
@@ -48,6 +59,100 @@ def test_synth_is_deterministic_per_seed():
     assert rtt_a == rtt_b
     ms_c = synth_measurements(fast_setup(seed=8))
     assert not np.array_equal(sbr_toas(ms_a), sbr_toas(ms_c))
+
+
+def per_record_epochs(ms, setup):
+    """Every epoch's records synthesized and noised one record at a time in
+    the documented order: LoS by station, single bounces station-major then
+    wall, double bounces last; then the outage schedule."""
+    stations, walls = setup.scenario.base_stations, setup.scenario.walls
+    arrays = SceneArrays(stations, walls)
+    rng = _rng_streams(setup.seed)["obs"]
+    out = []
+    for ep in ms.epochs:
+        pose = ms.poses[ep.pose_index]
+        vis = arrays.los_mask(pose.p)
+        clean = [synth_los(bs, pose, setup.path_loss) for b, bs in enumerate(stations) if vis[b]]
+        bi, _, _, _, _, ln, ud, ua = arrays.specular_arrays(pose.p)
+        paths = [
+            SimpleNamespace(bs_id=stations[b].id, length=ln[k], u_dep=ud[k], u_arr=ua[k], bounces=1)
+            for k, b in enumerate(bi)
+        ]
+        if setup.include_double_bounce:
+            paths += [
+                double_bounce_path(bs, pose.p, w1, w2)
+                for bs in stations
+                for w1 in walls
+                for w2 in walls
+                if w1.id != w2.id
+            ]
+        clean += [synth_sbr(path, pose, setup.path_loss) for path in paths if path is not None]
+        noisy = [apply_noise_per_record(o, setup.noise, rng) for o in clean]
+        out.append(apply_outages(pose.t, noisy, setup.outages))
+    return out
+
+
+def test_epoch_noise_matches_per_record_reference():
+    setup = fast_setup(
+        duration_s=6.0, seed=3, include_double_bounce=True, outages=[OutageWindow(2.0, 3.0)]
+    )
+    ms = synth_measurements(setup)
+    ref = per_record_epochs(ms, setup)
+    n_double = 0
+    for ep, ref_records in zip(ms.epochs, ref):
+        got = ep.los + ep.sbr
+        assert len(got) == len(ref_records)
+        for g, r in zip(got, ref_records):
+            assert type(g) is type(r)
+            assert (g.bs_id, g.t) == (r.bs_id, r.t)
+            assert g.rss == pytest.approx(r.rss, rel=1e-12)
+            if isinstance(r, LosObs):
+                assert g.rtt == r.rtt
+            else:
+                assert g.toa == r.toa
+                assert g.truth_bounces == r.truth_bounces
+                n_double += r.truth_bounces == 2
+                assert g.aoa_az_body == pytest.approx(r.aoa_az_body, abs=1e-12)
+                assert g.aoa_el_body == pytest.approx(r.aoa_el_body, abs=1e-12)
+            for name in ("aod_az", "aod_el", "aoa_az", "aoa_el"):
+                assert getattr(g, name) == pytest.approx(getattr(r, name), abs=1e-12)
+    assert n_double > 0
+    assert any(not ep.los for ep in ms.epochs)
+
+
+def test_sbr_screen_matches_per_record_reference():
+    setup = fast_setup(duration_s=10.0, seed=4)
+    ms = synth_measurements(setup)
+    bs_by_id = {bs.id: bs for bs in setup.scenario.base_stations}
+    totals = dict.fromkeys(("sbr_admitted", "sbr_rejected_elevation", "sbr_rejected_residual"), 0)
+    n_cut = 0
+    for k, ep in enumerate(ms.epochs):
+        pose = ms.poses[ep.pose_index]
+        # a position prior off by a few meters makes residual rejections
+        p_ref = pose.p + [2.0 * np.cos(k), 2.0 * np.sin(k), 0.0]
+        # a tilted attitude makes elevation rejections of globalized angles
+        q_bn = quat.from_euler(*(pose.att + [0.0, 0.012 * np.sin(k), 0.01]))
+        # rss rounded to whole dB: equal-rss ties at the max_sbr_paths cut
+        tied = [replace(o, rss=float(round(o.rss))) for o in ep.sbr]
+        for sbr in (ep.sbr, tied):
+            for use_body in (True, False):
+                for max_paths in (16, 5, 0):
+                    s = replace(setup, use_body_aoa=use_body, max_sbr_paths=max_paths)
+                    got, got_counts = screen_sbr(sbr, bs_by_id, q_bn, p_ref, s)
+                    ref, ref_counts = sbr_screen_per_record(sbr, bs_by_id, q_bn, p_ref, s)
+                    assert got_counts == ref_counts
+                    assert [bs.id for bs, _ in got] == [bs.id for bs, _ in ref]
+                    for (_, g), (_, r) in zip(got, ref):
+                        assert (g.toa, g.aod_az, g.aod_el) == (r.toa, r.aod_az, r.aod_el)
+                        assert g.rss == r.rss
+                        assert g.aoa_az == pytest.approx(r.aoa_az, abs=1e-12)
+                        assert g.aoa_el == pytest.approx(r.aoa_el, abs=1e-12)
+                    n_admit = got_counts["sbr_admitted"]
+                    n_cut += bool(max_paths) and n_admit > max_paths
+                    for key in totals:
+                        totals[key] += got_counts[key]
+    assert all(v > 0 for v in totals.values()), totals
+    assert n_cut > 0
 
 
 def test_epoch_grid_and_kinds():

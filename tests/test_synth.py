@@ -3,7 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import random_single_bounce
+from helpers import (
+    add_noise,
+    apply_noise_per_record,
+    random_double_bounce,
+    random_single_bounce,
+)
 
 from mpnav import quat
 from mpnav.scene import SPEED_OF_LIGHT, BaseStation, Pose, specular_path, unit_from_angles
@@ -107,28 +112,45 @@ def sample_los():
     return synth_los(bs, pose_at([30.0, 40.0, 0.0]), PLM)
 
 
+def sample_block():
+    """Two LoS rows then one reflected row: (obs, n_los, body, records)."""
+    bs = BaseStation(id="a", p=[0.0, 0.0, 10.0])
+    los = [synth_los(bs, pose_at(p), PLM) for p in ([30.0, 40.0, 0.0], [-20.0, 5.0, 1.0])]
+    _, ue, _, path = random_single_bounce(np.random.default_rng(4))
+    sbr = synth_sbr(path, pose_at(ue, att=[0.1, -0.05, 0.8]), PLM)
+    obs = np.array(
+        [(o.rtt, o.aod_az, o.aod_el, o.aoa_az, o.aoa_el) for o in los]
+        + [(sbr.toa, sbr.aod_az, sbr.aod_el, sbr.aoa_az, sbr.aoa_el)]
+    )
+    body = np.array([[sbr.aoa_az_body, sbr.aoa_el_body]])
+    return obs, 2, body, los + [sbr]
+
+
 def test_apply_noise_zero_noise_is_identity():
-    obs = sample_los()
-    out = apply_noise(obs, NoiseCfg(var_range_m2=0.0, var_angle_deg2=0.0), np.random.default_rng(0))
-    assert out == obs
+    obs, n_los, body, _ = sample_block()
+    zero = NoiseCfg(var_range_m2=0.0, var_angle_deg2=0.0)
+    out, out_body = apply_noise(obs, zero, np.random.default_rng(0), n_los=n_los, body=body)
+    assert np.array_equal(out, obs)
+    assert np.array_equal(out_body, body)
     assert out is not obs
+    assert out_body is not body
 
 
 def test_apply_noise_deterministic_and_draw_count():
-    obs = sample_los()
+    obs, n_los, body, _ = sample_block()
     cfg = NoiseCfg(var_range_m2=1.0, var_angle_deg2=0.01)
-    a = apply_noise(obs, cfg, np.random.default_rng(7))
-    b = apply_noise(obs, cfg, np.random.default_rng(7))
-    assert a == b
-    c = apply_noise(obs, cfg, np.random.default_rng(8))
-    assert c != a
+    a, _ = apply_noise(obs, cfg, np.random.default_rng(7), n_los=n_los, body=body)
+    b, _ = apply_noise(obs, cfg, np.random.default_rng(7), n_los=n_los, body=body)
+    assert np.array_equal(a, b)
+    c, _ = apply_noise(obs, cfg, np.random.default_rng(8), n_los=n_los, body=body)
+    assert not np.array_equal(c, a)
     # exactly five unit normals consumed per record, at any variance
     rng1 = np.random.default_rng(9)
-    apply_noise(obs, NoiseCfg(var_range_m2=0.0, var_angle_deg2=0.0), rng1)
-    second_after_zero = apply_noise(obs, cfg, rng1)
+    apply_noise(obs, NoiseCfg(var_range_m2=0.0, var_angle_deg2=0.0), rng1, n_los=n_los)
+    second_after_zero, _ = apply_noise(obs, cfg, rng1, n_los=n_los)
     rng2 = np.random.default_rng(9)
-    rng2.standard_normal(5)
-    assert apply_noise(obs, cfg, rng2) == second_after_zero
+    rng2.standard_normal(5 * len(obs))
+    assert np.array_equal(apply_noise(obs, cfg, rng2, n_los=n_los)[0], second_after_zero)
     with pytest.raises(ValueError):
         NoiseCfg(var_range_m2=-1.0)
 
@@ -136,25 +158,24 @@ def test_apply_noise_deterministic_and_draw_count():
 def test_apply_noise_statistics():
     # implied-range error variance and additive zero-mean behavior, 1e5 draws
     obs = sample_los()
+    row = np.array([[obs.rtt, obs.aod_az, obs.aod_el, obs.aoa_az, obs.aoa_el]])
     cfg = NoiseCfg(var_range_m2=1.0, var_angle_deg2=0.01)
     rng = np.random.default_rng(10)
     n = 100_000
     z = rng.standard_normal((n, 5))
-    d_err = 0.5 * SPEED_OF_LIGHT * (
-        np.array([apply_noise(obs, cfg, _FixedDraws(z[k])).rtt for k in range(0, n, 50)])
-        - obs.rtt
-    )
+    spot = z[::50]
+    rows = np.repeat(row, len(spot), axis=0)
+    noisy, _ = apply_noise(rows, cfg, _FixedDraws(spot), n_los=len(spot))
+    d_err = 0.5 * SPEED_OF_LIGHT * (noisy[:, 0] - obs.rtt)
     # cheap path: the range perturbation is linear in z[0]; use all draws directly
     d_err_full = 1.0 * z[:, 0]
     var = float(np.var(d_err_full))
     assert 0.97 <= var <= 1.03
     assert abs(np.mean(d_err_full)) <= 3.0 / math.sqrt(n)
     # spot-check the full apply_noise agrees with the linear model
-    assert np.allclose(d_err, z[::50, 0], atol=1e-6)
-    az_err = np.array(
-        [apply_noise(obs, cfg, _FixedDraws(z[k])).aod_az for k in range(0, n, 50)]
-    ) - obs.aod_az
-    assert np.allclose(az_err, math.radians(0.1) * z[::50, 1], atol=1e-9)
+    assert np.allclose(d_err, spot[:, 0], atol=1e-6)
+    az_err = noisy[:, 1] - obs.aod_az
+    assert np.allclose(az_err, math.radians(0.1) * spot[:, 1], atol=1e-9)
 
 
 class _FixedDraws:
@@ -163,8 +184,8 @@ class _FixedDraws:
     def __init__(self, z):
         self.z = np.asarray(z, dtype=float)
 
-    def standard_normal(self, n):
-        assert n == self.z.size
+    def standard_normal(self, shape):
+        assert tuple(shape) == self.z.shape
         return self.z
 
 
@@ -172,13 +193,51 @@ def test_apply_noise_sbr_body_angles_track_global():
     rng = np.random.default_rng(2)
     bs, ue, wall, path = random_single_bounce(rng)
     obs = synth_sbr(path, pose_at(ue, att=[0.1, -0.05, 0.8]), PLM)
-    noisy = apply_noise(obs, NoiseCfg(var_range_m2=0.5, var_angle_deg2=0.01), np.random.default_rng(3))
-    assert noisy.aoa_az_body - obs.aoa_az_body == pytest.approx(
-        noisy.aoa_az - obs.aoa_az, abs=1e-12
+    row = np.array([[obs.toa, obs.aod_az, obs.aod_el, obs.aoa_az, obs.aoa_el]])
+    body = np.array([[obs.aoa_az_body, obs.aoa_el_body]])
+    cfg = NoiseCfg(var_range_m2=0.5, var_angle_deg2=0.01)
+    noisy, noisy_body = apply_noise(row, cfg, np.random.default_rng(3), body=body)
+    assert noisy_body[0, 0] - obs.aoa_az_body == pytest.approx(
+        noisy[0, 3] - obs.aoa_az, abs=1e-12
     )
-    assert noisy.aoa_el_body - obs.aoa_el_body == pytest.approx(
-        noisy.aoa_el - obs.aoa_el, abs=1e-12
+    assert noisy_body[0, 1] - obs.aoa_el_body == pytest.approx(
+        noisy[0, 4] - obs.aoa_el, abs=1e-12
     )
+
+
+def test_apply_noise_matches_per_record_reference():
+    # LoS, single- and double-bounce records; rows equal the per-record
+    # reference exactly on rtt/toa and within 1e-12 rad on the angles, and
+    # both leave the generator in the same state (five draws per record)
+    rng = np.random.default_rng(12)
+    records = []
+    for k in range(6):
+        bs, ue, _, _ = random_single_bounce(rng)
+        records.append(synth_los(bs, pose_at(ue), PLM))
+    for k in range(6):
+        bs, ue, _, path = random_single_bounce(rng)
+        records.append(synth_sbr(path, pose_at(ue, att=rng.uniform(-0.4, 0.4, 3)), PLM))
+    for k in range(6):
+        bs, ue, _, path = random_double_bounce(rng)
+        records.append(synth_sbr(path, pose_at(ue, att=rng.uniform(-0.4, 0.4, 3)), PLM))
+    assert [o.truth_bounces for o in records[6:]] == [1] * 6 + [2] * 6
+    for cfg in (NoiseCfg(0.5, 0.01), NoiseCfg(4.0, 2.0), NoiseCfg(0.0, 0.01), NoiseCfg(0.5, 0.0)):
+        rng_a, rng_b = np.random.default_rng(13), np.random.default_rng(13)
+        got = add_noise(records, cfg, rng_a)
+        ref = [apply_noise_per_record(o, cfg, rng_b) for o in records]
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+        for g, r in zip(got, ref):
+            assert type(g) is type(r)
+            assert g.bs_id == r.bs_id and g.t == r.t and g.rss == r.rss
+            if isinstance(r, LosObs):
+                assert g.rtt == r.rtt
+            else:
+                assert g.toa == r.toa
+                assert g.truth_bounces == r.truth_bounces
+                assert g.aoa_az_body == pytest.approx(r.aoa_az_body, abs=1e-12)
+                assert g.aoa_el_body == pytest.approx(r.aoa_el_body, abs=1e-12)
+            for name in ("aod_az", "aod_el", "aoa_az", "aoa_el"):
+                assert getattr(g, name) == pytest.approx(getattr(r, name), abs=1e-12)
 
 
 def test_apply_outages():
