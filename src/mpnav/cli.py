@@ -17,7 +17,9 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,6 @@ from .pipeline import (
     Rates,
     RunSetup,
     measurement_set_from_records,
-    records_from_measurement_set,
     run_filter,
     synth_measurements,
 )
@@ -283,7 +284,7 @@ def _seeds_from_block(block, default_n, where):
     return tuple(range(n))
 
 
-def _run_single(cfg, config_dir, seed_override, outdir):
+def _run_single(cfg, config_dir, seed_override):
     log_path = cfg.pop("measurement_log", None)
     write_log = _pop_bool(cfg, "write_measurement_log", True)
     setup = _build_setup(cfg, config_dir, seed_override)
@@ -306,18 +307,18 @@ def _run_single(cfg, config_dir, seed_override, outdir):
     result = run_filter(ms, setup)
     label = "with" if setup.with_sbr else "without"
 
-    def writer():
+    def writer(outdir):
         summary = evaluate.write_single_run(outdir, result, label=label)
         evaluate.write_csv(
             outdir / "summary.csv", tuple(summary.keys()), [tuple(summary.values())]
         )
         if write_log:
-            write_measurement_log(outdir / "measurements.jsonl", records_from_measurement_set(ms))
+            write_measurement_log(outdir / "measurements.jsonl", ms)
 
     return writer, {"seed": setup.seed}
 
 
-def _run_outage_sweep(cfg, config_dir, seed_override, outdir):
+def _run_outage_sweep(cfg, config_dir, seed_override):
     block = dict(_expect_mapping(cfg.pop("outage_sweep", {}), "outage_sweep"))
     _reject_unknown(cfg, "config")
     durations = _number_list(
@@ -344,10 +345,10 @@ def _run_outage_sweep(cfg, config_dir, seed_override, outdir):
     if seed_override is not None:
         kwargs["seeds"] = tuple(seed_override + s for s in kwargs["seeds"])
     sweep = evaluate.run_outage_sweep(**kwargs)
-    return lambda: evaluate.write_outage_sweep(outdir, sweep), {"seeds": list(kwargs["seeds"])}
+    return lambda outdir: evaluate.write_outage_sweep(outdir, sweep), {"seeds": list(kwargs["seeds"])}
 
 
-def _run_noise_sweep(cfg, config_dir, seed_override, outdir):
+def _run_noise_sweep(cfg, config_dir, seed_override):
     block = dict(_expect_mapping(cfg.pop("noise_sweep", {}), "noise_sweep"))
     _reject_unknown(cfg, "config")
     kwargs = dict(
@@ -380,10 +381,10 @@ def _run_noise_sweep(cfg, config_dir, seed_override, outdir):
     if seed_override is not None:
         kwargs["seeds"] = tuple(seed_override + s for s in kwargs["seeds"])
     sweep = evaluate.run_noise_sweep(**kwargs)
-    return lambda: evaluate.write_noise_sweep(outdir, sweep), {"seeds": list(kwargs["seeds"])}
+    return lambda outdir: evaluate.write_noise_sweep(outdir, sweep), {"seeds": list(kwargs["seeds"])}
 
 
-def _run_drift_profile(cfg, config_dir, seed_override, outdir):
+def _run_drift_profile(cfg, config_dir, seed_override):
     block = dict(_expect_mapping(cfg.pop("drift_profile", {}), "drift_profile"))
     _reject_unknown(cfg, "config")
     kwargs = dict(
@@ -403,7 +404,7 @@ def _run_drift_profile(cfg, config_dir, seed_override, outdir):
     if seed_override is not None:
         kwargs["seeds"] = tuple(seed_override + s for s in kwargs["seeds"])
     sweep = evaluate.run_drift_profile(**kwargs)
-    return lambda: evaluate.write_drift_profile(outdir, sweep), {"seeds": list(kwargs["seeds"])}
+    return lambda outdir: evaluate.write_drift_profile(outdir, sweep), {"seeds": list(kwargs["seeds"])}
 
 
 _MODE_RUNNERS = {
@@ -457,7 +458,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             echo["seed_override"] = args.seed
 
-        writer, run_info = _MODE_RUNNERS[mode](cfg, config_path.parent.resolve(), args.seed, outdir)
+        writer, run_info = _MODE_RUNNERS[mode](cfg, config_path.parent.resolve(), args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -468,11 +469,42 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    outdir.mkdir(parents=True, exist_ok=True)
-    writer()
-    evaluate.write_manifest(outdir / "manifest.json", echo, {"mode": mode, **run_info})
+    try:
+        _write_outputs(outdir, writer, echo, {"mode": mode, **run_info})
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote results to {outdir}")
     return EXIT_OK
+
+
+def _write_outputs(outdir: Path, writer, echo, info):
+    """Run writer(directory) and write the manifest into a fresh temporary
+    sibling of outdir, then move the files into place: the whole directory
+    when outdir does not exist yet, file by file otherwise. On failure the
+    temporary directory and any parent directories made here are removed."""
+    made = [p for p in outdir.parents if not p.exists()]
+    try:
+        outdir.parent.mkdir(parents=True, exist_ok=True)
+        tmp = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", dir=outdir.parent))
+        try:
+            # the permissions mkdir would give, not mkdtemp's owner-only ones
+            umask = os.umask(0)
+            os.umask(umask)
+            tmp.chmod(0o777 & ~umask)
+            writer(tmp)
+            evaluate.write_manifest(tmp / "manifest.json", echo, info)
+            if outdir.is_dir():
+                for path in sorted(tmp.iterdir()):
+                    os.replace(path, outdir / path.name)
+            else:
+                os.rename(tmp, outdir)
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+    except BaseException:
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
 
 
 if __name__ == "__main__":

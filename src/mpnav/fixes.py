@@ -66,20 +66,33 @@ def _unit_jacobian(az, el):
 
 
 def los_fix(bs, obs, var_range_m2: float = 0.0, var_angle_deg2: float = 0.0) -> Fix:
-    """Position from one direct-path observation: range out of the RTT,
+    """Position from direct-path observations: range out of the RTT,
     direction out of the departure angles, first-order covariance from the
-    declared measurement variances."""
-    d = SPEED_OF_LIGHT * obs.rtt / 2.0
-    if d <= 0.0:
+    declared measurement variances.
+
+    bs: the base station, or anything with its position p; obs: the
+    observation, or anything with rtt, aod_az, aod_el and t. Broadcasts: with
+    n stations' positions (n, 3) and (n,) observation arrays, the fix holds
+    n positions (n, 3) and covariances (n, 3, 3).
+    """
+    d = SPEED_OF_LIGHT * np.asarray(obs.rtt, dtype=float) / 2.0
+    if np.any(d <= 0.0):
         raise ValueError("non-positive range")
     u = unit_from_angles(obs.aod_az, obs.aod_el)
-    p = bs.p + d * u
+    p = bs.p + d[..., None] * u
     sig_a = _angle_std_rad(var_angle_deg2)
     j_az, j_el = _unit_jacobian(obs.aod_az, obs.aod_el)
-    cov = var_range_m2 * np.outer(u, u) + (sig_a * d) ** 2 * (
-        np.outer(j_az, j_az) + np.outer(j_el, j_el)
-    )
+    # float_power rounds as C pow does; squaring by multiplication (what **
+    # and np.power do for an exponent of 2) differs in the last bit for
+    # about one value in a thousand
+    s2 = np.float_power(sig_a * d, 2)[..., None, None]
+    cov = var_range_m2 * _outer(u) + s2 * (_outer(j_az) + _outer(j_el))
     return Fix(t=obs.t, p=p, cov=cov, residual=0.0, source="los")
+
+
+def _outer(u):
+    """Outer product of each vector with itself, broadcasting: (..., 3, 3)."""
+    return u[..., :, None] * u[..., None, :]
 
 
 def _normal_inverse(N: np.ndarray):

@@ -14,16 +14,18 @@ attitude.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import quat
 from .ins import mechanize_arrays
 
-NIS_GATE_999_DOF3 = float(chi2.ppf(0.999, 3))
+# chi2.ppf(0.999, 3), written out so that importing the filter does not load
+# scipy.stats (about a second and 70 MB)
+NIS_GATE_999_DOF3 = 16.26623619623813
 
 N_ERR = 15
 _SL = {
@@ -215,46 +217,86 @@ def predict(fs: FilterState, gyros, accels, dts, params: UkfParams, trapezoid: b
     )
 
 
+def _chi2_sf_dof3(g: float) -> float:
+    """Upper tail P(X > g) of a chi-square variable with three degrees of
+    freedom, in closed form."""
+    return math.erfc(math.sqrt(g / 2.0)) + math.sqrt(2.0 * g / math.pi) * math.exp(-g / 2.0)
+
+
 @lru_cache(maxsize=16)
 def _gate_for_dim(gate_dof3: float, dim: int) -> float:
     """Re-express the 3-dof gate threshold at another measurement dimension,
-    holding the confidence level fixed."""
+    holding the confidence level fixed. Only dim 3 and 4 occur.
+
+    At four degrees of freedom the tail is exp(-y/2) (1 + y/2), so the
+    threshold y solves y = 2 (log1p(y/2) - log(tail)); the fixed-point
+    iteration contracts and stops when y repeats.
+    """
     if dim == 3:
         return gate_dof3
-    conf = chi2.cdf(gate_dof3, 3)
-    return float(chi2.ppf(conf, dim))
+    if dim != 4:
+        raise ValueError(f"no gate for measurement dimension {dim}")
+    log_tail = math.log(_chi2_sf_dof3(gate_dof3))
+    y = gate_dof3
+    for _ in range(1000):
+        y_next = 2.0 * (math.log1p(y / 2.0) - log_tail)
+        if y_next == y:
+            break
+        y = y_next
+    return y
 
 
-def _kf_update(fs: FilterState, nu, H, R, gate):
-    """Closed-form Kalman step for a measurement linear in the error state:
-    innovation nu, Jacobian H (m x 15), noise R; gated on the NIS."""
-    PHt = fs.P @ H.T
-    S = H @ PHt + R
+def _kf_update(fs: FilterState, nu, PHt, S, gate):
+    """Closed-form Kalman step for a measurement linear in the error state
+    with Jacobian H: innovation nu, PHt = P H^T, innovation covariance
+    S = H P H^T + R; gated on the NIS."""
     try:
-        s_inv_nu = np.linalg.solve(S, nu)
-        K = np.linalg.solve(S, PHt.T).T
+        x = np.linalg.solve(S, np.column_stack([nu, PHt.T]))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"singular innovation covariance: {exc}") from exc
-    nis = float(nu @ s_inv_nu)
+    K = x[:, 1:].T
+    nis = float(nu @ x[:, 0])
     if nis > gate:
         return fs.copy(), UpdateInfo(nis=nis, accepted=False)
     dx = K @ nu
     P = _finalize_cov(fs.P - K @ S @ K.T)
-    p, v, q, bg, ba = _inject(fs, dx)
+    p, v, q, bg, ba = _correct(fs, dx)
     out = FilterState(t=fs.t, p=p, v=v, q_bn=q, b_g=bg, b_a=ba, P=P)
     return out, UpdateInfo(nis=nis, accepted=True)
+
+
+def _correct(fs: FilterState, dx: np.ndarray):
+    """_inject for one correction dx (15,): the same products and sums on
+    Python floats, which skips numpy's per-call cost on 4-vectors."""
+    rx, ry, rz = dx[_SL["att"]].tolist()
+    half = 0.5 * math.sqrt(rx * rx + ry * ry + rz * rz)
+    k = 0.5 * float(np.sinc(half / np.pi))
+    bw, bx, by, bz = float(np.cos(half)), k * rx, k * ry, k * rz
+    aw, ax, ay, az = fs.q_bn.tolist()
+    w = aw * bw - ax * bx - ay * by - az * bz
+    x = aw * bx + ax * bw + ay * bz - az * by
+    y = aw * by - ax * bz + ay * bw + az * bx
+    z = aw * bz + ax * by - ay * bx + az * bw
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    q = np.array([w, x, y, z]) / n
+    p = fs.p + dx[_SL["p"]]
+    v = fs.v + dx[_SL["v"]]
+    return p, v, q, fs.b_g + dx[_SL["bg"]], fs.b_a + dx[_SL["ba"]]
 
 
 def update_position(fs: FilterState, fix, R, params: UkfParams):
     """Position-fix measurement update with NIS gating.
 
-    The fix observes dp directly (H = [I 0]). Returns (state, UpdateInfo);
-    the state is unchanged when the normalized innovation squared exceeds
-    the gate, which protects the filter from admission-gate leakage.
+    fix: the fix (anything with a position p) or its position (3,). The
+    fix observes dp directly (H = [I 0], so P H^T is the first three
+    columns of P). Returns (state, UpdateInfo); the state is unchanged when
+    the normalized innovation squared exceeds the gate, which protects the
+    filter from admission-gate leakage.
     """
     R = np.asarray(R, dtype=float).reshape(3, 3)
-    nu = np.asarray(fix.p, dtype=float) - fs.p
-    return _kf_update(fs, nu, np.eye(3, N_ERR), R, params.nis_gate)
+    nu = np.asarray(getattr(fix, "p", fix), dtype=float) - fs.p
+    PHt = fs.P[:, :3]
+    return _kf_update(fs, nu, PHt, PHt[:3] + R, params.nis_gate)
 
 
 def update_position_yaw(fs: FilterState, fix, R, params: UkfParams):
@@ -272,4 +314,5 @@ def update_position_yaw(fs: FilterState, fix, R, params: UkfParams):
     H[3, _SL["att"]] = quat.to_matrix(fs.q_bn)[2]
     nu = np.concatenate([np.asarray(fix.p, dtype=float) - fs.p, [fix.yaw]])
     gate = _gate_for_dim(params.nis_gate, 4)
-    return _kf_update(fs, nu, H, R, gate)
+    PHt = fs.P @ H.T
+    return _kf_update(fs, nu, PHt, H @ PHt + R, gate)

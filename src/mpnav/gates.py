@@ -29,21 +29,17 @@ class GateConfig:
                 raise ValueError(f"{name} must be >= 0")
 
 
-def classify_los(obs, plm, cfg: GateConfig) -> bool:
-    """True when the time-based and RSS-based ranges agree, i.e. the energy
-    plausibly traveled the direct path.
+def classify_los(rtt: float, rss: float, plm, cfg: GateConfig) -> bool:
+    """True when the time-based range of a two-way travel time rtt and the
+    RSS-based range of rss agree, i.e. the energy plausibly traveled the
+    direct path.
 
     A reflected path is longer than the RSS model's direct-path reading by
     the bounce loss (converted through the path-loss exponent), so the two
     ranges split apart and the observation is rejected.
     """
-    rtt = getattr(obs, "rtt", None)
-    if rtt is not None:
-        d_time = SPEED_OF_LIGHT * rtt / 2.0
-    else:
-        d_time = SPEED_OF_LIGHT * obs.toa
-    d_rss = plm.distance_from_rss(obs.rss)
-    return abs(d_time - d_rss) <= cfg.range_consistency_m
+    d_time = SPEED_OF_LIGHT * rtt / 2.0
+    return abs(d_time - plm.distance_from_rss(rss)) <= cfg.range_consistency_m
 
 
 def oori_check(aod_el, aoa_el, fix_residual_m, cfg: GateConfig):
@@ -64,10 +60,13 @@ def oori_check(aod_el, aoa_el, fix_residual_m, cfg: GateConfig):
     return elevation_ok & (np.asarray(fix_residual_m) <= cfg.residual_m), elevation_ok
 
 
-def motion_gate(candidate_p, prior_p, odo_dist_m: float, dt: float, cfg: GateConfig) -> bool:
+def motion_gate(candidate_p, prior_p, odo_dist_m: float, dt: float, cfg: GateConfig):
     """Reject candidate positions farther from the prior than the odometer
-    says the vehicle could have traveled (plus margin)."""
+    says the vehicle could have traveled (plus margin). Broadcasts over
+    stacked candidates (n, 3), returning (n,) booleans."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    step = float(np.linalg.norm(np.asarray(candidate_p, dtype=float) - np.asarray(prior_p, dtype=float)))
+    d = np.asarray(candidate_p, dtype=float) - np.asarray(prior_p, dtype=float)
+    # each row's norm as the dot product np.linalg.norm takes of one vector
+    step = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
     return step <= odo_dist_m + cfg.motion_margin_m

@@ -9,6 +9,7 @@ filter updates. Emits per-epoch estimate/truth traces plus gate counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,12 +28,12 @@ from .scene import (
 )
 from .synth import (
     ImuErrorModel,
-    LosObs,
     NoiseCfg,
     PathLossModel,
+    RadioRecords,
     SbrObs,
     apply_noise,
-    apply_outages,
+    outage_mask,
     synth_imu,
     synth_odo,
 )
@@ -95,21 +96,23 @@ class RunSetup:
 
 
 @dataclass
-class EpochMeasurements:
-    t: float
-    pose_index: int
-    los: list
-    sbr: list
-
-
-@dataclass
 class MeasurementSet:
-    """One seed's synthesized world: truth at IMU rate plus noisy streams."""
+    """One seed's synthesized world: truth at IMU rate plus noisy streams,
+    held as arrays. Epoch e is the truth pose epoch_idx[e] at time
+    epoch_t[e]; its radio records are rows los.off[e]:los.off[e+1] and
+    sbr.off[e]:sbr.off[e+1], whose bs column indexes bs_ids."""
 
     poses: list
-    imu: list
-    odo: list
-    epochs: list
+    bs_ids: tuple
+    epoch_idx: np.ndarray  # (E,) int
+    epoch_t: np.ndarray  # (E,)
+    imu_t: np.ndarray  # (M,), sample k covers [imu_t[k], imu_t[k + 1])
+    gyro: np.ndarray  # (M, 3)
+    accel: np.ndarray  # (M, 3)
+    odo_t: np.ndarray
+    odo_v: np.ndarray
+    los: RadioRecords
+    sbr: RadioRecords
     truth_biases: tuple  # (b_g, b_a) or None when ingested from a log
 
 
@@ -126,16 +129,43 @@ def _rng_streams(seed: int):
 def _epoch_indices(setup: RunSetup):
     step = int(round(setup.rates.imu_hz / setup.rates.obs_hz))
     n_samples = int(round(setup.duration_s * setup.rates.imu_hz))
-    return list(range(step, n_samples + 1, step)), step, n_samples
+    return np.arange(step, n_samples + 1, step), step, n_samples
+
+
+def _offsets(epoch_of_row, n_epochs):
+    """Row offsets per epoch of rows sorted by epoch."""
+    return np.concatenate([[0], np.cumsum(np.bincount(epoch_of_row, minlength=n_epochs))])
+
+
+def _double_bounces(stations, walls, ue):
+    """Two-bounce paths of every epoch, (epoch, station, length, u_dep,
+    u_arr) per path, ordered by epoch, station, first wall, second wall."""
+    found = []
+    for e, p in enumerate(ue):
+        for b, bs in enumerate(stations):
+            for w1 in walls:
+                for w2 in walls:
+                    if w1.id != w2.id:
+                        path = double_bounce_path(bs, p, w1, w2)
+                        if path is not None:
+                            found.append((e, b, path.length, path.u_dep, path.u_arr))
+    if not found:
+        i, v = np.zeros(0, dtype=int), np.zeros((0, 3))
+        return i, i, np.zeros(0), v, v
+    e, b, ln, ud, ua = zip(*found)
+    return np.array(e), np.array(b), np.array(ln), np.stack(ud), np.stack(ua)
 
 
 def synth_measurements(setup: RunSetup) -> MeasurementSet:
     """Synthesize truth plus noisy measurement streams for one seed.
 
-    Noise draws are consumed in a fixed order (IMU stream, then per epoch:
-    LoS by station order, single bounces station-major then wall, double
-    bounces last), so configurations that differ only in noise variance or
-    outage schedule share identical unit draws.
+    All epochs at once: visibility and reflection geometry for the stack of
+    epoch positions, then one noise block for the whole run. Noise draws
+    are consumed in a fixed order (IMU stream, then per epoch: LoS by
+    station order, single bounces station-major then wall, double bounces
+    last), so configurations that differ only in noise variance or outage
+    schedule share identical unit draws; outage LoS rows are drawn, then
+    dropped.
     """
     streams = _rng_streams(setup.seed)
     epoch_idx, _, n_samples = _epoch_indices(setup)
@@ -147,57 +177,71 @@ def synth_measurements(setup: RunSetup) -> MeasurementSet:
     walls = setup.scenario.walls
     stations = setup.scenario.base_stations
     arrays = SceneArrays(stations, walls)
-    bs_p = np.stack([bs.p for bs in stations])
-    epochs = []
-    for idx in epoch_idx:
-        pose = poses[idx]
-        q_conj = quat.conjugate(quat.from_euler(*pose.att))
-        # direct paths of the visible stations, in station order
-        vis = np.flatnonzero(arrays.los_mask(pose.p))
-        d_vec = pose.p - bs_p[vis]
-        # row norms summed as np.linalg.norm sums one vector
-        d = np.sqrt((d_vec[:, None, :] @ d_vec[:, :, None])[:, 0, 0])
-        if np.any(d <= 0.0):
-            raise ValueError("UE and BS positions coincide")
-        # reflected paths: single bounces station-major then wall, doubles last
-        bi, _, _, _, _, ln, ud, ua = arrays.specular_arrays(pose.p)
-        bounces = np.ones(bi.size, dtype=int)
-        if setup.include_double_bounce:
-            doubles = []
-            for b, bs in enumerate(stations):
-                for w1 in walls:
-                    for w2 in walls:
-                        if w1.id != w2.id:
-                            path = double_bounce_path(bs, pose.p, w1, w2)
-                            if path is not None:
-                                doubles.append((b, path))
-            if doubles:
-                bi = np.concatenate([bi, [b for b, _ in doubles]]).astype(int)
-                ln = np.concatenate([ln, [path.length for _, path in doubles]])
-                ud = np.concatenate([ud, [path.u_dep for _, path in doubles]])
-                ua = np.concatenate([ua, [path.u_arr for _, path in doubles]])
-                bounces = np.concatenate([bounces, [path.bounces for _, path in doubles]])
-        n_los = vis.size
-        aod_az, aod_el = angles_from_unit(np.concatenate([d_vec, ud]))
-        aoa_az, aoa_el = angles_from_unit(np.concatenate([-d_vec, ua]))
-        tof = np.concatenate([2.0 * d / SPEED_OF_LIGHT, ln / SPEED_OF_LIGHT])
-        clean = np.stack([tof, aod_az, aod_el, aoa_az, aoa_el], axis=1)
-        body = np.stack(angles_from_unit(quat.rotate(q_conj, ua)), axis=1)
-        noisy, body = apply_noise(clean, setup.noise, streams["obs"], n_los=n_los, body=body)
-        rss = setup.path_loss.rss(
-            np.concatenate([d, ln]), bounces=np.concatenate([np.zeros(n_los, dtype=int), bounces])
-        )
-        rows, rss, body = noisy.tolist(), rss.tolist(), body.tolist()
-        los = [
-            LosObs(stations[b].id, pose.t, *rows[k], rss[k]) for k, b in enumerate(vis.tolist())
-        ]
-        sbr = [
-            SbrObs(stations[b].id, pose.t, *rows[n_los + k], rss[n_los + k], nb, *body[k])
-            for k, (b, nb) in enumerate(zip(bi.tolist(), bounces.tolist()))
-        ]
-        los = apply_outages(pose.t, los, setup.outages)
-        epochs.append(EpochMeasurements(t=pose.t, pose_index=idx, los=los, sbr=sbr))
-    return MeasurementSet(poses=poses, imu=imu, odo=odo, epochs=epochs, truth_biases=biases)
+    n_epochs = len(epoch_idx)
+    ue = np.stack([poses[i].p for i in epoch_idx])
+    att = np.stack([poses[i].att for i in epoch_idx])
+    epoch_t = times[epoch_idx]
+    q_conj = quat.conjugate(quat.from_euler(att[:, 0], att[:, 1], att[:, 2]))
+    # direct paths of the visible stations, epoch-major then station
+    le, lb = np.nonzero(arrays.los_mask(ue))
+    d_vec = ue[le] - arrays.bs_p[lb]
+    # row norms summed as np.linalg.norm sums one vector
+    d = np.sqrt((d_vec[:, None, :] @ d_vec[:, :, None])[:, 0, 0])
+    if np.any(d <= 0.0):
+        raise ValueError("UE and BS positions coincide")
+    # reflected paths: single bounces station-major then wall, doubles last
+    rb, _, _, _, _, ln, ud, ua, re = arrays.specular_arrays(ue)
+    bounces = np.ones(rb.size, dtype=int)
+    if setup.include_double_bounce:
+        de, db, dln, dud, dua = _double_bounces(stations, walls, ue)
+        merge = np.argsort(np.concatenate([re, de]), kind="stable")
+        re, rb = np.concatenate([re, de])[merge], np.concatenate([rb, db])[merge]
+        ln, ud, ua = (np.concatenate(x)[merge] for x in ((ln, dln), (ud, dud), (ua, dua)))
+        bounces = np.concatenate([bounces, np.full(de.size, 2)])[merge]
+    n_los = le.size
+    aod_az, aod_el = angles_from_unit(np.concatenate([d_vec, ud]))
+    aoa_az, aoa_el = angles_from_unit(np.concatenate([-d_vec, ua]))
+    tof = np.concatenate([2.0 * d / SPEED_OF_LIGHT, ln / SPEED_OF_LIGHT])
+    clean = np.stack([tof, aod_az, aod_el, aoa_az, aoa_el], axis=1)
+    body = np.stack(angles_from_unit(quat.rotate(q_conj[re], ua)), axis=1)
+    # draw order: per epoch its LoS rows, then its reflected rows
+    order = np.argsort(np.concatenate([le, re]), kind="stable")
+    is_los = order < n_los
+    drawn, body = apply_noise(clean[order], setup.noise, streams["obs"], los=is_los, body=body)
+    noisy = np.empty_like(clean)
+    noisy[order] = drawn
+    rss = setup.path_loss.rss(
+        np.concatenate([d, ln]), bounces=np.concatenate([np.zeros(n_los, dtype=int), bounces])
+    )
+    keep = ~outage_mask(epoch_t, setup.outages)[le]
+    los = RadioRecords(
+        off=_offsets(le[keep], n_epochs),
+        bs=lb[keep],
+        obs=noisy[:n_los][keep],
+        rss=rss[:n_los][keep],
+    )
+    sbr = RadioRecords(
+        off=_offsets(re, n_epochs),
+        bs=rb,
+        obs=noisy[n_los:],
+        rss=rss[n_los:],
+        bounces=bounces,
+        body=body,
+    )
+    return MeasurementSet(
+        poses=poses,
+        bs_ids=tuple(bs.id for bs in stations),
+        epoch_idx=epoch_idx,
+        epoch_t=epoch_t,
+        imu_t=np.array([s.t for s in imu]),
+        gyro=np.stack([s.gyro for s in imu]),
+        accel=np.stack([s.accel for s in imu]),
+        odo_t=np.array([o.t for o in odo]),
+        odo_v=np.array([o.speed for o in odo]),
+        los=los,
+        sbr=sbr,
+        truth_biases=biases,
+    )
 
 
 @dataclass
@@ -238,24 +282,25 @@ def _init_filter(setup: RunSetup, pose0, rng) -> FilterState:
     )
 
 
-def screen_sbr(sbr, bs_by_id, q_bn, p_ref, setup: RunSetup):
-    """Bounce-order screen of one epoch's reflected records, on arrays.
+def screen_sbr(sbr: RadioRecords, rows: slice, t, stations, q_bn, p_ref, setup: RunSetup):
+    """Bounce-order screen of one epoch's reflected records, sbr's rows, on
+    arrays.
 
     With setup.use_body_aoa the body-frame arrival angles are globalized
     with the attitude q_bn. Each path's locus is scored against p_ref, one
     oori_check screens them all, and the strongest setup.max_sbr_paths
     admitted paths are kept, ties in record order. Returns (pairs, counts):
-    the (BaseStation, SbrObs) pairs for sbr_fix and the admitted/rejected
-    counts keyed like run_filter's counters.
+    the (BaseStation, SbrObs) pairs at epoch time t for sbr_fix and the
+    admitted/rejected counts keyed like run_filter's counters.
     """
-    bs_pos = np.stack([bs_by_id[o.bs_id].p for o in sbr])
-    obs = np.array([(o.toa, o.aod_az, o.aod_el, o.aoa_az, o.aoa_el, o.rss) for o in sbr])
+    bs = sbr.bs[rows]
+    obs = sbr.obs[rows].copy()
     if setup.use_body_aoa:
-        body = np.array([(o.aoa_az_body, o.aoa_el_body) for o in sbr])
+        body = sbr.body[rows]
         u_glob = quat.rotate(q_bn, unit_from_angles(body[:, 0], body[:, 1]))
         obs[:, 3], obs[:, 4] = angles_from_unit(u_glob)
     residuals = sbr_locus_residuals(
-        bs_pos,
+        np.stack([stations[b].p for b in bs.tolist()]),
         obs[:, 0] * SPEED_OF_LIGHT,
         unit_from_angles(obs[:, 1], obs[:, 2]),
         unit_from_angles(obs[:, 3], obs[:, 4]),
@@ -267,61 +312,53 @@ def screen_sbr(sbr, bs_by_id, q_bn, p_ref, setup: RunSetup):
     counts = {
         "sbr_admitted": n_admit,
         "sbr_rejected_elevation": n_elev,
-        "sbr_rejected_residual": len(sbr) - n_admit - n_elev,
+        "sbr_rejected_residual": len(bs) - n_admit - n_elev,
     }
     keep = np.flatnonzero(admit)
+    rss = sbr.rss[rows]
     if setup.max_sbr_paths and keep.size > setup.max_sbr_paths:
-        keep = keep[np.argsort(-obs[keep, 5], kind="stable")[: setup.max_sbr_paths]]
-    pairs = []
-    for k in keep.tolist():
-        o = sbr[k]
-        if setup.use_body_aoa:
-            o = SbrObs(
-                bs_id=o.bs_id,
-                t=o.t,
-                toa=o.toa,
-                aod_az=o.aod_az,
-                aod_el=o.aod_el,
-                aoa_az=float(obs[k, 3]),
-                aoa_el=float(obs[k, 4]),
-                rss=o.rss,
-                truth_bounces=o.truth_bounces,
-                aoa_az_body=o.aoa_az_body,
-                aoa_el_body=o.aoa_el_body,
-            )
-        pairs.append((bs_by_id[o.bs_id], o))
+        keep = keep[np.argsort(-rss[keep], kind="stable")[: setup.max_sbr_paths]]
+    cols = zip(
+        bs[keep].tolist(),
+        obs[keep].tolist(),
+        rss[keep].tolist(),
+        sbr.bounces[rows][keep].tolist(),
+        sbr.body[rows][keep].tolist(),
+    )
+    pairs = [
+        (stations[b], SbrObs(stations[b].id, t, *o, r, nb, *bb)) for b, o, r, nb, bb in cols
+    ]
     return pairs, counts
 
 
 def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
     """Gated estimation loop over one measurement set.
 
-    The motion gate compares candidate fixes against the last accepted
-    posterior, with a travel budget accumulated from odometer speed since
-    that posterior, so the bound stays meaningful across outage gaps.
+    Per epoch: prediction, then the epoch's LoS records (screened one by
+    one, fixed and motion-gated as a batch, applied as sequential updates,
+    since each NIS gate sees the previous update), then one joint fix over
+    the admitted reflected paths. The motion gate compares candidate fixes
+    against the last accepted posterior, with a travel budget accumulated
+    from odometer speed since that posterior, so the bound stays meaningful
+    across outage gaps.
     """
-    bs_by_id = {bs.id: bs for bs in setup.scenario.base_stations}
+    stations = setup.scenario.base_stations
+    bs_p = np.stack([bs.p for bs in stations])
     poses = ms.poses
     fs = _init_filter(setup, poses[0], _rng_streams(setup.seed)["init"])
 
-    gyros = np.stack([s.gyro for s in ms.imu])
-    accels = np.stack([s.accel for s in ms.imu])
-    pose_t = np.array([po.t for po in poses])
-    dts = np.diff(pose_t)
+    dts = np.diff([po.t for po in poses])
     p_dense = np.stack([po.p for po in poses])
     arc_dense = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(p_dense, axis=0), axis=1))])
-
-    odo_t = np.array([o.t for o in ms.odo])
-    odo_v = np.array([o.speed for o in ms.odo])
+    odo_t, odo_v = ms.odo_t, ms.odo_v
 
     dt_obs = 1.0 / setup.rates.obs_hz
-    n_epochs = len(ms.epochs)
-    out_t = np.empty(n_epochs)
+    epoch_idx = ms.epoch_idx.tolist()
+    epoch_t = ms.epoch_t.tolist()
+    n_epochs = len(epoch_idx)
     out_est = np.empty((n_epochs, 3))
-    out_truth = np.empty((n_epochs, 3))
     out_nees = np.full(n_epochs, np.nan)
     out_eig = np.empty(n_epochs)
-    out_arc = np.empty(n_epochs)
     counters = {
         "los_total": 0,
         "los_admitted": 0,
@@ -338,20 +375,23 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
         "sbr_updates": 0,
     }
 
+    los, sbr = ms.los, ms.sbr
+    los_off, sbr_off = los.off.tolist(), sbr.off.tolist()
+    los_rtt, los_rss = los.obs[:, 0].tolist(), los.rss.tolist()
+    r_floor = setup.r_floor_m2 * np.eye(3)
     truth_bg, truth_ba = (None, None) if ms.truth_biases is None else ms.truth_biases
     if setup.compute_nees and truth_bg is not None:
-        att_ep = np.stack([poses[ep.pose_index].att for ep in ms.epochs])
+        att_ep = np.stack([poses[i].att for i in epoch_idx])
         q_truth_ep = quat.from_euler(att_ep[:, 0], att_ep[:, 1], att_ep[:, 2])
     last_accept_p = fs.p.copy()
     travel_budget = 0.0
     prev_idx = 0
 
-    for e_i, epoch in enumerate(ms.epochs):
-        idx = epoch.pose_index
+    for e_i, idx in enumerate(epoch_idx):
         fs = predict(
             fs,
-            gyros[prev_idx:idx],
-            accels[prev_idx:idx],
+            ms.gyro[prev_idx:idx],
+            ms.accel[prev_idx:idx],
             dts[prev_idx:idx],
             setup.ukf,
             trapezoid=setup.trapezoid,
@@ -359,33 +399,44 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
         prev_idx = idx
 
         # odometer travel over this epoch interval
-        j = min(int(np.searchsorted(odo_t, epoch.t - 1e-9)), len(odo_v) - 1)
+        j = min(int(np.searchsorted(odo_t, epoch_t[e_i] - 1e-9)), len(odo_v) - 1)
         travel_budget += abs(odo_v[j]) * dt_obs
 
         accepted_any = False
-        for obs in epoch.los:
-            counters["los_total"] += 1
-            if not classify_los(obs, setup.path_loss, setup.gate_cfg):
-                counters["los_rejected_consistency"] += 1
-                continue
+        a, b = los_off[e_i], los_off[e_i + 1]
+        counters["los_total"] += b - a
+        rows = [
+            k
+            for k in range(a, b)
+            if classify_los(los_rtt[k], los_rss[k], setup.path_loss, setup.gate_cfg)
+        ]
+        counters["los_rejected_consistency"] += b - a - len(rows)
+        if rows:
+            obs = los.obs[rows]
             fix = los_fix(
-                bs_by_id[obs.bs_id], obs, setup.noise.var_range_m2, setup.noise.var_angle_deg2
+                SimpleNamespace(p=bs_p[los.bs[rows]]),
+                SimpleNamespace(t=epoch_t[e_i], rtt=obs[:, 0], aod_az=obs[:, 1], aod_el=obs[:, 2]),
+                setup.noise.var_range_m2,
+                setup.noise.var_angle_deg2,
             )
-            if not motion_gate(fix.p, last_accept_p, travel_budget, dt_obs, setup.gate_cfg):
-                counters["los_rejected_motion"] += 1
-                continue
-            counters["los_admitted"] += 1
-            r_mat = fix.cov + setup.r_floor_m2 * np.eye(3)
-            fs, info = update_position(fs, fix, r_mat, setup.ukf)
-            if info.accepted:
-                accepted_any = True
-            else:
-                counters["los_nis_skipped"] += 1
+            near = motion_gate(fix.p, last_accept_p, travel_budget, dt_obs, setup.gate_cfg)
+            n_near = int(np.count_nonzero(near))
+            counters["los_rejected_motion"] += len(rows) - n_near
+            counters["los_admitted"] += n_near
+            for p, r_mat in zip(fix.p[near], fix.cov[near] + r_floor):
+                fs, info = update_position(fs, p, r_mat, setup.ukf)
+                if info.accepted:
+                    accepted_any = True
+                else:
+                    counters["los_nis_skipped"] += 1
 
+        a, b = sbr_off[e_i], sbr_off[e_i + 1]
         if setup.with_sbr:
-            counters["sbr_total"] += len(epoch.sbr)
-        if setup.with_sbr and len(epoch.sbr) >= 2:
-            admitted, counts = screen_sbr(epoch.sbr, bs_by_id, fs.q_bn, fs.p, setup)
+            counters["sbr_total"] += b - a
+        if setup.with_sbr and b - a >= 2:
+            admitted, counts = screen_sbr(
+                sbr, slice(a, b), epoch_t[e_i], stations, fs.q_bn, fs.p, setup
+            )
             for key, n in counts.items():
                 counters[key] += n
             if len(admitted) >= 2:
@@ -412,7 +463,7 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
                     counters["sbr_fix_rejected_motion"] += 1
                 elif fix.yaw is not None:
                     r4 = np.zeros((4, 4))
-                    r4[:3, :3] = fix.cov + setup.r_floor_m2 * np.eye(3)
+                    r4[:3, :3] = fix.cov + r_floor
                     r4[3, 3] = fix.yaw_var + 1e-8
                     r4[:3, 3] = r4[3, :3] = fix.yaw_pos_cov
                     fs, info = update_position_yaw(fs, fix, r4, setup.ukf)
@@ -422,8 +473,7 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
                     else:
                         counters["sbr_nis_skipped"] += 1
                 else:
-                    r_mat = fix.cov + setup.r_floor_m2 * np.eye(3)
-                    fs, info = update_position(fs, fix, r_mat, setup.ukf)
+                    fs, info = update_position(fs, fix, fix.cov + r_floor, setup.ukf)
                     if info.accepted:
                         accepted_any = True
                         counters["sbr_updates"] += 1
@@ -434,24 +484,22 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
             last_accept_p = fs.p.copy()
             travel_budget = 0.0
 
-        pose = poses[idx]
-        out_t[e_i] = pose.t
         out_est[e_i] = fs.p
-        out_truth[e_i] = pose.p
-        out_arc[e_i] = arc_dense[idx]
         out_eig[e_i] = float(np.linalg.eigvalsh(fs.P)[0])
         if setup.compute_nees and truth_bg is not None:
+            pose = poses[idx]
             e_vec = fs.error_vector(pose.p, pose.v, q_truth_ep[e_i], truth_bg, truth_ba)
             out_nees[e_i] = float(e_vec @ np.linalg.solve(fs.P, e_vec))
 
+    out_truth = p_dense[epoch_idx]
     err_enu = out_est - out_truth
     return RunResult(
-        t=out_t,
+        t=ms.epoch_t.copy(),
         p_est=out_est,
         p_truth=out_truth,
         err_enu=err_enu,
         err_3d=np.linalg.norm(err_enu, axis=1),
-        arc_m=out_arc,
+        arc_m=arc_dense[epoch_idx],
         nees=out_nees,
         min_eig_p=out_eig,
         counters=counters,
@@ -477,13 +525,25 @@ def run_pair(setup: RunSetup):
 # measurement-log bridging
 
 
-def records_from_measurement_set(ms: MeasurementSet):
-    """Flatten to log records: IMU, odometer, then per-epoch observations."""
-    records = list(ms.imu) + list(ms.odo)
-    for epoch in ms.epochs:
-        records.extend(epoch.los)
-        records.extend(epoch.sbr)
-    return records
+def _radio_columns(recs, epoch_of_t, station, fields, n_epochs, sbr=False):
+    """RadioRecords of one kind from parsed log records; records whose time
+    is on no epoch are left out."""
+    epochs = [epoch_of_t.get(round(o.t, 6), -1) for o in recs]
+    on_grid = [k for k, e in enumerate(epochs) if e >= 0]
+    # file order within each epoch
+    order = sorted(on_grid, key=epochs.__getitem__)
+    kept = [recs[k] for k in order]
+    out = RadioRecords(
+        off=_offsets(np.array([epochs[k] for k in order], dtype=int), n_epochs),
+        bs=np.array([station[o.bs_id] for o in kept], dtype=int),
+        obs=np.array([fields(o) for o in kept], dtype=float).reshape(-1, 5),
+        rss=np.array([o.rss for o in kept], dtype=float),
+    )
+    if sbr:
+        out.bounces = np.array([o.truth_bounces for o in kept], dtype=int)
+        body = [(o.aoa_az_body, o.aoa_el_body) for o in kept]
+        out.body = np.array(body, dtype=float).reshape(-1, 2)
+    return out
 
 
 def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementSet:
@@ -497,39 +557,47 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
     epoch_idx, _, n_samples = _epoch_indices(setup)
     times = np.arange(n_samples + 1) / setup.rates.imu_hz
     poses = trajectory_poses(setup.scenario.trajectory, times)
-    by_t_los = {}
-    for obs in records.get("los", []):
-        by_t_los.setdefault(round(obs.t, 6), []).append(obs)
-    by_t_sbr = {}
-    for obs in records.get("sbr", []):
-        by_t_sbr.setdefault(round(obs.t, 6), []).append(obs)
-    epochs = []
-    for idx in epoch_idx:
-        t = poses[idx].t
-        key = round(t, 6)
-        epochs.append(
-            EpochMeasurements(
-                t=t,
-                pose_index=idx,
-                los=by_t_los.get(key, []),
-                sbr=by_t_sbr.get(key, []),
-            )
-        )
     imu = records.get("imu", [])
     if len(imu) != n_samples:
         raise ValueError(
             f"log has {len(imu)} IMU samples, scenario expects {n_samples}"
         )
-    if not records.get("odo"):
+    odo = records.get("odo", [])
+    if not odo:
         raise ValueError("log has no odometer records")
-    known = {bs.id for bs in setup.scenario.base_stations}
-    unknown = {o.bs_id for kind in ("los", "sbr") for o in records.get(kind, [])} - known
+    stations = setup.scenario.base_stations
+    station = {bs.id: b for b, bs in enumerate(stations)}
+    los, sbr = records.get("los", []), records.get("sbr", [])
+    unknown = {o.bs_id for o in los + sbr} - station.keys()
     if unknown:
         raise ValueError(f"log names base stations not in the scenario: {sorted(unknown)}")
+    epoch_t = times[epoch_idx]
+    epoch_of_t = {round(t, 6): e for e, t in enumerate(epoch_t.tolist())}
+    n_epochs = len(epoch_idx)
     return MeasurementSet(
         poses=poses,
-        imu=imu,
-        odo=records["odo"],
-        epochs=epochs,
+        bs_ids=tuple(station),
+        epoch_idx=epoch_idx,
+        epoch_t=epoch_t,
+        imu_t=np.array([s.t for s in imu]),
+        gyro=np.stack([s.gyro for s in imu]),
+        accel=np.stack([s.accel for s in imu]),
+        odo_t=np.array([o.t for o in odo]),
+        odo_v=np.array([o.speed for o in odo]),
+        los=_radio_columns(
+            los,
+            epoch_of_t,
+            station,
+            lambda o: (o.rtt, o.aod_az, o.aod_el, o.aoa_az, o.aoa_el),
+            n_epochs,
+        ),
+        sbr=_radio_columns(
+            sbr,
+            epoch_of_t,
+            station,
+            lambda o: (o.toa, o.aod_az, o.aod_el, o.aoa_az, o.aoa_el),
+            n_epochs,
+            sbr=True,
+        ),
         truth_biases=None,
     )

@@ -550,8 +550,9 @@ def ring_scenario(
 
 
 class SceneArrays:
-    """Precomputed geometry arrays for one scenario, for per-epoch batch
-    queries over every (base station, wall) pair at once.
+    """Precomputed geometry arrays for one scenario, for batch queries over
+    every (UE position, base station, wall) triple at once: a whole run's
+    epoch positions in one call.
 
     Results match the scalar specular_path / los_visible functions (which
     stay around as the readable reference and test oracle) up to float
@@ -585,73 +586,80 @@ class SceneArrays:
         self._tol = 1e-9
 
     def _ue_sd(self, ue):
-        return np.einsum("wk,wk->w", ue[None, :2] - self.w_a, self.w_nrm)
+        """Signed offsets of UE positions (E, 3) from every wall plane, (E, W)."""
+        return np.einsum("ewk,wk->ew", ue[:, None, :2] - self.w_a, self.w_nrm)
 
     def specular_arrays(self, ue):
-        """All single-bounce hits for one UE position.
+        """All single-bounce hits for one UE position (3,) or a stack (E, 3).
 
         Returns (bs_idx, wall_idx, point, leg_bs, leg_ue, length, u_dep,
-        u_arr) arrays ordered base-station-major then wall, the same order a
-        scalar double loop would produce.
+        u_arr, ue_idx) arrays, one entry per hit, ordered by UE, then base
+        station, then wall: the order a scalar loop over UEs, stations and
+        walls would produce. ue_idx is the hit's row in the UE stack (all
+        zeros for a single position).
         """
-        ue = np.asarray(ue, dtype=float)
+        ue = np.asarray(ue, dtype=float).reshape(-1, 3)
         if self.n_walls == 0 or self.n_bs == 0:
             empty3 = np.zeros((0, 3))
             z = np.zeros(0)
-            return np.zeros(0, dtype=int), np.zeros(0, dtype=int), empty3, z, z, z, empty3, empty3
-        s_ue = self._ue_sd(ue)  # (W,)
+            i = np.zeros(0, dtype=int)
+            return i, i, empty3, z, z, z, empty3, empty3, i
+        s_ue = self._ue_sd(ue)[:, None, :]  # (E, 1, W)
         s0 = -self.bs_sd  # mirror offsets, (B, W)
         opposite = (s0 * s_ue) < 0.0  # strict crossing only
-        not_inplane = ~(
-            (np.abs(s0) <= _PLANE_TOL) & (np.abs(s_ue) <= _PLANE_TOL)[None, :]
-        )
-        denom = s0 - s_ue[None, :]
+        not_inplane = ~((np.abs(s0) <= _PLANE_TOL) & (np.abs(s_ue) <= _PLANE_TOL))
+        denom = s0 - s_ue
         safe = denom != 0.0
         t = np.where(safe, s0 / np.where(safe, denom, 1.0), -1.0)
         valid = opposite & not_inplane & safe & (t > 0.0) & (t < 1.0)
-        point = self.bs_mirror + t[:, :, None] * (ue - self.bs_mirror)
-        along = np.einsum("bwk,wk->bw", point[:, :, :2] - self.w_a[None, :, :], self.w_tan)
+        ue4 = ue[:, None, None, :]
+        point = self.bs_mirror + t[..., None] * (ue4 - self.bs_mirror)
+        along = np.einsum("ebwk,wk->ebw", point[..., :2] - self.w_a, self.w_tan)
         tol = self._tol
-        valid &= (along >= -tol) & (along <= self.w_len[None, :] + tol)
-        valid &= (point[:, :, 2] >= self.w_z0[None, :] - tol) & (
-            point[:, :, 2] <= self.w_z1[None, :] + tol
-        )
+        valid &= (along >= -tol) & (along <= self.w_len + tol)
+        valid &= (point[..., 2] >= self.w_z0 - tol) & (point[..., 2] <= self.w_z1 + tol)
         d_bs = point - self.bs_p[:, None, :]
-        d_ue = point - ue
-        leg_bs = np.linalg.norm(d_bs, axis=2)
-        leg_ue = np.linalg.norm(d_ue, axis=2)
+        d_ue = point - ue4
+        leg_bs = np.linalg.norm(d_bs, axis=-1)
+        leg_ue = np.linalg.norm(d_ue, axis=-1)
         valid &= (leg_bs > _PLANE_TOL) & (leg_ue > _PLANE_TOL)
-        bi, wi = np.nonzero(valid)
-        lb = leg_bs[bi, wi]
-        lu = leg_ue[bi, wi]
-        u_dep = d_bs[bi, wi] / lb[:, None]
-        u_arr = d_ue[bi, wi] / lu[:, None]
-        return bi, wi, point[bi, wi], lb, lu, lb + lu, u_dep, u_arr
+        ei, bi, wi = np.nonzero(valid)
+        lb = leg_bs[ei, bi, wi]
+        lu = leg_ue[ei, bi, wi]
+        u_dep = d_bs[ei, bi, wi] / lb[:, None]
+        u_arr = d_ue[ei, bi, wi] / lu[:, None]
+        return bi, wi, point[ei, bi, wi], lb, lu, lb + lu, u_dep, u_arr, ei
 
     def los_mask(self, ue):
-        """Visibility of every base station from ue, walls as blockers."""
+        """Visibility of every base station from a UE position (3,) or a
+        stack (E, 3), walls as blockers: (B,) or (E, B) booleans."""
         ue = np.asarray(ue, dtype=float)
+        single = ue.ndim == 1
+        ue = ue.reshape(-1, 3)
         if self.n_walls == 0:
-            return np.ones(self.n_bs, dtype=bool)
-        s_ue = self._ue_sd(ue)
+            mask = np.ones((ue.shape[0], self.n_bs), dtype=bool)
+            return mask[0] if single else mask
+        s_ue = self._ue_sd(ue)[:, None, :]  # (E, 1, W)
         s0 = self.bs_sd  # (B, W)
-        inplane = (np.abs(s0) <= _PLANE_TOL) & (np.abs(s_ue) <= _PLANE_TOL)[None, :]
-        denom = s0 - s_ue[None, :]
+        inplane = (np.abs(s0) <= _PLANE_TOL) & (np.abs(s_ue) <= _PLANE_TOL)
+        denom = s0 - s_ue
         safe = denom != 0.0
         t = np.where(safe, s0 / np.where(safe, denom, 1.0), -1.0)
-        crossing = (s0 * s_ue[None, :] <= 0.0) & safe & (t >= 0.0) & (t <= 1.0) & ~inplane
-        hit = self.bs_p[:, None, :] + t[:, :, None] * (ue - self.bs_p[:, None, :])
-        along = np.einsum("bwk,wk->bw", hit[:, :, :2] - self.w_a[None, :, :], self.w_tan)
+        crossing = (s0 * s_ue <= 0.0) & safe & (t >= 0.0) & (t <= 1.0) & ~inplane
+        bs4 = self.bs_p[:, None, :]
+        hit = bs4 + t[..., None] * (ue[:, None, None, :] - bs4)
+        along = np.einsum("ebwk,wk->ebw", hit[..., :2] - self.w_a, self.w_tan)
         tol = self._tol
         on_rect = (
             (along >= -tol)
-            & (along <= self.w_len[None, :] + tol)
-            & (hit[:, :, 2] >= self.w_z0[None, :] - tol)
-            & (hit[:, :, 2] <= self.w_z1[None, :] + tol)
+            & (along <= self.w_len + tol)
+            & (hit[..., 2] >= self.w_z0 - tol)
+            & (hit[..., 2] <= self.w_z1 + tol)
         )
         blocked = crossing & on_rect
         if inplane.any():
-            for b, w in zip(*np.nonzero(inplane)):
-                if _inplane_overlap(self.bs_p[b], ue, self.walls[w]):
-                    blocked[b, w] = True
-        return ~blocked.any(axis=1)
+            for e, b, w in zip(*np.nonzero(inplane)):
+                if _inplane_overlap(self.bs_p[b], ue[e], self.walls[w]):
+                    blocked[e, b, w] = True
+        mask = ~blocked.any(axis=-1)
+        return mask[0] if single else mask

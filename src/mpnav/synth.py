@@ -63,6 +63,28 @@ class SbrObs:
 
 
 @dataclass
+class RadioRecords:
+    """One kind of radio record (LoS or SBR) for a whole run, as columns.
+
+    Epoch e owns rows off[e]:off[e+1]. obs columns are [time of flight,
+    aod_az, aod_el, aoa_az, aoa_el], the time of flight being the two-way
+    rtt for LoS and the one-way toa for SBR records; bs indexes the run's
+    base stations. bounces and body (body-frame arrival [az, el]) exist for
+    SBR records only.
+    """
+
+    off: np.ndarray  # (E + 1,) int
+    bs: np.ndarray  # (N,) int
+    obs: np.ndarray  # (N, 5)
+    rss: np.ndarray  # (N,) dBm
+    bounces: np.ndarray | None = None  # (N,) int, simulator truth
+    body: np.ndarray | None = None  # (N, 2)
+
+    def __len__(self) -> int:
+        return len(self.bs)
+
+
+@dataclass
 class NoiseCfg:
     var_range_m2: float = 0.5
     var_angle_deg2: float = 0.01
@@ -81,8 +103,9 @@ class OutageWindow:
         if not self.t_end > self.t_start:
             raise ValueError("outage window needs t_end > t_start")
 
-    def contains(self, t: float) -> bool:
-        return self.t_start <= t <= self.t_end
+    def contains(self, t):
+        """Whether t (a time or an array of times) lies in the closed window."""
+        return (self.t_start <= t) & (t <= self.t_end)
 
 
 @dataclass
@@ -219,32 +242,35 @@ def _clip_el(el):
     return np.clip(el, -math.pi / 2, math.pi / 2)
 
 
-def apply_noise(obs, cfg: NoiseCfg, rng, n_los: int = 0, body=None):
-    """Noisy copy of one epoch's observables, perturbed as one block.
+def apply_noise(obs, cfg: NoiseCfg, rng, los=None, body=None):
+    """Noisy copy of a block of observables, perturbed at once.
 
     obs: (n, 5) rows [time of flight, aod_az, aod_el, aoa_az, aoa_el], one
-    per record in record order. The first n_los rows are direct paths, whose
-    time of flight is the two-way rtt; the rest are reflected paths with a
-    one-way toa. body: optional (n - n_los, 2) body-frame arrival angles
-    [az, el] of the reflected rows; they take the same angle errors as the
-    global arrival angles. Returns (obs, body) noisy copies.
+    per record in draw order. los: optional (n,) booleans marking the direct
+    paths, whose time of flight is the two-way rtt; the other rows are
+    reflected paths with a one-way toa (all of them when los is None).
+    body: optional (number of reflected rows, 2) body-frame arrival angles
+    [az, el] of the reflected rows, in row order; they take the same angle
+    errors as the global arrival angles. Returns (obs, body) noisy copies.
 
     Draws one (n, 5) block of unit normals, so exactly five per record in
-    record order at any variance: sweeps with different variances share one
+    row order at any variance: sweeps with different variances share one
     underlying stream (common random numbers), and zero-variance output
-    equals the input bitwise.
+    equals the input bitwise. One (n1 + n2, 5) draw equals an (n1, 5) draw
+    followed by an (n2, 5) draw, so a whole run's block reproduces
+    epoch-by-epoch draws.
     """
     if cfg.var_range_m2 < 0 or cfg.var_angle_deg2 < 0:
         raise ValueError("noise variances must be >= 0")
     obs = np.asarray(obs, dtype=float)
+    los = np.zeros(len(obs), dtype=bool) if los is None else np.asarray(los, dtype=bool)
     z = rng.standard_normal((len(obs), 5))
     sig_r = math.sqrt(cfg.var_range_m2)
     sig_a = math.radians(math.sqrt(cfg.var_angle_deg2))
     out = obs.copy()
     body_out = None if body is None else np.array(body, dtype=float)
     if sig_r > 0.0:
-        scale = np.full(len(obs), sig_r)
-        scale[:n_los] = 2.0 * sig_r
+        scale = np.where(los, 2.0 * sig_r, sig_r)
         out[:, 0] = obs[:, 0] + scale * z[:, 0] / SPEED_OF_LIGHT
     if sig_a > 0.0:
         ang = obs[:, 1:] + sig_a * z[:, 1:]
@@ -252,21 +278,21 @@ def apply_noise(obs, cfg: NoiseCfg, rng, n_los: int = 0, body=None):
         out[:, 2::2] = _clip_el(ang[:, 1::2])
         if body is not None:
             # same physical angle error, expressed in the body frame
-            ang_b = body_out + sig_a * z[n_los:, 3:]
+            ang_b = body_out + sig_a * z[~los, 3:]
             body_out[:, 0] = _wrap_az(ang_b[:, 0])
             body_out[:, 1] = _clip_el(ang_b[:, 1])
     return out, body_out
 
 
-def apply_outages(t: float, obs_list, windows):
-    """Drop LoS observations whose epoch falls inside any window (closed
-    interval); reflected-path observations always pass through."""
-    if not windows:
-        return list(obs_list)
-    blocked = any(w.contains(t) for w in windows)
-    if not blocked:
-        return list(obs_list)
-    return [o for o in obs_list if not isinstance(o, LosObs)]
+def outage_mask(t, windows):
+    """True for the epoch times t that fall inside any outage window
+    (closed interval); their LoS observations are dropped, reflected paths
+    always pass through."""
+    t = np.asarray(t, dtype=float)
+    blocked = np.zeros(t.shape, dtype=bool)
+    for w in windows:
+        blocked |= w.contains(t)
+    return blocked
 
 
 def synth_imu(poses, err: ImuErrorModel, rate: float, rng, biases=None):
@@ -320,46 +346,6 @@ def synth_odo(poses, rate: float, noise_std: float, rng):
 
 # ---------------------------------------------------------------------------
 # measurement log (line-delimited JSON, unit-suffixed keys)
-
-
-def _record_to_dict(rec) -> dict:
-    if isinstance(rec, LosObs):
-        return {
-            "kind": "los",
-            "bs_id": rec.bs_id,
-            "t_s": rec.t,
-            "rtt_s": rec.rtt,
-            "aod_az_rad": rec.aod_az,
-            "aod_el_rad": rec.aod_el,
-            "aoa_az_rad": rec.aoa_az,
-            "aoa_el_rad": rec.aoa_el,
-            "rss_dbm": rec.rss,
-        }
-    if isinstance(rec, SbrObs):
-        return {
-            "kind": "sbr",
-            "bs_id": rec.bs_id,
-            "t_s": rec.t,
-            "toa_s": rec.toa,
-            "aod_az_rad": rec.aod_az,
-            "aod_el_rad": rec.aod_el,
-            "aoa_az_rad": rec.aoa_az,
-            "aoa_el_rad": rec.aoa_el,
-            "rss_dbm": rec.rss,
-            "truth_bounces": rec.truth_bounces,
-            "aoa_az_body_rad": rec.aoa_az_body,
-            "aoa_el_body_rad": rec.aoa_el_body,
-        }
-    if isinstance(rec, ImuSample):
-        return {
-            "kind": "imu",
-            "t_s": rec.t,
-            "gyro_rps": [float(x) for x in rec.gyro],
-            "accel_mps2": [float(x) for x in rec.accel],
-        }
-    if isinstance(rec, OdoSample):
-        return {"kind": "odo", "t_s": rec.t, "speed_mps": rec.speed}
-    raise TypeError(f"unknown record type {type(rec).__name__}")
 
 
 def _vec3(d: dict, key: str) -> np.ndarray:
@@ -424,11 +410,63 @@ _NUMBERS = {
 }
 
 
-def write_measurement_log(path, records) -> None:
+# One line template per record kind: keys in sorted order, separators as
+# json.dumps(record, sort_keys=True) writes them. Floats go through %r on
+# Python floats, which is float.__repr__ as in json.dumps; station ids are
+# JSON-quoted once per station.
+_IMU_LINE = '{"accel_mps2": [%r, %r, %r], "gyro_rps": [%r, %r, %r], "kind": "imu", "t_s": %r}\n'
+_ODO_LINE = '{"kind": "odo", "speed_mps": %r, "t_s": %r}\n'
+_LOS_LINE = (
+    '{"aoa_az_rad": %r, "aoa_el_rad": %r, "aod_az_rad": %r, "aod_el_rad": %r, "bs_id": %s, '
+    '"kind": "los", "rss_dbm": %r, "rtt_s": %r, "t_s": %r}\n'
+)
+_SBR_LINE = (
+    '{"aoa_az_body_rad": %r, "aoa_az_rad": %r, "aoa_el_body_rad": %r, "aoa_el_rad": %r, '
+    '"aod_az_rad": %r, "aod_el_rad": %r, "bs_id": %s, "kind": "sbr", "rss_dbm": %r, '
+    '"t_s": %r, "toa_s": %r, "truth_bounces": %r}\n'
+)
+_CHUNK = 4096  # IMU/odometer lines per write
+
+
+def _radio_lines(template, rec, rows, ids, t):
+    """Log lines of rec's rows (a slice), all at epoch time t."""
+    bs = [ids[b] for b in rec.bs[rows].tolist()]
+    tof, aod_az, aod_el, aoa_az, aoa_el = rec.obs[rows].T.tolist()
+    rss = rec.rss[rows].tolist()
+    ts = [t] * len(bs)
+    if rec.body is None:
+        cols = (aoa_az, aoa_el, aod_az, aod_el, bs, rss, tof, ts)
+    else:
+        body_az, body_el = rec.body[rows].T.tolist()
+        nb = rec.bounces[rows].tolist()
+        cols = (body_az, aoa_az, body_el, aoa_el, aod_az, aod_el, bs, rss, ts, tof, nb)
+    return "".join([template % row for row in zip(*cols)])
+
+
+def write_measurement_log(path, ms) -> None:
+    """Write a measurement set as line-delimited JSON: the IMU samples, the
+    odometer samples, then per epoch its LoS and SBR records.
+
+    Each line holds the bytes json.dumps(record, sort_keys=True) gives for
+    the record's dict. The text is streamed per epoch (IMU and odometer
+    lines in chunks), so the file is never held in memory whole.
+    """
+    ids = [json.dumps(bs_id) for bs_id in ms.bs_ids]
     with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(json.dumps(_record_to_dict(rec), sort_keys=True))
-            f.write("\n")
+        for k in range(0, len(ms.imu_t), _CHUNK):
+            rows = slice(k, k + _CHUNK)
+            cols = (*ms.accel[rows].T.tolist(), *ms.gyro[rows].T.tolist(), ms.imu_t[rows].tolist())
+            f.write("".join([_IMU_LINE % row for row in zip(*cols)]))
+        for k in range(0, len(ms.odo_t), _CHUNK):
+            rows = slice(k, k + _CHUNK)
+            cols = (ms.odo_v[rows].tolist(), ms.odo_t[rows].tolist())
+            f.write("".join([_ODO_LINE % row for row in zip(*cols)]))
+        los_off, sbr_off = ms.los.off.tolist(), ms.sbr.off.tolist()
+        for e, t in enumerate(ms.epoch_t.tolist()):
+            los = slice(los_off[e], los_off[e + 1])
+            sbr = slice(sbr_off[e], sbr_off[e + 1])
+            f.write(_radio_lines(_LOS_LINE, ms.los, los, ids, t))
+            f.write(_radio_lines(_SBR_LINE, ms.sbr, sbr, ids, t))
 
 
 def read_measurement_log(path) -> dict:

@@ -3,14 +3,19 @@
 Rejection-samples random worlds until the requested propagation geometry
 exists; all randomness flows through a caller-provided Generator so every
 test controls its own seed. The references are the plain per-path,
-per-sample and per-record forms that the batched program code must
-reproduce: sbr_fix_svd (the dense-SVD reflection solver behind
+per-sample, per-epoch and per-record forms that the batched program code
+must reproduce: sbr_fix_svd (the dense-SVD reflection solver behind
 mpnav.fixes.sbr_fix), mechanize_per_sample (behind
 mpnav.ins.mechanize_arrays), apply_noise_per_record (behind
-mpnav.synth.apply_noise) and sbr_screen_per_record (the reflected-path
-screen of mpnav.pipeline.run_filter).
+mpnav.synth.apply_noise), sbr_screen_per_record (the reflected-path screen
+of mpnav.pipeline.run_filter), synth_epochs_per_epoch (the epoch loop
+behind mpnav.pipeline.synth_measurements), run_filter_per_record (the
+record-by-record filter loop behind mpnav.pipeline.run_filter) and
+write_log_json (json.dumps per record, behind
+mpnav.synth.write_measurement_log).
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -28,7 +33,7 @@ from mpnav.scene import (
     specular_path,
     unit_from_angles,
 )
-from mpnav.synth import LosObs, SbrObs, apply_noise
+from mpnav.synth import ImuSample, LosObs, OdoSample, SbrObs, apply_noise
 
 
 def random_wall(rng, ident="w0", center_span=80.0, min_len=20.0, max_len=120.0):
@@ -343,7 +348,11 @@ def add_noise(records, cfg, rng):
     obs += [(o.toa, o.aod_az, o.aod_el, o.aoa_az, o.aoa_el) for o in sbr]
     body = [(o.aoa_az_body, o.aoa_el_body) for o in sbr]
     noisy, body = apply_noise(
-        np.reshape(obs, (-1, 5)), cfg, rng, n_los=n_los, body=np.reshape(body, (-1, 2))
+        np.reshape(obs, (-1, 5)),
+        cfg,
+        rng,
+        los=np.arange(len(records)) < n_los,
+        body=np.reshape(body, (-1, 2)),
     )
     rows, body = noisy.tolist(), body.tolist()
     out = [
@@ -391,3 +400,286 @@ def sbr_screen_per_record(sbr, bs_by_id, q_bn, p_ref, setup):
     if setup.max_sbr_paths and len(admitted) > setup.max_sbr_paths:
         admitted = sorted(admitted, key=lambda bo: -bo[1].rss)[: setup.max_sbr_paths]
     return admitted, counts
+
+
+def apply_outages(t: float, obs_list, windows):
+    """Drop LoS observations whose epoch falls inside any window (closed
+    interval); reflected-path observations always pass through."""
+    if not windows:
+        return list(obs_list)
+    blocked = any(w.contains(t) for w in windows)
+    if not blocked:
+        return list(obs_list)
+    return [o for o in obs_list if not isinstance(o, LosObs)]
+
+
+def synth_epochs_per_epoch(setup):
+    """Reference for pipeline.synth_measurements: the geometry, one noise
+    block and the records of one epoch at a time. Returns one (los, sbr)
+    pair of record lists per epoch."""
+    from mpnav.pipeline import _epoch_indices, _rng_streams
+    from mpnav.scene import SceneArrays, trajectory_poses
+    from mpnav.synth import synth_imu, synth_odo
+
+    streams = _rng_streams(setup.seed)
+    epoch_idx, _, n_samples = _epoch_indices(setup)
+    times = np.arange(n_samples + 1) / setup.rates.imu_hz
+    poses = trajectory_poses(setup.scenario.trajectory, times)
+    # the IMU and odometer streams come first in the draw order
+    biases = setup.imu_err.sample_biases(streams["imu"])
+    synth_imu(poses, setup.imu_err, setup.rates.imu_hz, streams["imu"], biases=biases)
+    synth_odo(poses, setup.rates.odo_hz, setup.odo_noise_std, streams["odo"])
+    walls = setup.scenario.walls
+    stations = setup.scenario.base_stations
+    arrays = SceneArrays(stations, walls)
+    bs_p = np.stack([bs.p for bs in stations])
+    epochs = []
+    for idx in epoch_idx:
+        pose = poses[idx]
+        q_conj = quat.conjugate(quat.from_euler(*pose.att))
+        # direct paths of the visible stations, in station order
+        vis = np.flatnonzero(arrays.los_mask(pose.p))
+        d_vec = pose.p - bs_p[vis]
+        # row norms summed as np.linalg.norm sums one vector
+        d = np.sqrt((d_vec[:, None, :] @ d_vec[:, :, None])[:, 0, 0])
+        if np.any(d <= 0.0):
+            raise ValueError("UE and BS positions coincide")
+        # reflected paths: single bounces station-major then wall, doubles last
+        bi, _, _, _, _, ln, ud, ua, _ = arrays.specular_arrays(pose.p)
+        bounces = np.ones(bi.size, dtype=int)
+        if setup.include_double_bounce:
+            doubles = []
+            for b, bs in enumerate(stations):
+                for w1 in walls:
+                    for w2 in walls:
+                        if w1.id != w2.id:
+                            path = double_bounce_path(bs, pose.p, w1, w2)
+                            if path is not None:
+                                doubles.append((b, path))
+            if doubles:
+                bi = np.concatenate([bi, [b for b, _ in doubles]]).astype(int)
+                ln = np.concatenate([ln, [path.length for _, path in doubles]])
+                ud = np.concatenate([ud, [path.u_dep for _, path in doubles]])
+                ua = np.concatenate([ua, [path.u_arr for _, path in doubles]])
+                bounces = np.concatenate([bounces, [path.bounces for _, path in doubles]])
+        n_los = vis.size
+        aod_az, aod_el = angles_from_unit(np.concatenate([d_vec, ud]))
+        aoa_az, aoa_el = angles_from_unit(np.concatenate([-d_vec, ua]))
+        tof = np.concatenate([2.0 * d / SPEED_OF_LIGHT, ln / SPEED_OF_LIGHT])
+        clean = np.stack([tof, aod_az, aod_el, aoa_az, aoa_el], axis=1)
+        body = np.stack(angles_from_unit(quat.rotate(q_conj, ua)), axis=1)
+        noisy, body = apply_noise(
+            clean, setup.noise, streams["obs"], los=np.arange(len(clean)) < n_los, body=body
+        )
+        rss = setup.path_loss.rss(
+            np.concatenate([d, ln]), bounces=np.concatenate([np.zeros(n_los, dtype=int), bounces])
+        )
+        rows, rss, body = noisy.tolist(), rss.tolist(), body.tolist()
+        los = [
+            LosObs(stations[b].id, pose.t, *rows[k], rss[k]) for k, b in enumerate(vis.tolist())
+        ]
+        sbr = [
+            SbrObs(stations[b].id, pose.t, *rows[n_los + k], rss[n_los + k], nb, *body[k])
+            for k, (b, nb) in enumerate(zip(bi.tolist(), bounces.tolist()))
+        ]
+        los = apply_outages(pose.t, los, setup.outages)
+        epochs.append((los, sbr))
+    return epochs
+
+
+def epoch_records(ms):
+    """One (los, sbr) pair of record lists per epoch of an array measurement
+    set, the records as LosObs and SbrObs."""
+    out = []
+    for e, t in enumerate(ms.epoch_t.tolist()):
+        lo = slice(ms.los.off[e], ms.los.off[e + 1])
+        so = slice(ms.sbr.off[e], ms.sbr.off[e + 1])
+        cols = zip(ms.los.bs[lo].tolist(), ms.los.obs[lo].tolist(), ms.los.rss[lo].tolist())
+        los = [LosObs(ms.bs_ids[b], t, *o, r) for b, o, r in cols]
+        sbr = [
+            SbrObs(ms.bs_ids[b], t, *o, r, nb, *bb)
+            for b, o, r, nb, bb in zip(
+                ms.sbr.bs[so].tolist(),
+                ms.sbr.obs[so].tolist(),
+                ms.sbr.rss[so].tolist(),
+                ms.sbr.bounces[so].tolist(),
+                ms.sbr.body[so].tolist(),
+            )
+        ]
+        out.append((los, sbr))
+    return out
+
+
+def log_records(ms):
+    """Log records of a measurement set in log order: IMU, odometer, then
+    per epoch its LoS and SBR records."""
+    records = [
+        ImuSample(t=t, gyro=g, accel=a) for t, g, a in zip(ms.imu_t.tolist(), ms.gyro, ms.accel)
+    ]
+    records += [OdoSample(t=t, speed=v) for t, v in zip(ms.odo_t.tolist(), ms.odo_v.tolist())]
+    for los, sbr in epoch_records(ms):
+        records += los + sbr
+    return records
+
+
+def record_to_dict(rec) -> dict:
+    if isinstance(rec, LosObs):
+        return {
+            "kind": "los",
+            "bs_id": rec.bs_id,
+            "t_s": rec.t,
+            "rtt_s": rec.rtt,
+            "aod_az_rad": rec.aod_az,
+            "aod_el_rad": rec.aod_el,
+            "aoa_az_rad": rec.aoa_az,
+            "aoa_el_rad": rec.aoa_el,
+            "rss_dbm": rec.rss,
+        }
+    if isinstance(rec, SbrObs):
+        return {
+            "kind": "sbr",
+            "bs_id": rec.bs_id,
+            "t_s": rec.t,
+            "toa_s": rec.toa,
+            "aod_az_rad": rec.aod_az,
+            "aod_el_rad": rec.aod_el,
+            "aoa_az_rad": rec.aoa_az,
+            "aoa_el_rad": rec.aoa_el,
+            "rss_dbm": rec.rss,
+            "truth_bounces": rec.truth_bounces,
+            "aoa_az_body_rad": rec.aoa_az_body,
+            "aoa_el_body_rad": rec.aoa_el_body,
+        }
+    if isinstance(rec, ImuSample):
+        return {
+            "kind": "imu",
+            "t_s": rec.t,
+            "gyro_rps": [float(x) for x in rec.gyro],
+            "accel_mps2": [float(x) for x in rec.accel],
+        }
+    if isinstance(rec, OdoSample):
+        return {"kind": "odo", "t_s": rec.t, "speed_mps": rec.speed}
+    raise TypeError(f"unknown record type {type(rec).__name__}")
+
+
+def write_log_json(path, records) -> None:
+    """Reference for write_measurement_log: one json.dumps per record."""
+    with open(path, "w", encoding="utf-8") as f:
+        for rec in records:
+            f.write(json.dumps(record_to_dict(rec), sort_keys=True))
+            f.write("\n")
+
+
+def run_filter_per_record(ms, epochs, setup):
+    """Reference for pipeline.run_filter: the gated estimation loop over
+    per-epoch record lists (epochs as from epoch_records), one LoS record
+    at a time. Returns (p_est, counters)."""
+    from mpnav.fixes import los_fix, sbr_fix
+    from mpnav.fusion import predict, update_position, update_position_yaw
+    from mpnav.gates import classify_los, motion_gate
+    from mpnav.pipeline import _init_filter, _rng_streams
+
+    bs_by_id = {bs.id: bs for bs in setup.scenario.base_stations}
+    poses = ms.poses
+    fs = _init_filter(setup, poses[0], _rng_streams(setup.seed)["init"])
+    dts = np.diff(np.array([po.t for po in poses]))
+    odo_t, odo_v = ms.odo_t, ms.odo_v
+    dt_obs = 1.0 / setup.rates.obs_hz
+    counters = dict.fromkeys(
+        (
+            "los_total",
+            "los_admitted",
+            "los_rejected_consistency",
+            "los_rejected_motion",
+            "los_nis_skipped",
+            "sbr_total",
+            "sbr_admitted",
+            "sbr_rejected_elevation",
+            "sbr_rejected_residual",
+            "sbr_fix_failed",
+            "sbr_fix_rejected_motion",
+            "sbr_nis_skipped",
+            "sbr_updates",
+        ),
+        0,
+    )
+    p_est = np.empty((len(epochs), 3))
+    last_accept_p = fs.p.copy()
+    travel_budget = 0.0
+    prev_idx = 0
+    for e_i, (idx, t, (epoch_los, epoch_sbr)) in enumerate(
+        zip(ms.epoch_idx.tolist(), ms.epoch_t.tolist(), epochs)
+    ):
+        fs = predict(
+            fs,
+            ms.gyro[prev_idx:idx],
+            ms.accel[prev_idx:idx],
+            dts[prev_idx:idx],
+            setup.ukf,
+            trapezoid=setup.trapezoid,
+        )
+        prev_idx = idx
+        j = min(int(np.searchsorted(odo_t, t - 1e-9)), len(odo_v) - 1)
+        travel_budget += abs(odo_v[j]) * dt_obs
+
+        accepted_any = False
+        for obs in epoch_los:
+            counters["los_total"] += 1
+            if not classify_los(obs.rtt, obs.rss, setup.path_loss, setup.gate_cfg):
+                counters["los_rejected_consistency"] += 1
+                continue
+            fix = los_fix(
+                bs_by_id[obs.bs_id], obs, setup.noise.var_range_m2, setup.noise.var_angle_deg2
+            )
+            if not motion_gate(fix.p, last_accept_p, travel_budget, dt_obs, setup.gate_cfg):
+                counters["los_rejected_motion"] += 1
+                continue
+            counters["los_admitted"] += 1
+            r_mat = fix.cov + setup.r_floor_m2 * np.eye(3)
+            fs, info = update_position(fs, fix, r_mat, setup.ukf)
+            if info.accepted:
+                accepted_any = True
+            else:
+                counters["los_nis_skipped"] += 1
+
+        if setup.with_sbr:
+            counters["sbr_total"] += len(epoch_sbr)
+        if setup.with_sbr and len(epoch_sbr) >= 2:
+            admitted, counts = sbr_screen_per_record(epoch_sbr, bs_by_id, fs.q_bn, fs.p, setup)
+            for key, n in counts.items():
+                counters[key] += n
+            if len(admitted) >= 2:
+                fix = sbr_fix(
+                    admitted,
+                    setup.noise.var_range_m2,
+                    setup.noise.var_angle_deg2,
+                    var_aoa_extra_rad2=(
+                        0.5 * float(fs.P[6, 6] + fs.P[7, 7]) if setup.use_body_aoa else 0.0
+                    ),
+                    estimate_yaw=setup.use_body_aoa and len(admitted) >= 3,
+                )
+                if fix is None:
+                    counters["sbr_fix_failed"] += 1
+                elif not motion_gate(fix.p, last_accept_p, travel_budget, dt_obs, setup.gate_cfg):
+                    counters["sbr_fix_rejected_motion"] += 1
+                else:
+                    if fix.yaw is not None:
+                        r4 = np.zeros((4, 4))
+                        r4[:3, :3] = fix.cov + setup.r_floor_m2 * np.eye(3)
+                        r4[3, 3] = fix.yaw_var + 1e-8
+                        r4[:3, 3] = r4[3, :3] = fix.yaw_pos_cov
+                        fs, info = update_position_yaw(fs, fix, r4, setup.ukf)
+                    else:
+                        r_mat = fix.cov + setup.r_floor_m2 * np.eye(3)
+                        fs, info = update_position(fs, fix, r_mat, setup.ukf)
+                    if info.accepted:
+                        accepted_any = True
+                        counters["sbr_updates"] += 1
+                    else:
+                        counters["sbr_nis_skipped"] += 1
+
+        if accepted_any:
+            last_accept_p = fs.p.copy()
+            travel_budget = 0.0
+        p_est[e_i] = fs.p
+    return p_est, counters

@@ -363,3 +363,54 @@ def test_drift_profile_mode(tmp_path):
     d1 = float(lines[1].split(",")[1])
     d2 = float(lines[2].split(",")[1])
     assert 0.0 < d1 < d2
+
+
+def test_output_dir_under_a_regular_file_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, mini_config(duration_s=2.0))
+    (tmp_path / "plain").write_text("not a directory\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main([str(cfg), "--output-dir", str(tmp_path / "plain" / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("output error:")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_failed_write_leaves_no_partial_output(tmp_path, monkeypatch, capsys):
+    import mpnav.cli
+
+    def failing_log_writer(path, ms):
+        path.write_text("partial\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(mpnav.cli, "write_measurement_log", failing_log_writer)
+    cfg = write_config(tmp_path, mini_config(duration_s=2.0))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    # the CSVs are written before the log fails; nothing may stay behind,
+    # neither the target, nor its new parents, nor a temporary directory
+    out = tmp_path / "new_parent" / "out"
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
+    assert "No space left on device" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    # into an existing directory: its files stay as they were
+    out = tmp_path / "existing"
+    out.mkdir()
+    (out / "summary.csv").write_text("old\n")
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+    assert tree_bytes(out) == {"summary.csv": b"old\n"}
+
+
+def test_rerun_into_existing_directory_replaces_files(tmp_path):
+    cfg = write_config(tmp_path, mini_config(duration_s=2.0))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.csv").write_text("old\n")
+    (out / "notes.txt").write_text("kept\n")
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_OK
+    fresh = tmp_path / "fresh"
+    assert main([str(cfg), "--output-dir", str(fresh)]) == EXIT_OK
+    files = tree_bytes(out)
+    assert files.pop("notes.txt") == b"kept\n"
+    assert files == tree_bytes(fresh)
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []

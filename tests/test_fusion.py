@@ -14,8 +14,10 @@ from mpnav.fusion import (
     FilterState,
     NumericError,
     UkfParams,
+    _correct,
     _finalize_cov,
     _gate_for_dim,
+    _inject,
     predict,
     sigma_points,
     update_position,
@@ -311,3 +313,57 @@ def test_error_vector_pairs_with_injection():
     bg = fs.b_g + dx[9:12]
     ba = fs.b_a + dx[12:15]
     assert fs.error_vector(p, v, q, bg, ba) == pytest.approx(dx, abs=1e-12)
+
+
+def test_gate_constants_match_scipy():
+    # the filter's chi-square constants are computed without scipy.stats;
+    # they must equal scipy's values (exactly at the default gate)
+    from mpnav.fusion import NIS_GATE_999_DOF3
+
+    assert NIS_GATE_999_DOF3 == float(chi2.ppf(0.999, 3))
+    default = float(chi2.ppf(chi2.cdf(NIS_GATE_999_DOF3, 3), 4))
+    assert _gate_for_dim(NIS_GATE_999_DOF3, 4) == default
+    assert _gate_for_dim(7.5, 3) == 7.5
+    for g in np.geomspace(0.1, 100.0, 60):
+        # isf(sf) keeps its precision where the tail is tiny (ppf(cdf)
+        # rounds cdf to 1 and overflows above g = 78)
+        ref = float(chi2.isf(chi2.sf(g, 3), 4))
+        assert _gate_for_dim(float(g), 4) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    with pytest.raises(ValueError):
+        _gate_for_dim(NIS_GATE_999_DOF3, 6)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mpnav
+
+    src = str(Path(mpnav.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, mpnav.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_correct_matches_inject():
+    # the Python-float correction equals the array injection bit for bit
+    rng = np.random.default_rng(21)
+    for k in range(300):
+        fs = FilterState(
+            t=0.0,
+            p=rng.normal(size=3),
+            v=rng.normal(size=3),
+            q_bn=quat.normalize(rng.normal(size=4)),
+            b_g=rng.normal(size=3),
+            b_a=rng.normal(size=3),
+        )
+        dx = rng.normal(size=N_ERR) * 10.0 ** rng.uniform(-9.0, 0.0)
+        if k == 0:
+            dx[6:9] = 0.0
+        for got, ref in zip(_correct(fs, dx), _inject(fs, dx)):
+            assert np.array_equal(got, ref)

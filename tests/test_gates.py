@@ -27,9 +27,9 @@ def test_classify_los_noise_free():
 
     bs = BaseStation(id="a", p=[0.0, 0.0, 10.0])
     obs = synth_los(bs, pose_at([30.0, 40.0, 0.0]), PLM)
-    assert classify_los(obs, PLM, CFG)
+    assert classify_los(obs.rtt, obs.rss, PLM, CFG)
     # the two ranges agree to float round-off, so even a hair-thin gate passes
-    assert classify_los(obs, PLM, GateConfig(range_consistency_m=1e-9))
+    assert classify_los(obs.rtt, obs.rss, PLM, GateConfig(range_consistency_m=1e-9))
 
 
 def test_classify_los_rejects_reflection():
@@ -45,8 +45,10 @@ def test_classify_los_rejects_reflection():
     assert d_rss == pytest.approx(d_time * 10.0 ** (6.0 / 20.0), rel=1e-9)
     gap = abs(d_time - d_rss)
     assert gap > 85.0
-    assert not classify_los(obs, PLM, GateConfig(range_consistency_m=85.0))
-    assert classify_los(obs, PLM, GateConfig(range_consistency_m=math.inf))
+    # a reflected path's travel time read as a direct path's round trip
+    rtt = 2.0 * obs.toa
+    assert not classify_los(rtt, obs.rss, PLM, GateConfig(range_consistency_m=85.0))
+    assert classify_los(rtt, obs.rss, PLM, GateConfig(range_consistency_m=math.inf))
 
 
 def test_classify_los_threshold_monotone():
@@ -58,9 +60,9 @@ def test_classify_los_threshold_monotone():
         bs = BaseStation(id="a", p=rng.uniform(-50, 50, 3) + [0, 0, 60])
         (obs,) = add_noise([synth_los(bs, pose_at(rng.uniform(-30, 30, 3)), PLM)], noise, rng)
         thr = rng.uniform(0.1, 20.0)
-        admitted = classify_los(obs, PLM, GateConfig(range_consistency_m=thr))
+        admitted = classify_los(obs.rtt, obs.rss, PLM, GateConfig(range_consistency_m=thr))
         for scale in (1.5, 3.0, 10.0):
-            wider = classify_los(obs, PLM, GateConfig(range_consistency_m=scale * thr))
+            wider = classify_los(obs.rtt, obs.rss, PLM, GateConfig(range_consistency_m=scale * thr))
             assert wider or not admitted
 
 
@@ -112,3 +114,15 @@ def test_motion_gate():
     assert motion_gate(true_p, prior, 0.98, 0.1, cfg)
     with pytest.raises(ValueError):
         motion_gate([0, 0, 0], [0, 0, 0], 0.0, 0.0, cfg)
+    # stacked candidates: one verdict per row, equal to the single-row calls
+    rng = np.random.default_rng(8)
+    cands = rng.normal(0.0, 3.0, (200, 3))
+    prior = rng.normal(0.0, 1.0, 3)
+    batch = motion_gate(cands, prior, 1.5, 0.1, cfg)
+    assert batch.shape == (200,)
+    assert batch.tolist() == [bool(motion_gate(c, prior, 1.5, 0.1, cfg)) for c in cands]
+    # the step is the norm np.linalg.norm gives a single vector, bit for bit
+    for c in cands[:50]:
+        step = float(np.linalg.norm(c - prior))
+        assert motion_gate(c, prior, step - cfg.motion_margin_m, 0.1, cfg)
+        assert not motion_gate(c, prior, np.nextafter(step, 0.0) - cfg.motion_margin_m, 0.1, cfg)

@@ -5,7 +5,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import apply_noise_per_record, sbr_screen_per_record
+from helpers import (
+    apply_noise_per_record,
+    apply_outages,
+    epoch_records,
+    log_records,
+    run_filter_per_record,
+    sbr_screen_per_record,
+    synth_epochs_per_epoch,
+    write_log_json,
+)
 
 from mpnav import quat
 from mpnav.pipeline import (
@@ -13,7 +22,6 @@ from mpnav.pipeline import (
     RunSetup,
     _rng_streams,
     measurement_set_from_records,
-    records_from_measurement_set,
     run,
     run_filter,
     run_pair,
@@ -25,7 +33,6 @@ from mpnav.synth import (
     ImuErrorModel,
     LosObs,
     OutageWindow,
-    apply_outages,
     read_measurement_log,
     synth_los,
     synth_sbr,
@@ -44,19 +51,15 @@ def fast_setup(**kwargs):
 
 
 def sbr_toas(ms):
-    return np.array([o.toa for ep in ms.epochs for o in ep.sbr])
+    return ms.sbr.obs[:, 0]
 
 
 def test_synth_is_deterministic_per_seed():
     ms_a = synth_measurements(fast_setup(seed=7))
     ms_b = synth_measurements(fast_setup(seed=7))
-    assert np.array_equal(
-        np.stack([s.gyro for s in ms_a.imu]), np.stack([s.gyro for s in ms_b.imu])
-    )
+    assert np.array_equal(ms_a.gyro, ms_b.gyro)
     assert np.array_equal(sbr_toas(ms_a), sbr_toas(ms_b))
-    rtt_a = [o.rtt for ep in ms_a.epochs for o in ep.los]
-    rtt_b = [o.rtt for ep in ms_b.epochs for o in ep.los]
-    assert rtt_a == rtt_b
+    assert np.array_equal(ms_a.los.obs[:, 0], ms_b.los.obs[:, 0])
     ms_c = synth_measurements(fast_setup(seed=8))
     assert not np.array_equal(sbr_toas(ms_a), sbr_toas(ms_c))
 
@@ -69,11 +72,11 @@ def per_record_epochs(ms, setup):
     arrays = SceneArrays(stations, walls)
     rng = _rng_streams(setup.seed)["obs"]
     out = []
-    for ep in ms.epochs:
-        pose = ms.poses[ep.pose_index]
+    for idx in ms.epoch_idx:
+        pose = ms.poses[idx]
         vis = arrays.los_mask(pose.p)
         clean = [synth_los(bs, pose, setup.path_loss) for b, bs in enumerate(stations) if vis[b]]
-        bi, _, _, _, _, ln, ud, ua = arrays.specular_arrays(pose.p)
+        bi, _, _, _, _, ln, ud, ua, _ = arrays.specular_arrays(pose.p)
         paths = [
             SimpleNamespace(bs_id=stations[b].id, length=ln[k], u_dep=ud[k], u_arr=ua[k], bounces=1)
             for k, b in enumerate(bi)
@@ -99,8 +102,9 @@ def test_epoch_noise_matches_per_record_reference():
     ms = synth_measurements(setup)
     ref = per_record_epochs(ms, setup)
     n_double = 0
-    for ep, ref_records in zip(ms.epochs, ref):
-        got = ep.los + ep.sbr
+    epochs = epoch_records(ms)
+    for (los, sbr), ref_records in zip(epochs, ref):
+        got = los + sbr
         assert len(got) == len(ref_records)
         for g, r in zip(got, ref_records):
             assert type(g) is type(r)
@@ -117,33 +121,76 @@ def test_epoch_noise_matches_per_record_reference():
             for name in ("aod_az", "aod_el", "aoa_az", "aoa_el"):
                 assert getattr(g, name) == pytest.approx(getattr(r, name), abs=1e-12)
     assert n_double > 0
-    assert any(not ep.los for ep in ms.epochs)
+    assert any(not los for los, _ in epochs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(duration_s=6.0, seed=3, include_double_bounce=True, outages=[OutageWindow(2.0, 3.0)]),
+        dict(duration_s=20.0, seed=8, outages=[OutageWindow(4.0, 9.5)]),
+        dict(duration_s=4.0, seed=1, rates=Rates(imu_hz=100.0, obs_hz=10.0, odo_hz=10.0)),
+    ],
+)
+def test_whole_run_synthesis_matches_per_epoch_reference(kwargs):
+    # one pass over all epochs and one noise block give the same records,
+    # bit for bit, as the per-epoch loop with one block per epoch
+    setup = fast_setup(**kwargs)
+    ms = synth_measurements(setup)
+    ref = synth_epochs_per_epoch(setup)
+    got = epoch_records(ms)
+    assert len(got) == len(ref) == len(ms.epoch_t)
+    assert got == ref
+    assert sum(len(los) for los, _ in got) == len(ms.los)
+
+
+def test_filter_matches_per_record_reference():
+    # batched LoS fixes and motion gates give the record-by-record loop's
+    # positions bit for bit; with reflections on, the reference screens
+    # per record (angles within 1e-12 rad), so positions agree to 1e-9 m
+    for with_sbr in (False, True):
+        setup = fast_setup(
+            duration_s=30.0, seed=2, with_sbr=with_sbr, outages=[OutageWindow(8.0, 12.0)]
+        )
+        ms = synth_measurements(setup)
+        res = run_filter(ms, setup)
+        p_ref, counters_ref = run_filter_per_record(ms, epoch_records(ms), setup)
+        assert res.counters == counters_ref
+        if with_sbr:
+            assert np.allclose(res.p_est, p_ref, rtol=0.0, atol=1e-9)
+        else:
+            assert np.array_equal(res.p_est, p_ref)
 
 
 def test_sbr_screen_matches_per_record_reference():
     setup = fast_setup(duration_s=10.0, seed=4)
     ms = synth_measurements(setup)
-    bs_by_id = {bs.id: bs for bs in setup.scenario.base_stations}
+    stations = setup.scenario.base_stations
+    bs_by_id = {bs.id: bs for bs in stations}
     totals = dict.fromkeys(("sbr_admitted", "sbr_rejected_elevation", "sbr_rejected_residual"), 0)
     n_cut = 0
-    for k, ep in enumerate(ms.epochs):
-        pose = ms.poses[ep.pose_index]
+    tied_sbr = replace(ms.sbr, rss=np.round(ms.sbr.rss))
+    for k, ((_, ep_sbr), idx, t) in enumerate(zip(epoch_records(ms), ms.epoch_idx, ms.epoch_t)):
+        rows = slice(ms.sbr.off[k], ms.sbr.off[k + 1])
+        pose = ms.poses[idx]
         # a position prior off by a few meters makes residual rejections
         p_ref = pose.p + [2.0 * np.cos(k), 2.0 * np.sin(k), 0.0]
         # a tilted attitude makes elevation rejections of globalized angles
         q_bn = quat.from_euler(*(pose.att + [0.0, 0.012 * np.sin(k), 0.01]))
         # rss rounded to whole dB: equal-rss ties at the max_sbr_paths cut
-        tied = [replace(o, rss=float(round(o.rss))) for o in ep.sbr]
-        for sbr in (ep.sbr, tied):
+        tied = [replace(o, rss=float(round(o.rss))) for o in ep_sbr]
+        for sbr, records in ((ms.sbr, ep_sbr), (tied_sbr, tied)):
             for use_body in (True, False):
                 for max_paths in (16, 5, 0):
                     s = replace(setup, use_body_aoa=use_body, max_sbr_paths=max_paths)
-                    got, got_counts = screen_sbr(sbr, bs_by_id, q_bn, p_ref, s)
-                    ref, ref_counts = sbr_screen_per_record(sbr, bs_by_id, q_bn, p_ref, s)
+                    got, got_counts = screen_sbr(sbr, rows, t, stations, q_bn, p_ref, s)
+                    ref, ref_counts = sbr_screen_per_record(records, bs_by_id, q_bn, p_ref, s)
                     assert got_counts == ref_counts
                     assert [bs.id for bs, _ in got] == [bs.id for bs, _ in ref]
                     for (_, g), (_, r) in zip(got, ref):
+                        assert (g.bs_id, g.t, g.truth_bounces) == (r.bs_id, r.t, r.truth_bounces)
                         assert (g.toa, g.aod_az, g.aod_el) == (r.toa, r.aod_az, r.aod_el)
+                        assert (g.aoa_az_body, g.aoa_el_body) == (r.aoa_az_body, r.aoa_el_body)
                         assert g.rss == r.rss
                         assert g.aoa_az == pytest.approx(r.aoa_az, abs=1e-12)
                         assert g.aoa_el == pytest.approx(r.aoa_el, abs=1e-12)
@@ -158,14 +205,15 @@ def test_sbr_screen_matches_per_record_reference():
 def test_epoch_grid_and_kinds():
     setup = fast_setup(duration_s=10.0)
     ms = synth_measurements(setup)
-    assert len(ms.epochs) == 20
+    assert len(ms.epoch_t) == 20
+    assert len(ms.los.off) == len(ms.sbr.off) == 21
     step = int(FAST.imu_hz / FAST.obs_hz)
-    for k, ep in enumerate(ms.epochs, start=1):
-        assert ep.pose_index == k * step
-        assert ep.t == pytest.approx(k * step / FAST.imu_hz)
-        assert all(o.truth_bounces == 1 for o in ep.sbr)
-        assert len(ep.sbr) >= 2
-    assert len(ms.imu) == 200
+    for k, (idx, t) in enumerate(zip(ms.epoch_idx, ms.epoch_t), start=1):
+        assert idx == k * step
+        assert t == pytest.approx(k * step / FAST.imu_hz)
+    assert np.all(ms.sbr.bounces == 1)
+    assert np.all(np.diff(ms.sbr.off) >= 2)
+    assert len(ms.imu_t) == len(ms.gyro) == len(ms.accel) == 200
     assert ms.truth_biases is not None
 
 
@@ -176,14 +224,15 @@ def test_outage_strips_los_only():
     ms_cut = synth_measurements(cut)
     # identical random draws: the reflections never see the outage
     assert np.array_equal(sbr_toas(ms_base), sbr_toas(ms_cut))
-    for ep_b, ep_c in zip(ms_base.epochs, ms_cut.epochs):
-        if 6.0 <= ep_c.t <= 12.0:
-            assert ep_c.los == []
+    pairs = zip(epoch_records(ms_base), epoch_records(ms_cut), ms_cut.epoch_t)
+    for (los_b, _), (los_c, _), t in pairs:
+        if 6.0 <= t <= 12.0:
+            assert los_c == []
         else:
-            assert [o.rtt for o in ep_c.los] == [o.rtt for o in ep_b.los]
-    in_window = [ep for ep in ms_cut.epochs if 6.0 <= ep.t <= 12.0]
+            assert [o.rtt for o in los_c] == [o.rtt for o in los_b]
+    in_window = [t for t in ms_cut.epoch_t if 6.0 <= t <= 12.0]
     assert len(in_window) >= 10
-    assert sum(len(ep.los) for ep in ms_base.epochs) > 0
+    assert len(ms_base.los) > 0
 
 
 def test_noise_variance_change_keeps_unit_draws():
@@ -194,8 +243,8 @@ def test_noise_variance_change_keeps_unit_draws():
     quiet = synth_measurements(fast_setup(seed=5, noise=NoiseCfg(var_range_m2=0.0, var_angle_deg2=0.0)))
     loud = synth_measurements(fast_setup(seed=5, noise=NoiseCfg(var_range_m2=4.0, var_angle_deg2=0.0)))
     louder = synth_measurements(fast_setup(seed=5, noise=NoiseCfg(var_range_m2=16.0, var_angle_deg2=0.0)))
-    t0 = np.array(quiet.epochs[0].t)
-    assert t0 == loud.epochs[0].t
+    t0 = np.array(quiet.epoch_t[0])
+    assert t0 == loud.epoch_t[0]
     d_quiet = sbr_toas(quiet)
     d4 = sbr_toas(loud) - d_quiet
     d16 = sbr_toas(louder) - d_quiet
@@ -245,9 +294,16 @@ def test_measurement_log_round_trip(tmp_path):
     setup = fast_setup(duration_s=10.0, seed=6)
     ms = synth_measurements(setup)
     path = tmp_path / "run.jsonl"
-    write_measurement_log(path, records_from_measurement_set(ms))
+    write_measurement_log(path, ms)
     ms_back = measurement_set_from_records(read_measurement_log(path), setup)
     assert ms_back.truth_biases is None
+    # the log holds every record: the rebuilt arrays equal the synthesized ones
+    for name in ("epoch_idx", "epoch_t", "imu_t", "gyro", "accel", "odo_t", "odo_v"):
+        assert np.array_equal(getattr(ms_back, name), getattr(ms, name)), name
+    for kind in ("los", "sbr"):
+        for col in ("off", "bs", "obs", "rss", "bounces", "body"):
+            a, b = getattr(getattr(ms_back, kind), col), getattr(getattr(ms, kind), col)
+            assert (a is None and b is None) or np.array_equal(a, b), (kind, col)
     res_orig = run_filter(ms, setup)
     res_back = run_filter(ms_back, setup)
     assert np.allclose(res_back.p_est, res_orig.p_est, atol=1e-9)
@@ -261,9 +317,9 @@ def test_log_with_wrong_imu_count_rejected(tmp_path):
 
     setup = fast_setup(duration_s=10.0, seed=6)
     ms = synth_measurements(setup)
-    ms_short = dc_replace(ms, imu=ms.imu[:-5])
+    ms_short = dc_replace(ms, imu_t=ms.imu_t[:-5], gyro=ms.gyro[:-5], accel=ms.accel[:-5])
     path = tmp_path / "short.jsonl"
-    write_measurement_log(path, records_from_measurement_set(ms_short))
+    write_measurement_log(path, ms_short)
     with pytest.raises(ValueError):
         measurement_set_from_records(read_measurement_log(path), setup)
 
@@ -275,3 +331,15 @@ def test_setup_validation():
         fast_setup(duration_s=0.2)
     with pytest.raises(ValueError):
         fast_setup(duration_s=-1.0)
+
+
+def test_log_writer_matches_json_dumps_reference(tmp_path):
+    # the template writer gives the bytes of one json.dumps(sort_keys=True)
+    # per record, double bounces and outage epochs included
+    setup = fast_setup(
+        duration_s=8.0, seed=11, include_double_bounce=True, outages=[OutageWindow(2.0, 4.0)]
+    )
+    ms = synth_measurements(setup)
+    write_measurement_log(tmp_path / "new.jsonl", ms)
+    write_log_json(tmp_path / "ref.jsonl", log_records(ms))
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()

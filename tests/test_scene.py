@@ -178,9 +178,10 @@ def test_scene_arrays_match_scalar_oracle():
         arrays = SceneArrays(stations, walls)
         for _ in range(4):
             ue = random_ue(rng)
-            bs_idx, wall_idx, point, leg_bs, leg_ue, length, u_dep, u_arr = (
+            bs_idx, wall_idx, point, leg_bs, leg_ue, length, u_dep, u_arr, ue_idx = (
                 arrays.specular_arrays(ue)
             )
+            assert not ue_idx.any()
             got = {(int(b), int(w)) for b, w in zip(bs_idx, wall_idx)}
             want = {}
             for bi, bs in enumerate(stations):
@@ -198,6 +199,30 @@ def test_scene_arrays_match_scalar_oracle():
             mask = arrays.los_mask(ue)
             for bi, bs in enumerate(stations):
                 assert mask[bi] == los_visible(bs, ue, walls)
+
+
+def test_scene_arrays_stacked_ues_match_single_calls():
+    # a stack of UE positions gives the single-position results bit for
+    # bit, ordered by UE, then station, then wall
+    rng = np.random.default_rng(16)
+    for _ in range(30):
+        stations = [random_bs(rng, f"bs{k}") for k in range(5)]
+        walls = [random_wall(rng, f"w{k}") for k in range(4)]
+        # a station and a UE in the plane of one wall exercise the in-plane
+        # fallback of los_mask
+        w = walls[0]
+        stations[1] = BaseStation(id="bs1", p=[*(w.a - 10.0 * w.tangent), 8.0])
+        arrays = SceneArrays(stations, walls)
+        ues = np.stack([random_ue(rng) for _ in range(12)])
+        ues[3] = [*(w.a + 0.5 * w.length * w.tangent), 2.0]
+        stacked = arrays.specular_arrays(ues)
+        singles = [arrays.specular_arrays(ue) for ue in ues]
+        for k in range(8):
+            assert np.array_equal(stacked[k], np.concatenate([r[k] for r in singles]))
+        assert np.array_equal(stacked[8], np.repeat(np.arange(12), [r[0].size for r in singles]))
+        mask = arrays.los_mask(ues)
+        assert mask.shape == (12, 5)
+        assert np.array_equal(mask, np.stack([arrays.los_mask(ue) for ue in ues]))
 
 
 def test_trajectory_circle():

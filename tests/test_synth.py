@@ -8,6 +8,7 @@ from helpers import (
     apply_noise_per_record,
     random_double_bounce,
     random_single_bounce,
+    write_log_json,
 )
 
 from mpnav import quat
@@ -20,15 +21,13 @@ from mpnav.synth import (
     OdoSample,
     OutageWindow,
     PathLossModel,
-    SbrObs,
     apply_noise,
-    apply_outages,
+    outage_mask,
     read_measurement_log,
     synth_imu,
     synth_los,
     synth_odo,
     synth_sbr,
-    write_measurement_log,
 )
 
 PLM = PathLossModel()
@@ -113,7 +112,7 @@ def sample_los():
 
 
 def sample_block():
-    """Two LoS rows then one reflected row: (obs, n_los, body, records)."""
+    """Two LoS rows then one reflected row: (obs, los mask, body, records)."""
     bs = BaseStation(id="a", p=[0.0, 0.0, 10.0])
     los = [synth_los(bs, pose_at(p), PLM) for p in ([30.0, 40.0, 0.0], [-20.0, 5.0, 1.0])]
     _, ue, _, path = random_single_bounce(np.random.default_rng(4))
@@ -123,13 +122,13 @@ def sample_block():
         + [(sbr.toa, sbr.aod_az, sbr.aod_el, sbr.aoa_az, sbr.aoa_el)]
     )
     body = np.array([[sbr.aoa_az_body, sbr.aoa_el_body]])
-    return obs, 2, body, los + [sbr]
+    return obs, np.array([True, True, False]), body, los + [sbr]
 
 
 def test_apply_noise_zero_noise_is_identity():
-    obs, n_los, body, _ = sample_block()
+    obs, los, body, _ = sample_block()
     zero = NoiseCfg(var_range_m2=0.0, var_angle_deg2=0.0)
-    out, out_body = apply_noise(obs, zero, np.random.default_rng(0), n_los=n_los, body=body)
+    out, out_body = apply_noise(obs, zero, np.random.default_rng(0), los=los, body=body)
     assert np.array_equal(out, obs)
     assert np.array_equal(out_body, body)
     assert out is not obs
@@ -137,20 +136,20 @@ def test_apply_noise_zero_noise_is_identity():
 
 
 def test_apply_noise_deterministic_and_draw_count():
-    obs, n_los, body, _ = sample_block()
+    obs, los, body, _ = sample_block()
     cfg = NoiseCfg(var_range_m2=1.0, var_angle_deg2=0.01)
-    a, _ = apply_noise(obs, cfg, np.random.default_rng(7), n_los=n_los, body=body)
-    b, _ = apply_noise(obs, cfg, np.random.default_rng(7), n_los=n_los, body=body)
+    a, _ = apply_noise(obs, cfg, np.random.default_rng(7), los=los, body=body)
+    b, _ = apply_noise(obs, cfg, np.random.default_rng(7), los=los, body=body)
     assert np.array_equal(a, b)
-    c, _ = apply_noise(obs, cfg, np.random.default_rng(8), n_los=n_los, body=body)
+    c, _ = apply_noise(obs, cfg, np.random.default_rng(8), los=los, body=body)
     assert not np.array_equal(c, a)
     # exactly five unit normals consumed per record, at any variance
     rng1 = np.random.default_rng(9)
-    apply_noise(obs, NoiseCfg(var_range_m2=0.0, var_angle_deg2=0.0), rng1, n_los=n_los)
-    second_after_zero, _ = apply_noise(obs, cfg, rng1, n_los=n_los)
+    apply_noise(obs, NoiseCfg(var_range_m2=0.0, var_angle_deg2=0.0), rng1, los=los)
+    second_after_zero, _ = apply_noise(obs, cfg, rng1, los=los)
     rng2 = np.random.default_rng(9)
     rng2.standard_normal(5 * len(obs))
-    assert np.array_equal(apply_noise(obs, cfg, rng2, n_los=n_los)[0], second_after_zero)
+    assert np.array_equal(apply_noise(obs, cfg, rng2, los=los)[0], second_after_zero)
     with pytest.raises(ValueError):
         NoiseCfg(var_range_m2=-1.0)
 
@@ -165,7 +164,7 @@ def test_apply_noise_statistics():
     z = rng.standard_normal((n, 5))
     spot = z[::50]
     rows = np.repeat(row, len(spot), axis=0)
-    noisy, _ = apply_noise(rows, cfg, _FixedDraws(spot), n_los=len(spot))
+    noisy, _ = apply_noise(rows, cfg, _FixedDraws(spot), los=np.ones(len(spot), dtype=bool))
     d_err = 0.5 * SPEED_OF_LIGHT * (noisy[:, 0] - obs.rtt)
     # cheap path: the range perturbation is linear in z[0]; use all draws directly
     d_err_full = 1.0 * z[:, 0]
@@ -240,19 +239,16 @@ def test_apply_noise_matches_per_record_reference():
                 assert getattr(g, name) == pytest.approx(getattr(r, name), abs=1e-12)
 
 
-def test_apply_outages():
-    los = replace(sample_los(), t=30.0)
-    sbr = SbrObs(
-        bs_id="a", t=30.0, toa=1e-6, aod_az=0.0, aod_el=0.0, aoa_az=0.0, aoa_el=0.0, rss=-60.0
-    )
+def test_outage_mask():
     windows = [OutageWindow(20.0, 40.0)]
-    assert apply_outages(10.0, [los, sbr], windows) == [los, sbr]
-    assert apply_outages(30.0, [los, sbr], windows) == [sbr]
+    t = np.array([10.0, 30.0, 20.0, 40.0, 40.0001])
     # closed interval: boundaries are inside
-    assert apply_outages(20.0, [los], windows) == []
-    assert apply_outages(40.0, [los], windows) == []
-    assert apply_outages(40.0001, [los], windows) == [los]
-    assert apply_outages(30.0, [los], []) == [los]
+    assert outage_mask(t, windows).tolist() == [False, True, True, True, False]
+    assert outage_mask(t, windows + [OutageWindow(5.0, 15.0)]).tolist() == [
+        True, True, True, True, False
+    ]
+    assert not outage_mask(t, []).any()
+    assert outage_mask(np.zeros(0), windows).shape == (0,)
     with pytest.raises(ValueError):
         OutageWindow(5.0, 5.0)
 
@@ -308,7 +304,7 @@ def test_measurement_log_round_trip(tmp_path):
         synth_sbr(path, pose, PLM),
     ]
     log = tmp_path / "m.jsonl"
-    write_measurement_log(log, records)
+    write_log_json(log, records)
     back = read_measurement_log(log)
     assert len(back["imu"]) == 1 and len(back["odo"]) == 1
     assert len(back["los"]) == 1 and len(back["sbr"]) == 1
