@@ -91,7 +91,9 @@ def run_outage_sweep(
     """Paired runs with an artificial radio outage per case.
 
     Each case gets its own loop speed; the outage starts after a settling
-    margin and metrics are evaluated inside the outage window only.
+    margin and metrics are evaluated inside the outage window only. The
+    sweep reads no NEES, so its runs skip it unless setup_kwargs sets
+    compute_nees.
     """
     if len(durations) != len(speeds):
         raise ValueError("durations and speeds must pair up")
@@ -121,7 +123,7 @@ def run_outage_sweep(
                 noise=noise,
                 imu_err=imu_err,
                 outages=[OutageWindow(t0, t1)],
-                **(setup_kwargs or {}),
+                **{"compute_nees": False, **(setup_kwargs or {})},
             )
             res_w, res_wo = run_pair(setup)
             window = (t0, t1)
@@ -156,7 +158,8 @@ def run_noise_sweep(
     Seeds map to identical unit noise draws across grid points, so medians
     move with the variance scaling rather than with sampling luck. No outage
     by default: accuracy should respond to the measurement noise alone, and
-    an optional (start_s, end_s) window is for combined stress runs.
+    an optional (start_s, end_s) window is for combined stress runs. As in
+    run_outage_sweep, NEES is skipped unless setup_kwargs sets compute_nees.
     """
     imu_err = imu_err or _sweep_imu_err()
     rates = rates or _SWEEP_RATES
@@ -180,7 +183,7 @@ def run_noise_sweep(
                     noise=NoiseCfg(var_range_m2=float(vr), var_angle_deg2=float(va)),
                     imu_err=imu_err,
                     outages=list(outages),
-                    **(setup_kwargs or {}),
+                    **{"compute_nees": False, **(setup_kwargs or {})},
                 )
                 res_w, res_wo = run_pair(setup)
                 cell["rmse_with_m"].append(rmse_3d(res_w.t, res_w.err_3d))

@@ -86,7 +86,8 @@ class UkfParams:
 @dataclass
 class FilterState:
     """Nominal state plus error-state covariance (15x15, ordering
-    [dp, dv, dtheta, db_g, db_a])."""
+    [dp, dv, dtheta, db_g, db_a]). min_eig is the smallest eigenvalue of P
+    when the step that made P computed it, else None."""
 
     t: float
     p: np.ndarray
@@ -95,6 +96,7 @@ class FilterState:
     b_g: np.ndarray = field(default_factory=lambda: np.zeros(3))
     b_a: np.ndarray = field(default_factory=lambda: np.zeros(3))
     P: np.ndarray = field(default_factory=lambda: np.eye(N_ERR))
+    min_eig: float | None = None
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float).reshape(3)
@@ -113,6 +115,7 @@ class FilterState:
             b_g=self.b_g.copy(),
             b_a=self.b_a.copy(),
             P=self.P.copy(),
+            min_eig=self.min_eig,
         )
 
     def error_vector(self, p, v, q_bn, b_g, b_a) -> np.ndarray:
@@ -167,16 +170,18 @@ def _inject(fs: FilterState, dx: np.ndarray):
     return p, v, q, bg, ba
 
 
-def _finalize_cov(P: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def _finalize_cov(P: np.ndarray, tol: float = 1e-6):
     """Re-symmetrize; floor sub-tolerance negative eigenvalues (an artifact of
-    negative center weights in the scaled transform); fail beyond -tol."""
+    negative center weights in the scaled transform); fail beyond -tol.
+    Returns (P, smallest eigenvalue of P)."""
     P = 0.5 * (P + P.T)
     eigmin = float(np.linalg.eigvalsh(P)[0])
     if eigmin < -tol:
         raise NumericError(f"covariance indefinite (min eigenvalue {eigmin:.3e})")
     if eigmin < 1e-12:
         P = P + (1e-12 - min(eigmin, 0.0)) * np.eye(P.shape[0])
-    return P
+        eigmin = float(np.linalg.eigvalsh(P)[0])
+    return P, eigmin
 
 
 def predict(fs: FilterState, gyros, accels, dts, params: UkfParams, trapezoid: bool = True) -> FilterState:
@@ -211,9 +216,16 @@ def predict(fs: FilterState, gyros, accels, dts, params: UkfParams, trapezoid: b
     err[:, _SL["ba"]] = ba - ba_mean
     elapsed = float(np.sum(dts))
     P = (wc * err.T) @ err + params.process_noise() * elapsed
-    P = _finalize_cov(P)
+    P, eigmin = _finalize_cov(P)
     return FilterState(
-        t=fs.t + elapsed, p=p_mean, v=v_mean, q_bn=q_mean, b_g=bg_mean, b_a=ba_mean, P=P
+        t=fs.t + elapsed,
+        p=p_mean,
+        v=v_mean,
+        q_bn=q_mean,
+        b_g=bg_mean,
+        b_a=ba_mean,
+        P=P,
+        min_eig=eigmin,
     )
 
 
@@ -259,9 +271,9 @@ def _kf_update(fs: FilterState, nu, PHt, S, gate):
     if nis > gate:
         return fs.copy(), UpdateInfo(nis=nis, accepted=False)
     dx = K @ nu
-    P = _finalize_cov(fs.P - K @ S @ K.T)
+    P, eigmin = _finalize_cov(fs.P - K @ S @ K.T)
     p, v, q, bg, ba = _correct(fs, dx)
-    out = FilterState(t=fs.t, p=p, v=v, q_bn=q, b_g=bg, b_a=ba, P=P)
+    out = FilterState(t=fs.t, p=p, v=v, q_bn=q, b_g=bg, b_a=ba, P=P, min_eig=eigmin)
     return out, UpdateInfo(nis=nis, accepted=True)
 
 

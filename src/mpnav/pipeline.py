@@ -485,7 +485,8 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
             travel_budget = 0.0
 
         out_est[e_i] = fs.p
-        out_eig[e_i] = float(np.linalg.eigvalsh(fs.P)[0])
+        # every epoch ends on a predicted or updated state, which carries it
+        out_eig[e_i] = fs.min_eig
         if setup.compute_nees and truth_bg is not None:
             pose = poses[idx]
             e_vec = fs.error_vector(pose.p, pose.v, q_truth_ep[e_i], truth_bg, truth_ba)
@@ -525,31 +526,33 @@ def run_pair(setup: RunSetup):
 # measurement-log bridging
 
 
-def _radio_columns(recs, epoch_of_t, station, fields, n_epochs, sbr=False):
-    """RadioRecords of one kind from parsed log records; records whose time
-    is on no epoch are left out."""
-    epochs = [epoch_of_t.get(round(o.t, 6), -1) for o in recs]
-    on_grid = [k for k, e in enumerate(epochs) if e >= 0]
-    # file order within each epoch
-    order = sorted(on_grid, key=epochs.__getitem__)
-    kept = [recs[k] for k in order]
+def _radio_columns(cols, epoch_of_t, station, n_epochs, sbr=False):
+    """RadioRecords of one kind from the log reader's columns, rows ordered
+    by epoch and, within an epoch, by file order; rows whose time is on no
+    epoch are left out. station maps station ids to scenario indices."""
+    lookup = np.array([station.get(i, -1) for i in cols.ids], dtype=int)
+    epochs = np.array(
+        [epoch_of_t.get(round(t, 6), -1) for t in cols.values[:, 0].tolist()], dtype=int
+    )
+    on_grid = np.flatnonzero(epochs >= 0)
+    rows = on_grid[np.argsort(epochs[on_grid], kind="stable")]
     out = RadioRecords(
-        off=_offsets(np.array([epochs[k] for k in order], dtype=int), n_epochs),
-        bs=np.array([station[o.bs_id] for o in kept], dtype=int),
-        obs=np.array([fields(o) for o in kept], dtype=float).reshape(-1, 5),
-        rss=np.array([o.rss for o in kept], dtype=float),
+        off=_offsets(epochs[rows], n_epochs),
+        bs=lookup[cols.bs[rows]],
+        obs=cols.values[rows, 1:6],
+        rss=cols.values[rows, 6],
     )
     if sbr:
-        out.bounces = np.array([o.truth_bounces for o in kept], dtype=int)
-        body = [(o.aoa_az_body, o.aoa_el_body) for o in kept]
-        out.body = np.array(body, dtype=float).reshape(-1, 2)
+        out.bounces = cols.bounces[rows]
+        out.body = cols.values[rows, 7:9]
     return out
 
 
 def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementSet:
-    """Rebuild a MeasurementSet from parsed log records; the truth trajectory
-    still comes from the scenario (the log carries no truth), and bias truth
-    is unknown, so consistency statistics are unavailable on ingested runs.
+    """Rebuild a MeasurementSet from the log reader's columns
+    (synth.read_measurement_log); the truth trajectory still comes from the
+    scenario (the log carries no truth), and bias truth is unknown, so
+    consistency statistics are unavailable on ingested runs.
 
     Raises ValueError when the log cannot feed the filter: an IMU sample
     count other than the scenario's, no odometer records, or a base station
@@ -557,18 +560,18 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
     epoch_idx, _, n_samples = _epoch_indices(setup)
     times = np.arange(n_samples + 1) / setup.rates.imu_hz
     poses = trajectory_poses(setup.scenario.trajectory, times)
-    imu = records.get("imu", [])
+    imu, odo, los, sbr = (records[kind] for kind in ("imu", "odo", "los", "sbr"))
     if len(imu) != n_samples:
         raise ValueError(
             f"log has {len(imu)} IMU samples, scenario expects {n_samples}"
         )
-    odo = records.get("odo", [])
-    if not odo:
+    if not len(odo):
         raise ValueError("log has no odometer records")
     stations = setup.scenario.base_stations
     station = {bs.id: b for b, bs in enumerate(stations)}
-    los, sbr = records.get("los", []), records.get("sbr", [])
-    unknown = {o.bs_id for o in los + sbr} - station.keys()
+    unknown = {
+        cols.ids[b] for cols in (los, sbr) for b in np.unique(cols.bs).tolist()
+    } - station.keys()
     if unknown:
         raise ValueError(f"log names base stations not in the scenario: {sorted(unknown)}")
     epoch_t = times[epoch_idx]
@@ -579,25 +582,13 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
         bs_ids=tuple(station),
         epoch_idx=epoch_idx,
         epoch_t=epoch_t,
-        imu_t=np.array([s.t for s in imu]),
-        gyro=np.stack([s.gyro for s in imu]),
-        accel=np.stack([s.accel for s in imu]),
-        odo_t=np.array([o.t for o in odo]),
-        odo_v=np.array([o.speed for o in odo]),
-        los=_radio_columns(
-            los,
-            epoch_of_t,
-            station,
-            lambda o: (o.rtt, o.aod_az, o.aod_el, o.aoa_az, o.aoa_el),
-            n_epochs,
-        ),
-        sbr=_radio_columns(
-            sbr,
-            epoch_of_t,
-            station,
-            lambda o: (o.toa, o.aod_az, o.aod_el, o.aoa_az, o.aoa_el),
-            n_epochs,
-            sbr=True,
-        ),
+        # contiguous copies of the reader's strided column views
+        imu_t=imu.values[:, 0].copy(),
+        gyro=imu.values[:, 1:4].copy(),
+        accel=imu.values[:, 4:7].copy(),
+        odo_t=odo.values[:, 0].copy(),
+        odo_v=odo.values[:, 1].copy(),
+        los=_radio_columns(los, epoch_of_t, station, n_epochs),
+        sbr=_radio_columns(sbr, epoch_of_t, station, n_epochs, sbr=True),
         truth_biases=None,
     )

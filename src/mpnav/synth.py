@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -348,66 +348,34 @@ def synth_odo(poses, rate: float, noise_std: float, rng):
 # measurement log (line-delimited JSON, unit-suffixed keys)
 
 
-def _vec3(d: dict, key: str) -> np.ndarray:
-    v = np.asarray(d[key], dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{key} must hold three numbers")
-    return v
-
-
-def _record_from_dict(d: dict):
-    if not isinstance(d, dict):
-        raise ValueError("record is not a JSON object")
-    kind = d.get("kind")
-    if kind == "los":
-        return LosObs(
-            bs_id=str(d["bs_id"]),
-            t=float(d["t_s"]),
-            rtt=float(d["rtt_s"]),
-            aod_az=float(d["aod_az_rad"]),
-            aod_el=float(d["aod_el_rad"]),
-            aoa_az=float(d["aoa_az_rad"]),
-            aoa_el=float(d["aoa_el_rad"]),
-            rss=float(d["rss_dbm"]),
-        )
-    if kind == "sbr":
-        return SbrObs(
-            bs_id=str(d["bs_id"]),
-            t=float(d["t_s"]),
-            toa=float(d["toa_s"]),
-            aod_az=float(d["aod_az_rad"]),
-            aod_el=float(d["aod_el_rad"]),
-            aoa_az=float(d["aoa_az_rad"]),
-            aoa_el=float(d["aoa_el_rad"]),
-            rss=float(d["rss_dbm"]),
-            truth_bounces=int(d.get("truth_bounces", 1)),
-            aoa_az_body=float(d.get("aoa_az_body_rad", 0.0)),
-            aoa_el_body=float(d.get("aoa_el_body_rad", 0.0)),
-        )
-    if kind == "imu":
-        return ImuSample(t=float(d["t_s"]), gyro=_vec3(d, "gyro_rps"), accel=_vec3(d, "accel_mps2"))
-    if kind == "odo":
-        return OdoSample(t=float(d["t_s"]), speed=float(d["speed_mps"]))
-    raise ValueError(f"unknown record kind {kind!r}")
-
-
-# per record kind: the log key of each number and a function returning the
-# record's numbers in that order, for the finiteness check of a log read
-_NUMBERS = {
-    "los": (
-        ("t_s", "rtt_s", "aod_az_rad", "aod_el_rad", "aoa_az_rad", "aoa_el_rad", "rss_dbm"),
-        attrgetter("t", "rtt", "aod_az", "aod_el", "aoa_az", "aoa_el", "rss"),
-    ),
-    "sbr": (
-        ("t_s", "toa_s", "aod_az_rad", "aod_el_rad", "aoa_az_rad", "aoa_el_rad", "rss_dbm")
-        + ("aoa_az_body_rad", "aoa_el_body_rad"),
-        attrgetter(
-            "t", "toa", "aod_az", "aod_el", "aoa_az", "aoa_el", "rss", "aoa_az_body", "aoa_el_body"
-        ),
-    ),
-    "imu": (("t_s",) + ("gyro_rps",) * 3 + ("accel_mps2",) * 3, lambda r: (r.t, *r.gyro, *r.accel)),
-    "odo": (("t_s", "speed_mps"), attrgetter("t", "speed")),
+# per record kind: the log key of each number a reader keeps, in column
+# order (time first; an IMU vector's key once per component)
+LOG_KEYS = {
+    "imu": ("t_s",) + ("gyro_rps",) * 3 + ("accel_mps2",) * 3,
+    "odo": ("t_s", "speed_mps"),
+    "los": ("t_s", "rtt_s", "aod_az_rad", "aod_el_rad", "aoa_az_rad", "aoa_el_rad", "rss_dbm"),
+    "sbr": ("t_s", "toa_s", "aod_az_rad", "aod_el_rad", "aoa_az_rad", "aoa_el_rad", "rss_dbm")
+    + ("aoa_az_body_rad", "aoa_el_body_rad"),
 }
+
+
+@dataclass
+class LogColumns:
+    """One kind of measurement-log record as columns, rows in file order.
+
+    values holds each record's numbers in the order of LOG_KEYS[kind]. Radio
+    kinds (LoS, SBR) also carry bs, each row's index into ids, the station
+    ids of the log in first-seen order; SBR records carry bounces, their
+    truth_bounces.
+    """
+
+    values: np.ndarray  # (n, len(LOG_KEYS[kind]))
+    bs: np.ndarray | None = None  # (n,) int
+    ids: tuple = ()
+    bounces: np.ndarray | None = None  # (n,) int
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 # One line template per record kind: keys in sorted order, separators as
@@ -469,15 +437,29 @@ def write_measurement_log(path, ms) -> None:
             f.write(_radio_lines(_SBR_LINE, ms.sbr, sbr, ids, t))
 
 
-def read_measurement_log(path) -> dict:
-    """Parse a log back into {'los': [...], 'sbr': [...], 'imu': [...],
-    'odo': [...]} preserving file order.
+def _vec3(d: dict, key: str) -> list:
+    """The three numbers of an IMU vector, as Python floats."""
+    v = np.asarray(d[key], dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"{key} must hold three numbers")
+    return v.tolist()
 
-    Raises ValueError naming the 1-based line of the first record that is
-    not a JSON object, has an unknown kind, lacks a key, holds a value that
-    is not a number (or three, for IMU vectors) where one belongs, or holds
-    a number that is not finite."""
-    out = {"los": [], "sbr": [], "imu": [], "odo": []}
+
+def read_measurement_log(path) -> dict:
+    """Parse a log into {'imu', 'odo', 'los', 'sbr'}: one LogColumns per
+    record kind, rows in file order.
+
+    Streams the file one JSON line at a time into flat typed buffers, so no
+    per-record object is built. SBR records without truth_bounces or body
+    angles read as one bounce and zero angles. Raises ValueError naming the
+    1-based line of the first record that is not a JSON object, has an
+    unknown kind, lacks a key, holds a value that is not a number (or three,
+    for IMU vectors) where one belongs, or holds a number that is not
+    finite or, for an integer, too large."""
+    numbers = {kind: array("d") for kind in LOG_KEYS}
+    bs = {"los": array("q"), "sbr": array("q")}
+    bounces = array("q")
+    station = {}  # station id -> index, in first-seen order
     with open(path, "r", encoding="utf-8") as f:
         for n, line in enumerate(f, start=1):
             line = line.strip()
@@ -485,15 +467,62 @@ def read_measurement_log(path) -> dict:
                 continue
             try:
                 d = json.loads(line)
-                rec = _record_from_dict(d)
-                keys, numbers = _NUMBERS[d["kind"]]
-                values = numbers(rec)
+                if not isinstance(d, dict):
+                    raise ValueError("record is not a JSON object")
+                kind = d.get("kind")
+                if kind == "los":
+                    bs_id = str(d["bs_id"])
+                    values = [
+                        float(d["t_s"]),
+                        float(d["rtt_s"]),
+                        float(d["aod_az_rad"]),
+                        float(d["aod_el_rad"]),
+                        float(d["aoa_az_rad"]),
+                        float(d["aoa_el_rad"]),
+                        float(d["rss_dbm"]),
+                    ]
+                elif kind == "sbr":
+                    bs_id = str(d["bs_id"])
+                    values = [
+                        float(d["t_s"]),
+                        float(d["toa_s"]),
+                        float(d["aod_az_rad"]),
+                        float(d["aod_el_rad"]),
+                        float(d["aoa_az_rad"]),
+                        float(d["aoa_el_rad"]),
+                        float(d["rss_dbm"]),
+                    ]
+                    nb = int(d.get("truth_bounces", 1))
+                    values += [
+                        float(d.get("aoa_az_body_rad", 0.0)),
+                        float(d.get("aoa_el_body_rad", 0.0)),
+                    ]
+                elif kind == "imu":
+                    values = [float(d["t_s"]), *_vec3(d, "gyro_rps"), *_vec3(d, "accel_mps2")]
+                elif kind == "odo":
+                    values = [float(d["t_s"]), float(d["speed_mps"])]
+                else:
+                    raise ValueError(f"unknown record kind {kind!r}")
                 if not all(map(math.isfinite, values)):
-                    bad = next(k for k, x in zip(keys, values) if not math.isfinite(x))
+                    bad = next(k for k, x in zip(LOG_KEYS[kind], values) if not math.isfinite(x))
                     raise ValueError(f"{bad} is not finite")
+                numbers[kind].fromlist(values)
+                if kind in bs:
+                    bs[kind].append(station.setdefault(bs_id, len(station)))
+                if kind == "sbr":
+                    bounces.append(nb)
             except KeyError as exc:
                 raise ValueError(f"line {n}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
+                # OverflowError: an integer beyond float or int64 range
                 raise ValueError(f"line {n}: {exc}") from exc
-            out[d["kind"]].append(rec)
+    # the numpy columns share the buffers' memory
+    out = {
+        kind: LogColumns(np.frombuffer(buf, dtype=float).reshape(-1, len(LOG_KEYS[kind])))
+        for kind, buf in numbers.items()
+    }
+    for kind, col in bs.items():
+        out[kind].bs = np.frombuffer(col, dtype=np.int64)
+        out[kind].ids = tuple(station)
+    out["sbr"].bounces = np.frombuffer(bounces, dtype=np.int64)
     return out

@@ -10,14 +10,16 @@ mpnav.ins.mechanize_arrays), apply_noise_per_record (behind
 mpnav.synth.apply_noise), sbr_screen_per_record (the reflected-path screen
 of mpnav.pipeline.run_filter), synth_epochs_per_epoch (the epoch loop
 behind mpnav.pipeline.synth_measurements), run_filter_per_record (the
-record-by-record filter loop behind mpnav.pipeline.run_filter) and
+record-by-record filter loop behind mpnav.pipeline.run_filter),
 write_log_json (json.dumps per record, behind
-mpnav.synth.write_measurement_log).
+mpnav.synth.write_measurement_log) and read_measurement_log_per_record (one
+record object per line, behind mpnav.synth.read_measurement_log).
 """
 
 import json
 import math
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from mpnav.scene import (
     specular_path,
     unit_from_angles,
 )
-from mpnav.synth import ImuSample, LosObs, OdoSample, SbrObs, apply_noise
+from mpnav.synth import ImuSample, LogColumns, LosObs, OdoSample, SbrObs, apply_noise
 
 
 def random_wall(rng, ident="w0", center_span=80.0, min_len=20.0, max_len=120.0):
@@ -568,6 +570,120 @@ def write_log_json(path, records) -> None:
         for rec in records:
             f.write(json.dumps(record_to_dict(rec), sort_keys=True))
             f.write("\n")
+
+
+def _vec3(d: dict, key: str) -> np.ndarray:
+    v = np.asarray(d[key], dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"{key} must hold three numbers")
+    return v
+
+
+def _record_from_dict(d: dict):
+    if not isinstance(d, dict):
+        raise ValueError("record is not a JSON object")
+    kind = d.get("kind")
+    if kind == "los":
+        return LosObs(
+            bs_id=str(d["bs_id"]),
+            t=float(d["t_s"]),
+            rtt=float(d["rtt_s"]),
+            aod_az=float(d["aod_az_rad"]),
+            aod_el=float(d["aod_el_rad"]),
+            aoa_az=float(d["aoa_az_rad"]),
+            aoa_el=float(d["aoa_el_rad"]),
+            rss=float(d["rss_dbm"]),
+        )
+    if kind == "sbr":
+        return SbrObs(
+            bs_id=str(d["bs_id"]),
+            t=float(d["t_s"]),
+            toa=float(d["toa_s"]),
+            aod_az=float(d["aod_az_rad"]),
+            aod_el=float(d["aod_el_rad"]),
+            aoa_az=float(d["aoa_az_rad"]),
+            aoa_el=float(d["aoa_el_rad"]),
+            rss=float(d["rss_dbm"]),
+            truth_bounces=int(d.get("truth_bounces", 1)),
+            aoa_az_body=float(d.get("aoa_az_body_rad", 0.0)),
+            aoa_el_body=float(d.get("aoa_el_body_rad", 0.0)),
+        )
+    if kind == "imu":
+        return ImuSample(t=float(d["t_s"]), gyro=_vec3(d, "gyro_rps"), accel=_vec3(d, "accel_mps2"))
+    if kind == "odo":
+        return OdoSample(t=float(d["t_s"]), speed=float(d["speed_mps"]))
+    raise ValueError(f"unknown record kind {kind!r}")
+
+
+# per record kind: the log key of each number and a function returning the
+# record's numbers in that order, for the finiteness check of a log read
+_NUMBERS = {
+    "los": (
+        ("t_s", "rtt_s", "aod_az_rad", "aod_el_rad", "aoa_az_rad", "aoa_el_rad", "rss_dbm"),
+        attrgetter("t", "rtt", "aod_az", "aod_el", "aoa_az", "aoa_el", "rss"),
+    ),
+    "sbr": (
+        ("t_s", "toa_s", "aod_az_rad", "aod_el_rad", "aoa_az_rad", "aoa_el_rad", "rss_dbm")
+        + ("aoa_az_body_rad", "aoa_el_body_rad"),
+        attrgetter(
+            "t", "toa", "aod_az", "aod_el", "aoa_az", "aoa_el", "rss", "aoa_az_body", "aoa_el_body"
+        ),
+    ),
+    "imu": (("t_s",) + ("gyro_rps",) * 3 + ("accel_mps2",) * 3, lambda r: (r.t, *r.gyro, *r.accel)),
+    "odo": (("t_s", "speed_mps"), attrgetter("t", "speed")),
+}
+
+
+def read_measurement_log_per_record(path) -> dict:
+    """Reference for mpnav.synth.read_measurement_log: parse a log into
+    {'los': [...], 'sbr': [...], 'imu': [...], 'odo': [...]} record objects
+    (LosObs, SbrObs, ImuSample, OdoSample), preserving file order.
+
+    Raises ValueError naming the 1-based line of the first record that is
+    not a JSON object, has an unknown kind, lacks a key, holds a value that
+    is not a number (or three, for IMU vectors) where one belongs, or holds
+    a number that is not finite."""
+    out = {"los": [], "sbr": [], "imu": [], "odo": []}
+    with open(path, "r", encoding="utf-8") as f:
+        for n, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                d = json.loads(line)
+                rec = _record_from_dict(d)
+                keys, numbers = _NUMBERS[d["kind"]]
+                values = numbers(rec)
+                if not all(map(math.isfinite, values)):
+                    bad = next(k for k, x in zip(keys, values) if not math.isfinite(x))
+                    raise ValueError(f"{bad} is not finite")
+            except KeyError as exc:
+                raise ValueError(f"line {n}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"line {n}: {exc}") from exc
+            out[d["kind"]].append(rec)
+    return out
+
+
+def log_columns(records: dict) -> dict:
+    """The reader's form (one mpnav.synth.LogColumns per kind) of per-record
+    log objects, {'imu', 'odo', 'los', 'sbr'} lists as from
+    read_measurement_log_per_record; station indices in first-seen order,
+    LoS records before SBR records."""
+    station = {}
+    out = {}
+    for kind in ("imu", "odo", "los", "sbr"):
+        recs = records[kind]
+        keys, numbers = _NUMBERS[kind]
+        values = np.array([numbers(r) for r in recs], dtype=float).reshape(-1, len(keys))
+        out[kind] = LogColumns(values)
+        if kind in ("los", "sbr"):
+            bs = [station.setdefault(r.bs_id, len(station)) for r in recs]
+            out[kind].bs = np.array(bs, dtype=np.int64)
+    for kind in ("los", "sbr"):
+        out[kind].ids = tuple(station)
+    out["sbr"].bounces = np.array([r.truth_bounces for r in records["sbr"]], dtype=np.int64)
+    return out
 
 
 def run_filter_per_record(ms, epochs, setup):

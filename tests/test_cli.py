@@ -206,6 +206,18 @@ def test_log_with_non_finite_number_exits_2(tmp_path, capsys):
     assert_bad_log(tmp_path, capsys, cfg, "line 4:", "gyro_rps")
 
 
+def test_log_with_out_of_range_integer_exits_2(tmp_path, capsys):
+    # an odometer speed no float can hold: refused at ingest, not a traceback
+    def enlarge(lines):
+        k = first_of_kind(lines, "odo")
+        d = dict(json.loads(lines[k]), speed_mps=10**400)
+        return lines[:k] + [json.dumps(d)] + lines[k + 1 :]
+
+    cfg = edited_lines(tmp_path, enlarge)
+    k = first_of_kind((tmp_path / "edited.jsonl").read_text().splitlines(), "odo")
+    assert_bad_log(tmp_path, capsys, cfg, f"line {k + 1}:")
+
+
 def test_log_with_unknown_base_station_exits_2(tmp_path, capsys):
     def rename(lines):
         out = []

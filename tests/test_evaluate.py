@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from mpnav import evaluate
 from mpnav.evaluate import (
     error_cdf,
     max_error_pct,
     rmse_3d,
     run_drift_profile,
+    run_noise_sweep,
+    run_outage_sweep,
     write_csv,
     write_drift_profile,
     write_manifest,
@@ -159,3 +162,23 @@ def test_write_noise_sweep_schema(tmp_path):
     lines = (tmp_path / "seeds.csv").read_text().splitlines()
     assert lines[0] == "var_range_m2,var_angle_deg2,seed,rmse_with_m,rmse_without_m"
     assert len(lines) == 3
+
+
+def test_sweeps_skip_nees_and_keep_their_rmse(monkeypatch):
+    # the sweeps read no NEES, so their runs skip it; a caller can still ask
+    seen = []
+    run_pair = evaluate.run_pair
+
+    def spy(setup):
+        seen.append(setup.compute_nees)
+        return run_pair(setup)
+
+    monkeypatch.setattr(evaluate, "run_pair", spy)
+    outage = dict(durations=[2.0], speeds=[8.0], seeds=(0, 1), pre_s=2.0, post_s=1.0)
+    noise = dict(var_ranges=[0.5], var_angles=[0.01], seeds=(0, 1), duration_s=3.0)
+    for sweep, kwargs in ((run_outage_sweep, outage), (run_noise_sweep, noise)):
+        seen.clear()
+        skipped = sweep(**kwargs)
+        computed = sweep(**kwargs, setup_kwargs={"compute_nees": True})
+        assert seen == [False, False, True, True]
+        assert skipped == computed

@@ -274,13 +274,16 @@ def test_gate_for_dim_holds_confidence():
 def test_finalize_cov_repairs_and_rejects():
     # asymmetry is averaged away
     P = np.array([[2.0, 0.1, 0.0], [0.3, 2.0, 0.0], [0.0, 0.0, 2.0]])
-    out = _finalize_cov(P)
+    out, eigmin = _finalize_cov(P)
     assert np.array_equal(out, out.T)
     assert out[0, 1] == pytest.approx(0.2)
-    # a round-off-scale negative eigenvalue gets floored
+    assert eigmin == np.linalg.eigvalsh(out)[0]
+    # a round-off-scale negative eigenvalue gets floored, and the eigenvalue
+    # returned is the floored matrix's
     P = np.diag([1.0, 1.0, -1e-9])
-    out = _finalize_cov(P)
+    out, eigmin = _finalize_cov(P)
     assert np.linalg.eigvalsh(out)[0] >= 1e-13
+    assert eigmin == np.linalg.eigvalsh(out)[0]
     # anything clearly indefinite is a hard failure
     with pytest.raises(NumericError):
         _finalize_cov(np.diag([1.0, 1.0, -1e-4]))

@@ -2,7 +2,7 @@
 json.dumps reference, and the round trip through the reader."""
 
 import numpy as np
-from helpers import write_log_json
+from helpers import log_columns, write_log_json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -91,7 +91,7 @@ def test_template_writer_matches_json_dumps_and_round_trips(tmp_path, log):
         "los": [o for los, _ in epochs for o in los],
         "sbr": [o for _, sbr in epochs for o in sbr],
     }
-    ms = measurement_set_from_records(records, setup)
+    ms = measurement_set_from_records(log_columns(records), setup)
     assert ms.epoch_t.tolist() == list(EPOCH_T)
 
     write_measurement_log(tmp_path / "log.jsonl", ms)

@@ -16,7 +16,7 @@ from helpers import (
     write_log_json,
 )
 
-from mpnav import quat
+from mpnav import pipeline, quat
 from mpnav.pipeline import (
     Rates,
     RunSetup,
@@ -280,6 +280,31 @@ def test_counters_consistent_and_cov_psd():
     assert np.all(res.nees > 0.0)
     assert res.err_3d == pytest.approx(np.linalg.norm(res.err_enu, axis=1))
     assert np.all(np.diff(res.arc_m) >= 0.0)
+
+
+def test_min_eig_p_is_the_per_epoch_eigvalsh(monkeypatch):
+    # the seed-0 ring preset (configs/single_ring.json); each epoch's final
+    # state is the next epoch's prediction input, the last one final_state
+    setup = RunSetup(
+        scenario=ring_scenario(speed_mps=8.0),
+        duration_s=60.0,
+        seed=0,
+        outages=[OutageWindow(20.0, 40.0)],
+    )
+    ms = synth_measurements(setup)
+    inputs = []
+    predict = pipeline.predict
+
+    def spy(fs, *args, **kwargs):
+        inputs.append(fs)
+        return predict(fs, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "predict", spy)
+    res = run_filter(ms, setup)
+    ends = inputs[1:] + [res.final_state]
+    explicit = np.array([np.linalg.eigvalsh(fs.P)[0] for fs in ends])
+    assert len(explicit) == len(res.t) == 600
+    assert res.min_eig_p.tobytes() == explicit.tobytes()
 
 
 def test_without_sbr_never_touches_reflections():

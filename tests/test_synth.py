@@ -306,12 +306,22 @@ def test_measurement_log_round_trip(tmp_path):
     log = tmp_path / "m.jsonl"
     write_log_json(log, records)
     back = read_measurement_log(log)
-    assert len(back["imu"]) == 1 and len(back["odo"]) == 1
-    assert len(back["los"]) == 1 and len(back["sbr"]) == 1
-    assert np.allclose(back["imu"][0].gyro, records[0].gyro)
-    assert back["odo"][0].speed == records[1].speed
-    assert back["los"][0] == records[2]
-    assert back["sbr"][0] == records[3]
+    imu, odo, los, sbr = records
+    assert {kind: len(cols) for kind, cols in back.items()} == dict.fromkeys(
+        ("imu", "odo", "los", "sbr"), 1
+    )
+    assert back["imu"].values.tolist() == [[imu.t, *imu.gyro.tolist(), *imu.accel.tolist()]]
+    assert back["odo"].values.tolist() == [[odo.t, odo.speed]]
+    assert back["los"].values.tolist() == [
+        [los.t, los.rtt, los.aod_az, los.aod_el, los.aoa_az, los.aoa_el, los.rss]
+    ]
+    assert back["sbr"].values.tolist() == [
+        [sbr.t, sbr.toa, sbr.aod_az, sbr.aod_el, sbr.aoa_az, sbr.aoa_el, sbr.rss]
+        + [sbr.aoa_az_body, sbr.aoa_el_body]
+    ]
+    assert back["sbr"].bounces.tolist() == [sbr.truth_bounces]
+    for kind, rec in (("los", los), ("sbr", sbr)):
+        assert [back[kind].ids[b] for b in back[kind].bs.tolist()] == [rec.bs_id]
     # unknown record kinds are rejected on read
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"kind": "mystery"}\n')
