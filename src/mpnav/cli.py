@@ -387,10 +387,14 @@ def _run_noise_sweep(cfg, config_dir, seed_override):
 def _run_drift_profile(cfg, config_dir, seed_override):
     block = dict(_expect_mapping(cfg.pop("drift_profile", {}), "drift_profile"))
     _reject_unknown(cfg, "config")
+    bias_scales = _number_list(
+        _pop_list(block, "bias_scales", [0.5, 1.0, 2.0, 4.0]), "drift_profile.bias_scales"
+    )
+    # a scaled bias std must stay a valid ImuErrorModel std
+    if min(bias_scales) < 0.0:
+        raise ConfigError("drift_profile.bias_scales must be >= 0")
     kwargs = dict(
-        bias_scales=_number_list(
-            _pop_list(block, "bias_scales", [0.5, 1.0, 2.0, 4.0]), "drift_profile.bias_scales"
-        ),
+        bias_scales=bias_scales,
         seeds=_seeds_from_block(block, 10, "drift_profile"),
         duration_s=_pop_number(block, "duration_s", 60.0, "drift_profile", minimum=1.0),
         rate_hz=_pop_number(block, "rate_hz", 100.0, "drift_profile", minimum=1.0),

@@ -213,7 +213,7 @@ def run_drift_profile(
     base = imu_err or ImuErrorModel(bias_mode="fixed_magnitude")
     scenario = ring_scenario(speed_mps=speed_mps)
     times = np.arange(int(round(duration_s * rate_hz)) + 1) / rate_hz
-    poses = trajectory_poses(scenario.trajectory, times)
+    truth = trajectory_poses(scenario.trajectory, times)
     rows = []
     for scale in bias_scales:
         err_model = ImuErrorModel(
@@ -226,7 +226,7 @@ def run_drift_profile(
         finals = []
         for seed in seeds:
             rng = np.random.default_rng(np.random.SeedSequence(int(seed)).spawn(1)[0])
-            _, drift = drift_profile(poses, err_model, rate_hz, rng, trapezoid=trapezoid)
+            _, drift = drift_profile(truth, err_model, rate_hz, rng, trapezoid=trapezoid)
             finals.append(float(drift[-1]))
         rows.append({"bias_scale": float(scale), "final_drift_m": finals})
     return {"mode": "drift-profile", "seeds": [int(s) for s in seeds], "rows": rows}

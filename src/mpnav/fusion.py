@@ -62,8 +62,19 @@ class UkfParams:
     nis_gate: float = NIS_GATE_999_DOF3
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
+        # the sigma-point spread alpha^2 (n + kappa) must stay positive
+        if not self.kappa > -N_ERR:
+            raise ValueError(f"kappa must be > -{N_ERR}")
+        if not self.nis_gate > 0.0:
+            raise ValueError("nis_gate must be > 0")
+        for name in ("q_pos", "q_vel", "q_att", "q_bias_gyro", "q_bias_accel"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
 
     def process_noise(self) -> np.ndarray:
         q = np.zeros(N_ERR)

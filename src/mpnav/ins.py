@@ -53,35 +53,34 @@ def mechanize_arrays(p, v, q, b_g, b_a, gyro, accel, dt, trapezoid=True):
     return ps[1:], vs[1:], qs
 
 
-def drift_profile(poses, imu_err, rate: float, rng, trapezoid: bool = True):
-    """Free-inertial position error versus time for one noisy IMU stream.
+def drift_profile(truth, imu_err, rate: float, rng, trapezoid: bool = True):
+    """Free-inertial position error versus time for one noisy IMU stream
+    along the truth trajectory (a scene.Trajectory).
 
-    Mechanizes from a perfect initial state (first pose, zero assumed biases)
-    and returns (t, error) arrays, error sampled at every IMU interval end.
+    Mechanizes from a perfect initial state (first truth row, zero assumed
+    biases) and returns (t, error) arrays, error sampled at every IMU
+    interval end.
     """
     from .synth import synth_imu  # runtime import keeps module layering acyclic
 
-    samples = synth_imu(poses, imu_err, rate, rng)
-    t = np.array([po.t for po in poses])
+    imu = synth_imu(truth, imu_err, rate, rng)
+    t = truth.t.copy()
     dts = np.diff(t)
     if not np.all((dts > 0.0) & (dts <= 0.1)):
         raise ValueError(f"IMU intervals must be in (0, 0.1] s, got {dts.min()}..{dts.max()}")
-    gyros = np.stack([s.gyro for s in samples])
-    accels = np.stack([s.accel for s in samples])
-    if not (np.all(np.isfinite(gyros)) and np.all(np.isfinite(accels))):
+    if not (np.all(np.isfinite(imu.gyro)) and np.all(np.isfinite(imu.accel))):
         raise ValueError("non-finite IMU sample")
     zeros = np.zeros(3)
     p, _, _ = mechanize_arrays(
-        poses[0].p,
-        poses[0].v,
-        quat.from_euler(*poses[0].att),
+        truth.p[0],
+        truth.v[0],
+        quat.from_euler(*truth.att[0]),
         zeros,
         zeros,
-        gyros,
-        accels,
+        imu.gyro,
+        imu.accel,
         dts,
         trapezoid=trapezoid,
     )
-    truth = np.stack([po.p for po in poses[1:]])
-    err = np.concatenate([[0.0], np.linalg.norm(p - truth, axis=1)])
+    err = np.concatenate([[0.0], np.linalg.norm(p - truth.p[1:], axis=1)])
     return t, err

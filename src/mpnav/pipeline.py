@@ -8,6 +8,7 @@ filter updates. Emits per-epoch estimate/truth traces plus gate counters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from .scene import (
     SPEED_OF_LIGHT,
     Scenario,
     SceneArrays,
+    Trajectory,
     angles_from_unit,
     double_bounce_path,
     trajectory_poses,
@@ -53,6 +55,11 @@ class InitErrors:
     pos_std_m: float = 0.5
     vel_std_mps: float = 0.1
     att_std_rad: float = 0.005
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a finite number >= 0")
 
 
 @dataclass
@@ -98,11 +105,11 @@ class RunSetup:
 @dataclass
 class MeasurementSet:
     """One seed's synthesized world: truth at IMU rate plus noisy streams,
-    held as arrays. Epoch e is the truth pose epoch_idx[e] at time
+    held as arrays. Epoch e is the truth row epoch_idx[e] at time
     epoch_t[e]; its radio records are rows los.off[e]:los.off[e+1] and
     sbr.off[e]:sbr.off[e+1], whose bs column indexes bs_ids."""
 
-    poses: list
+    truth: Trajectory  # columns t, p, v, att at every IMU sample time
     bs_ids: tuple
     epoch_idx: np.ndarray  # (E,) int
     epoch_t: np.ndarray  # (E,)
@@ -156,31 +163,16 @@ def _double_bounces(stations, walls, ue):
     return np.array(e), np.array(b), np.array(ln), np.stack(ud), np.stack(ua)
 
 
-def synth_measurements(setup: RunSetup) -> MeasurementSet:
-    """Synthesize truth plus noisy measurement streams for one seed.
+def _synth_epochs(setup: RunSetup, arrays: SceneArrays, ue, att, epoch_t, rng):
+    """Radio records of consecutive epochs, numbered from 0, at UE
+    positions ue (n, 3), attitudes att (n, 3) and times epoch_t (n,).
 
-    All epochs at once: visibility and reflection geometry for the stack of
-    epoch positions, then one noise block for the whole run. Noise draws
-    are consumed in a fixed order (IMU stream, then per epoch: LoS by
-    station order, single bounces station-major then wall, double bounces
-    last), so configurations that differ only in noise variance or outage
-    schedule share identical unit draws; outage LoS rows are drawn, then
-    dropped.
+    Visibility and reflection geometry for the stack of epoch positions,
+    then one noise block from rng in the draw order. Returns (los, sbr)
+    column tuples: (epoch, bs, obs, rss) for the LoS rows outside outages,
+    (epoch, bs, obs, rss, bounces, body) for the reflected rows, each in
+    epoch order.
     """
-    streams = _rng_streams(setup.seed)
-    epoch_idx, _, n_samples = _epoch_indices(setup)
-    times = np.arange(n_samples + 1) / setup.rates.imu_hz
-    poses = trajectory_poses(setup.scenario.trajectory, times)
-    biases = setup.imu_err.sample_biases(streams["imu"])
-    imu = synth_imu(poses, setup.imu_err, setup.rates.imu_hz, streams["imu"], biases=biases)
-    odo = synth_odo(poses, setup.rates.odo_hz, setup.odo_noise_std, streams["odo"])
-    walls = setup.scenario.walls
-    stations = setup.scenario.base_stations
-    arrays = SceneArrays(stations, walls)
-    n_epochs = len(epoch_idx)
-    ue = np.stack([poses[i].p for i in epoch_idx])
-    att = np.stack([poses[i].att for i in epoch_idx])
-    epoch_t = times[epoch_idx]
     q_conj = quat.conjugate(quat.from_euler(att[:, 0], att[:, 1], att[:, 2]))
     # direct paths of the visible stations, epoch-major then station
     le, lb = np.nonzero(arrays.los_mask(ue))
@@ -193,7 +185,7 @@ def synth_measurements(setup: RunSetup) -> MeasurementSet:
     rb, _, _, _, _, ln, ud, ua, re = arrays.specular_arrays(ue)
     bounces = np.ones(rb.size, dtype=int)
     if setup.include_double_bounce:
-        de, db, dln, dud, dua = _double_bounces(stations, walls, ue)
+        de, db, dln, dud, dua = _double_bounces(arrays.base_stations, arrays.walls, ue)
         merge = np.argsort(np.concatenate([re, de]), kind="stable")
         re, rb = np.concatenate([re, de])[merge], np.concatenate([rb, db])[merge]
         ln, ud, ua = (np.concatenate(x)[merge] for x in ((ln, dln), (ud, dud), (ua, dua)))
@@ -207,39 +199,80 @@ def synth_measurements(setup: RunSetup) -> MeasurementSet:
     # draw order: per epoch its LoS rows, then its reflected rows
     order = np.argsort(np.concatenate([le, re]), kind="stable")
     is_los = order < n_los
-    drawn, body = apply_noise(clean[order], setup.noise, streams["obs"], los=is_los, body=body)
+    drawn, body = apply_noise(clean[order], setup.noise, rng, los=is_los, body=body)
     noisy = np.empty_like(clean)
     noisy[order] = drawn
     rss = setup.path_loss.rss(
         np.concatenate([d, ln]), bounces=np.concatenate([np.zeros(n_los, dtype=int), bounces])
     )
     keep = ~outage_mask(epoch_t, setup.outages)[le]
-    los = RadioRecords(
-        off=_offsets(le[keep], n_epochs),
-        bs=lb[keep],
-        obs=noisy[:n_los][keep],
-        rss=rss[:n_los][keep],
-    )
-    sbr = RadioRecords(
-        off=_offsets(re, n_epochs),
-        bs=rb,
-        obs=noisy[n_los:],
-        rss=rss[n_los:],
-        bounces=bounces,
-        body=body,
-    )
+    los = (le[keep], lb[keep], noisy[:n_los][keep], rss[:n_los][keep])
+    return los, (re, rb, noisy[n_los:], rss[n_los:], bounces, body)
+
+
+def _join(parts: list) -> np.ndarray:
+    """Concatenate parts and empty the list, freeing them."""
+    out = np.concatenate(parts)
+    parts.clear()
+    return out
+
+
+# (epoch, station, wall) triples per synthesis chunk: about 85 epochs of an
+# 8-station, 6-wall scene, so that the geometry and noise temporaries stay
+# small however long the drive
+_CHUNK_TRIPLES = 4096
+
+
+def synth_measurements(setup: RunSetup) -> MeasurementSet:
+    """Synthesize truth plus noisy measurement streams for one seed.
+
+    The truth trajectory, IMU and odometer streams come as whole-run
+    columns. The radio records are synthesized a chunk of epochs at a time
+    (about _CHUNK_TRIPLES epoch-station-wall triples), each chunk drawing its
+    noise block from the one observation stream, and the rows of all chunks
+    are joined. Noise draws are consumed in a fixed order (IMU stream, then
+    per epoch: LoS by station order, single bounces station-major then
+    wall, double bounces last), so configurations that differ only in noise
+    variance or outage schedule share identical unit draws, and the chunk
+    size changes no number; outage LoS rows are drawn, then dropped.
+    """
+    streams = _rng_streams(setup.seed)
+    epoch_idx, _, n_samples = _epoch_indices(setup)
+    times = np.arange(n_samples + 1) / setup.rates.imu_hz
+    truth = trajectory_poses(setup.scenario.trajectory, times)
+    biases = setup.imu_err.sample_biases(streams["imu"])
+    imu = synth_imu(truth, setup.imu_err, setup.rates.imu_hz, streams["imu"], biases=biases)
+    odo = synth_odo(truth, setup.rates.odo_hz, setup.odo_noise_std, streams["odo"])
+    stations = setup.scenario.base_stations
+    arrays = SceneArrays(stations, setup.scenario.walls)
+    n_epochs = len(epoch_idx)
+    epoch_t = times[epoch_idx]
+    step = max(1, _CHUNK_TRIPLES // max(1, arrays.n_bs * arrays.n_walls))
+    # each column's parts, one per chunk: the LoS columns, then the SBR ones
+    parts = [[] for _ in range(10)]
+    for e0 in range(0, n_epochs, step):
+        rows = epoch_idx[e0 : e0 + step]
+        los, sbr = _synth_epochs(
+            setup, arrays, truth.p[rows], truth.att[rows], epoch_t[e0 : e0 + step], streams["obs"]
+        )
+        for col, part in zip(parts, (los[0] + e0, *los[1:], sbr[0] + e0, *sbr[1:])):
+            col.append(part)
+    # joined one column at a time, each column's parts freed once joined
+    le, lb, l_obs, l_rss, re, rb, r_obs, r_rss, bounces, body = (_join(col) for col in parts)
     return MeasurementSet(
-        poses=poses,
+        truth=truth,
         bs_ids=tuple(bs.id for bs in stations),
         epoch_idx=epoch_idx,
         epoch_t=epoch_t,
-        imu_t=np.array([s.t for s in imu]),
-        gyro=np.stack([s.gyro for s in imu]),
-        accel=np.stack([s.accel for s in imu]),
-        odo_t=np.array([o.t for o in odo]),
-        odo_v=np.array([o.speed for o in odo]),
-        los=los,
-        sbr=sbr,
+        imu_t=imu.t,
+        gyro=imu.gyro,
+        accel=imu.accel,
+        odo_t=odo.t,
+        odo_v=odo.speed,
+        los=RadioRecords(off=_offsets(le, n_epochs), bs=lb, obs=l_obs, rss=l_rss),
+        sbr=RadioRecords(
+            off=_offsets(re, n_epochs), bs=rb, obs=r_obs, rss=r_rss, bounces=bounces, body=body
+        ),
         truth_biases=biases,
     )
 
@@ -259,12 +292,13 @@ class RunResult:
     truth_biases: tuple
 
 
-def _init_filter(setup: RunSetup, pose0, rng) -> FilterState:
+def _init_filter(setup: RunSetup, truth: Trajectory, rng) -> FilterState:
+    """Initial filter state: the truth trajectory's first row, perturbed."""
     ie = setup.init_err
     dp = ie.pos_std_m * rng.standard_normal(3)
     dv = ie.vel_std_mps * rng.standard_normal(3)
     dth = ie.att_std_rad * rng.standard_normal(3)
-    q_true = quat.from_euler(*pose0.att)
+    q_true = quat.from_euler(*truth.att[0])
     q0 = quat.normalize(quat.multiply(q_true, quat.from_rotvec(-dth)))
     P0 = np.diag(
         np.concatenate(
@@ -278,7 +312,11 @@ def _init_filter(setup: RunSetup, pose0, rng) -> FilterState:
         )
     )
     return FilterState(
-        t=pose0.t, p=pose0.p + dp, v=pose0.v + dv, q_bn=q0, P=P0 + 1e-12 * np.eye(15)
+        t=float(truth.t[0]),
+        p=truth.p[0] + dp,
+        v=truth.v[0] + dv,
+        q_bn=q0,
+        P=P0 + 1e-12 * np.eye(15),
     )
 
 
@@ -344,11 +382,11 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
     """
     stations = setup.scenario.base_stations
     bs_p = np.stack([bs.p for bs in stations])
-    poses = ms.poses
-    fs = _init_filter(setup, poses[0], _rng_streams(setup.seed)["init"])
+    truth = ms.truth
+    fs = _init_filter(setup, truth, _rng_streams(setup.seed)["init"])
 
-    dts = np.diff([po.t for po in poses])
-    p_dense = np.stack([po.p for po in poses])
+    dts = np.diff(truth.t)
+    p_dense = truth.p
     arc_dense = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(p_dense, axis=0), axis=1))])
     odo_t, odo_v = ms.odo_t, ms.odo_v
 
@@ -381,7 +419,7 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
     r_floor = setup.r_floor_m2 * np.eye(3)
     truth_bg, truth_ba = (None, None) if ms.truth_biases is None else ms.truth_biases
     if setup.compute_nees and truth_bg is not None:
-        att_ep = np.stack([poses[i].att for i in epoch_idx])
+        att_ep = truth.att[ms.epoch_idx]
         q_truth_ep = quat.from_euler(att_ep[:, 0], att_ep[:, 1], att_ep[:, 2])
     last_accept_p = fs.p.copy()
     travel_budget = 0.0
@@ -488,8 +526,9 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
         # every epoch ends on a predicted or updated state, which carries it
         out_eig[e_i] = fs.min_eig
         if setup.compute_nees and truth_bg is not None:
-            pose = poses[idx]
-            e_vec = fs.error_vector(pose.p, pose.v, q_truth_ep[e_i], truth_bg, truth_ba)
+            e_vec = fs.error_vector(
+                truth.p[idx], truth.v[idx], q_truth_ep[e_i], truth_bg, truth_ba
+            )
             out_nees[e_i] = float(e_vec @ np.linalg.solve(fs.P, e_vec))
 
     out_truth = p_dense[epoch_idx]
@@ -559,7 +598,7 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
     the scenario does not have."""
     epoch_idx, _, n_samples = _epoch_indices(setup)
     times = np.arange(n_samples + 1) / setup.rates.imu_hz
-    poses = trajectory_poses(setup.scenario.trajectory, times)
+    truth = trajectory_poses(setup.scenario.trajectory, times)
     imu, odo, los, sbr = (records[kind] for kind in ("imu", "odo", "los", "sbr"))
     if len(imu) != n_samples:
         raise ValueError(
@@ -578,7 +617,7 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
     epoch_of_t = {round(t, 6): e for e, t in enumerate(epoch_t.tolist())}
     n_epochs = len(epoch_idx)
     return MeasurementSet(
-        poses=poses,
+        truth=truth,
         bs_ids=tuple(station),
         epoch_idx=epoch_idx,
         epoch_t=epoch_t,

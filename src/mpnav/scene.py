@@ -105,6 +105,24 @@ class Pose:
 
 
 @dataclass
+class Trajectory:
+    """Ground truth at a run's sample times, as columns: row k is the pose
+    at time t[k]. len() counts the rows; an int index gives one row as a
+    Pose."""
+
+    t: np.ndarray  # (N,) s
+    p: np.ndarray  # (N, 3) ENU m
+    v: np.ndarray  # (N, 3) m/s
+    att: np.ndarray  # (N, 3) (roll, pitch, yaw) rad
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k: int) -> Pose:
+        return Pose(t=self.t[k], p=self.p[k].copy(), v=self.v[k].copy(), att=self.att[k].copy())
+
+
+@dataclass
 class SbrPath:
     """One single-bounce reflection: BS -> wall point -> UE."""
 
@@ -301,8 +319,9 @@ def angles_from_unit(u):
 # trajectories
 
 
-def trajectory_poses(spec: dict, times) -> list:
-    """Ground-truth poses at the requested times from a generator spec.
+def trajectory_poses(spec: dict, times) -> Trajectory:
+    """Ground truth at the requested times from a generator spec, as one
+    Trajectory of columns.
 
     kinds:
       circle    constant-speed level circle; keys center_en_m, radius_m,
@@ -313,18 +332,18 @@ def trajectory_poses(spec: dict, times) -> list:
       samples   explicit arrays t_s, p_enu_m; velocity and attitude are
                 derived by differencing unless v_enu_mps / att_rpy_rad given.
     """
-    times = np.asarray(times, dtype=float)
+    times = np.array(times, dtype=float)
     kind = spec.get("kind")
     if kind == "circle":
-        return _circle_poses(spec, times)
+        return _circle(spec, times)
     if kind == "waypoints":
-        return _waypoint_poses(spec, times)
+        return _waypoints(spec, times)
     if kind == "samples":
-        return _sample_poses(spec, times)
+        return _samples(spec, times)
     raise GeometryError(f"unknown trajectory kind {kind!r}")
 
 
-def _circle_poses(spec, times):
+def _circle(spec, times):
     cx, cy = (float(v) for v in spec["center_en_m"])
     r = float(spec["radius_m"])
     speed = float(spec["speed_mps"])
@@ -334,17 +353,19 @@ def _circle_poses(spec, times):
     if r <= 0.0 or speed < 0.0:
         raise GeometryError("circle trajectory needs radius_m > 0, speed_mps >= 0")
     rate = sign * speed / r
-    poses = []
-    for t in times:
-        th = phase + rate * t
-        p = np.array([cx + r * np.cos(th), cy + r * np.sin(th), z])
-        v = speed * sign * np.array([-np.sin(th), np.cos(th), 0.0])
-        yaw = np.arctan2(v[1], v[0]) if speed > 0 else phase + sign * np.pi / 2
-        poses.append(Pose(t=t, p=p, v=v, att=np.array([0.0, 0.0, yaw])))
-    return poses
+    th = phase + rate * times
+    cos, sin = np.cos(th), np.sin(th)
+    zeros = np.zeros_like(th)
+    p = np.stack([cx + r * cos, cy + r * sin, np.full_like(th, z)], axis=1)
+    v = speed * sign * np.stack([-sin, cos, zeros], axis=1)
+    if speed > 0:
+        yaw = np.arctan2(v[:, 1], v[:, 0])
+    else:
+        yaw = np.full_like(th, phase + sign * np.pi / 2)
+    return Trajectory(times, p, v, np.stack([zeros, zeros, yaw], axis=1))
 
 
-def _waypoint_poses(spec, times):
+def _waypoints(spec, times):
     pts = np.asarray(spec["points_enu_m"], dtype=float)
     speed = float(spec["speed_mps"])
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 3:
@@ -356,24 +377,18 @@ def _waypoint_poses(spec, times):
     if np.any(seg_len <= 0.0):
         raise GeometryError("waypoints must be distinct")
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    poses = []
-    for t in times:
-        dist = speed * t
-        if dist >= cum[-1]:
-            p = pts[-1].copy()
-            u = seg[-1] / seg_len[-1]
-            v = np.zeros(3)
-        else:
-            i = int(np.searchsorted(cum, dist, side="right")) - 1
-            u = seg[i] / seg_len[i]
-            p = pts[i] + (dist - cum[i]) * u
-            v = speed * u
-        az, el = angles_from_unit(u)
-        poses.append(Pose(t=t, p=p, v=v, att=np.array([0.0, float(el), float(az)])))
-    return poses
+    dist = speed * times
+    # past the route's end: held at the last point, facing along the last leg
+    held = dist >= cum[-1]
+    i = np.where(held, len(seg) - 1, np.searchsorted(cum, dist, side="right") - 1)
+    u = seg[i] / seg_len[i, None]
+    p = np.where(held[:, None], pts[-1], pts[i] + (dist - cum[i])[:, None] * u)
+    v = np.where(held[:, None], 0.0, speed * u)
+    az, el = angles_from_unit(u)
+    return Trajectory(times, p, v, np.stack([np.zeros_like(az), el, az], axis=1))
 
 
-def _sample_poses(spec, times):
+def _samples(spec, times):
     ts = np.asarray(spec["t_s"], dtype=float)
     ps = np.asarray(spec["p_enu_m"], dtype=float)
     if ts.ndim != 1 or ts.size < 3 or ps.shape != (ts.size, 3):
@@ -391,13 +406,11 @@ def _sample_poses(spec, times):
         atts = np.stack([np.zeros_like(az), el, np.unwrap(az)], axis=-1)
     if np.any(times < ts[0] - 1e-9) or np.any(times > ts[-1] + 1e-9):
         raise GeometryError("requested times fall outside the sample span")
-    poses = []
-    for t in times:
-        p = np.array([np.interp(t, ts, ps[:, k]) for k in range(3)])
-        v = np.array([np.interp(t, ts, vs[:, k]) for k in range(3)])
-        att = np.array([np.interp(t, ts, atts[:, k]) for k in range(3)])
-        poses.append(Pose(t=t, p=p, v=v, att=att))
-    return poses
+    p, v, att = (
+        np.stack([np.interp(times, ts, col[:, k]) for k in range(3)], axis=1)
+        for col in (ps, vs, atts)
+    )
+    return Trajectory(times, p, v, att)
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,27 @@ class ImuSample:
 
 
 @dataclass
-class OdoSample:
-    t: float
-    speed: float  # m/s
+class ImuStream:
+    """An IMU stream as columns; sample k covers [t[k], t[k + 1]). len()
+    counts the samples, iteration yields them as ImuSample rows."""
+
+    t: np.ndarray  # (M,) s
+    gyro: np.ndarray  # (M, 3) rad/s, body
+    accel: np.ndarray  # (M, 3) m/s^2 specific force, body
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self):
+        return map(ImuSample, self.t.tolist(), self.gyro, self.accel)
+
+
+@dataclass
+class OdoStream:
+    """An odometer speed stream as columns."""
+
+    t: np.ndarray  # (K,) s
+    speed: np.ndarray  # (K,) m/s
 
 
 @dataclass
@@ -170,6 +188,15 @@ class ImuErrorModel:
     gyro_noise_density: float = 1e-4  # rad/s/sqrt(Hz)
     accel_noise_density: float = 1e-3  # m/s^2/sqrt(Hz)
     bias_mode: str = "gaussian"
+
+    def __post_init__(self):
+        if self.bias_mode not in ("gaussian", "fixed_magnitude"):
+            raise ValueError(f"unknown bias_mode {self.bias_mode!r}")
+        stds = ("gyro_bias_std", "accel_bias_std", "gyro_noise_density", "accel_noise_density")
+        for name in stds:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a finite number >= 0")
 
     def sample_biases(self, rng):
         if self.bias_mode == "gaussian":
@@ -295,23 +322,23 @@ def outage_mask(t, windows):
     return blocked
 
 
-def synth_imu(poses, err: ImuErrorModel, rate: float, rng, biases=None):
-    """IMU stream whose noise-free mechanization reproduces the pose sequence.
+def synth_imu(truth, err: ImuErrorModel, rate: float, rng, biases=None) -> ImuStream:
+    """IMU stream whose noise-free mechanization reproduces the truth
+    trajectory (a scene.Trajectory), one sample per interval between its
+    rows.
 
     The sample at t_k covers [t_k, t_{k+1}): the angular rate is the exact
     attitude increment over the interval and the specific force is chosen so
     the velocity update with the end-of-interval attitude lands on v_{k+1}.
     biases overrides the sampled constant biases when given as (b_g, b_a).
     """
-    if len(poses) < 3:
+    if len(truth) < 3:
         raise ValueError("need at least 3 trajectory samples")
     if biases is None:
         b_g, b_a = err.sample_biases(rng)
     else:
         b_g, b_a = (np.asarray(b, dtype=float) for b in biases)
-    t = np.array([po.t for po in poses])
-    vel = np.stack([po.v for po in poses])
-    att = np.stack([po.att for po in poses])
+    t, vel, att = truth.t, truth.v, truth.att
     q = quat.from_euler(att[:, 0], att[:, 1], att[:, 2])
     dts = np.diff(t)[:, None]
     if np.any(dts <= 0):
@@ -324,24 +351,20 @@ def synth_imu(poses, err: ImuErrorModel, rate: float, rng, biases=None):
     sig_a = err.accel_noise_density * math.sqrt(rate)
     gyro = gyro + b_g + sig_g * rng.standard_normal(gyro.shape)
     accel = accel + b_a + sig_a * rng.standard_normal(accel.shape)
-    return [
-        ImuSample(t=float(t[k]), gyro=gyro[k], accel=accel[k])
-        for k in range(len(poses) - 1)
-    ]
+    return ImuStream(t=t[:-1], gyro=gyro, accel=accel)
 
 
-def synth_odo(poses, rate: float, noise_std: float, rng):
-    """Odometer speed stream sampled from the nearest trajectory pose."""
-    t = np.array([po.t for po in poses])
+def synth_odo(truth, rate: float, noise_std: float, rng) -> OdoStream:
+    """Odometer speed stream sampled from the nearest truth row."""
+    t = truth.t
     times = np.arange(t[0], t[-1] + 0.5 / rate, 1.0 / rate)
-    idx = np.clip(np.searchsorted(t, times - 1e-9), 0, len(poses) - 1)
-    out = []
-    for tt, i in zip(times, idx):
-        speed = float(np.linalg.norm(poses[i].v))
-        if noise_std > 0.0:
-            speed += noise_std * float(rng.standard_normal())
-        out.append(OdoSample(t=float(tt), speed=speed))
-    return out
+    idx = np.clip(np.searchsorted(t, times - 1e-9), 0, len(t) - 1)
+    v = truth.v[idx]
+    # each row's norm as the dot product np.linalg.norm takes of one vector
+    speed = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    if noise_std > 0.0:
+        speed += noise_std * rng.standard_normal(len(times))
+    return OdoStream(t=times, speed=speed)
 
 
 # ---------------------------------------------------------------------------

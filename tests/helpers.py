@@ -6,10 +6,14 @@ test controls its own seed. The references are the plain per-path,
 per-sample, per-epoch and per-record forms that the batched program code
 must reproduce: sbr_fix_svd (the dense-SVD reflection solver behind
 mpnav.fixes.sbr_fix), mechanize_per_sample (behind
-mpnav.ins.mechanize_arrays), apply_noise_per_record (behind
+mpnav.ins.mechanize_arrays), trajectory_poses_per_sample (one Pose per
+sample, behind mpnav.scene.trajectory_poses), synth_imu_per_sample and
+synth_odo_per_sample (one ImuSample or OdoSample per sample, behind
+mpnav.synth.synth_imu and synth_odo), apply_noise_per_record (behind
 mpnav.synth.apply_noise), sbr_screen_per_record (the reflected-path screen
 of mpnav.pipeline.run_filter), synth_epochs_per_epoch (the epoch loop
-behind mpnav.pipeline.synth_measurements), run_filter_per_record (the
+behind mpnav.pipeline.synth_measurements), synth_measurements_unchunked
+(all epochs in one pass, behind its epoch chunks), run_filter_per_record (the
 record-by-record filter loop behind mpnav.pipeline.run_filter),
 write_log_json (json.dumps per record, behind
 mpnav.synth.write_measurement_log) and read_measurement_log_per_record (one
@@ -18,7 +22,7 @@ record object per line, behind mpnav.synth.read_measurement_log).
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
 
 import numpy as np
@@ -29,13 +33,24 @@ from mpnav.ins import GRAVITY
 from mpnav.scene import (
     SPEED_OF_LIGHT,
     BaseStation,
+    GeometryError,
+    Pose,
+    Trajectory,
     Wall,
     angles_from_unit,
     double_bounce_path,
     specular_path,
     unit_from_angles,
 )
-from mpnav.synth import ImuSample, LogColumns, LosObs, OdoSample, SbrObs, apply_noise
+from mpnav.synth import ImuSample, LogColumns, LosObs, SbrObs, apply_noise
+
+
+@dataclass
+class OdoSample:
+    """One odometer record, the row type of the per-record references."""
+
+    t: float
+    speed: float  # m/s
 
 
 def random_wall(rng, ident="w0", center_span=80.0, min_len=20.0, max_len=120.0):
@@ -489,6 +504,243 @@ def synth_epochs_per_epoch(setup):
     return epochs
 
 
+def _circle_poses(spec, times):
+    cx, cy = (float(v) for v in spec["center_en_m"])
+    r = float(spec["radius_m"])
+    speed = float(spec["speed_mps"])
+    z = float(spec.get("z_m", 0.0))
+    phase = float(spec.get("phase_rad", 0.0))
+    sign = 1.0 if spec.get("ccw", True) else -1.0
+    if r <= 0.0 or speed < 0.0:
+        raise GeometryError("circle trajectory needs radius_m > 0, speed_mps >= 0")
+    rate = sign * speed / r
+    poses = []
+    for t in times:
+        th = phase + rate * t
+        p = np.array([cx + r * np.cos(th), cy + r * np.sin(th), z])
+        v = speed * sign * np.array([-np.sin(th), np.cos(th), 0.0])
+        yaw = np.arctan2(v[1], v[0]) if speed > 0 else phase + sign * np.pi / 2
+        poses.append(Pose(t=t, p=p, v=v, att=np.array([0.0, 0.0, yaw])))
+    return poses
+
+
+def _waypoint_poses(spec, times):
+    pts = np.asarray(spec["points_enu_m"], dtype=float)
+    speed = float(spec["speed_mps"])
+    if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 3:
+        raise GeometryError("waypoints trajectory needs >= 2 ENU points")
+    if speed <= 0.0:
+        raise GeometryError("waypoints trajectory needs speed_mps > 0")
+    seg = np.diff(pts, axis=0)
+    seg_len = np.linalg.norm(seg, axis=1)
+    if np.any(seg_len <= 0.0):
+        raise GeometryError("waypoints must be distinct")
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    poses = []
+    for t in times:
+        dist = speed * t
+        if dist >= cum[-1]:
+            p = pts[-1].copy()
+            u = seg[-1] / seg_len[-1]
+            v = np.zeros(3)
+        else:
+            i = int(np.searchsorted(cum, dist, side="right")) - 1
+            u = seg[i] / seg_len[i]
+            p = pts[i] + (dist - cum[i]) * u
+            v = speed * u
+        az, el = angles_from_unit(u)
+        poses.append(Pose(t=t, p=p, v=v, att=np.array([0.0, float(el), float(az)])))
+    return poses
+
+
+def _sample_poses(spec, times):
+    ts = np.asarray(spec["t_s"], dtype=float)
+    ps = np.asarray(spec["p_enu_m"], dtype=float)
+    if ts.ndim != 1 or ts.size < 3 or ps.shape != (ts.size, 3):
+        raise GeometryError("samples trajectory needs matching t_s, p_enu_m with >= 3 rows")
+    if np.any(np.diff(ts) <= 0.0):
+        raise GeometryError("sample times must be strictly increasing")
+    if "v_enu_mps" in spec:
+        vs = np.asarray(spec["v_enu_mps"], dtype=float)
+    else:
+        vs = np.gradient(ps, ts, axis=0)
+    if "att_rpy_rad" in spec:
+        atts = np.asarray(spec["att_rpy_rad"], dtype=float)
+    else:
+        az, el = angles_from_unit(np.where(np.linalg.norm(vs, axis=1, keepdims=True) > 1e-9, vs, [1.0, 0.0, 0.0]))
+        atts = np.stack([np.zeros_like(az), el, np.unwrap(az)], axis=-1)
+    if np.any(times < ts[0] - 1e-9) or np.any(times > ts[-1] + 1e-9):
+        raise GeometryError("requested times fall outside the sample span")
+    poses = []
+    for t in times:
+        p = np.array([np.interp(t, ts, ps[:, k]) for k in range(3)])
+        v = np.array([np.interp(t, ts, vs[:, k]) for k in range(3)])
+        att = np.array([np.interp(t, ts, atts[:, k]) for k in range(3)])
+        poses.append(Pose(t=t, p=p, v=v, att=att))
+    return poses
+
+
+def trajectory_poses_per_sample(spec, times):
+    """Reference for mpnav.scene.trajectory_poses: one Pose per requested
+    time, in a list."""
+    times = np.asarray(times, dtype=float)
+    kind = spec.get("kind")
+    if kind == "circle":
+        return _circle_poses(spec, times)
+    if kind == "waypoints":
+        return _waypoint_poses(spec, times)
+    if kind == "samples":
+        return _sample_poses(spec, times)
+    raise GeometryError(f"unknown trajectory kind {kind!r}")
+
+
+def stack_poses(poses):
+    """A list of Pose objects as one Trajectory of columns."""
+    return Trajectory(
+        np.array([po.t for po in poses]),
+        np.stack([po.p for po in poses]),
+        np.stack([po.v for po in poses]),
+        np.stack([po.att for po in poses]),
+    )
+
+
+def synth_imu_per_sample(poses, err, rate, rng, biases=None):
+    """Reference for mpnav.synth.synth_imu: a list of Pose objects in, a
+    list of ImuSample objects out."""
+    if len(poses) < 3:
+        raise ValueError("need at least 3 trajectory samples")
+    if biases is None:
+        b_g, b_a = err.sample_biases(rng)
+    else:
+        b_g, b_a = (np.asarray(b, dtype=float) for b in biases)
+    t = np.array([po.t for po in poses])
+    vel = np.stack([po.v for po in poses])
+    att = np.stack([po.att for po in poses])
+    q = quat.from_euler(att[:, 0], att[:, 1], att[:, 2])
+    dts = np.diff(t)[:, None]
+    if np.any(dts <= 0):
+        raise ValueError("pose times must be strictly increasing")
+    rot = quat.to_rotvec(quat.multiply(quat.conjugate(q[:-1]), q[1:]))
+    gyro = rot / dts
+    dv = (vel[1:] - vel[:-1]) / dts - GRAVITY
+    accel = quat.rotate(quat.conjugate(q[1:]), dv)
+    sig_g = err.gyro_noise_density * math.sqrt(rate)
+    sig_a = err.accel_noise_density * math.sqrt(rate)
+    gyro = gyro + b_g + sig_g * rng.standard_normal(gyro.shape)
+    accel = accel + b_a + sig_a * rng.standard_normal(accel.shape)
+    return [
+        ImuSample(t=float(t[k]), gyro=gyro[k], accel=accel[k])
+        for k in range(len(poses) - 1)
+    ]
+
+
+def synth_odo_per_sample(poses, rate, noise_std, rng):
+    """Reference for mpnav.synth.synth_odo: a list of OdoSample objects,
+    one scalar draw each."""
+    t = np.array([po.t for po in poses])
+    times = np.arange(t[0], t[-1] + 0.5 / rate, 1.0 / rate)
+    idx = np.clip(np.searchsorted(t, times - 1e-9), 0, len(poses) - 1)
+    out = []
+    for tt, i in zip(times, idx):
+        speed = float(np.linalg.norm(poses[i].v))
+        if noise_std > 0.0:
+            speed += noise_std * float(rng.standard_normal())
+        out.append(OdoSample(t=float(tt), speed=speed))
+    return out
+
+
+def synth_measurements_unchunked(setup):
+    """Reference for mpnav.pipeline.synth_measurements: per-sample truth
+    poses and sensor samples, then the radio records of all epochs in one
+    pass with one noise block. The truth comes back stacked as a
+    Trajectory."""
+    from mpnav.pipeline import (
+        MeasurementSet,
+        SceneArrays,
+        _double_bounces,
+        _epoch_indices,
+        _offsets,
+        _rng_streams,
+    )
+    from mpnav.synth import RadioRecords, outage_mask
+
+    streams = _rng_streams(setup.seed)
+    epoch_idx, _, n_samples = _epoch_indices(setup)
+    times = np.arange(n_samples + 1) / setup.rates.imu_hz
+    poses = trajectory_poses_per_sample(setup.scenario.trajectory, times)
+    biases = setup.imu_err.sample_biases(streams["imu"])
+    imu = synth_imu_per_sample(poses, setup.imu_err, setup.rates.imu_hz, streams["imu"], biases=biases)
+    odo = synth_odo_per_sample(poses, setup.rates.odo_hz, setup.odo_noise_std, streams["odo"])
+    walls = setup.scenario.walls
+    stations = setup.scenario.base_stations
+    arrays = SceneArrays(stations, walls)
+    n_epochs = len(epoch_idx)
+    ue = np.stack([poses[i].p for i in epoch_idx])
+    att = np.stack([poses[i].att for i in epoch_idx])
+    epoch_t = times[epoch_idx]
+    q_conj = quat.conjugate(quat.from_euler(att[:, 0], att[:, 1], att[:, 2]))
+    # direct paths of the visible stations, epoch-major then station
+    le, lb = np.nonzero(arrays.los_mask(ue))
+    d_vec = ue[le] - arrays.bs_p[lb]
+    # row norms summed as np.linalg.norm sums one vector
+    d = np.sqrt((d_vec[:, None, :] @ d_vec[:, :, None])[:, 0, 0])
+    if np.any(d <= 0.0):
+        raise ValueError("UE and BS positions coincide")
+    # reflected paths: single bounces station-major then wall, doubles last
+    rb, _, _, _, _, ln, ud, ua, re = arrays.specular_arrays(ue)
+    bounces = np.ones(rb.size, dtype=int)
+    if setup.include_double_bounce:
+        de, db, dln, dud, dua = _double_bounces(stations, walls, ue)
+        merge = np.argsort(np.concatenate([re, de]), kind="stable")
+        re, rb = np.concatenate([re, de])[merge], np.concatenate([rb, db])[merge]
+        ln, ud, ua = (np.concatenate(x)[merge] for x in ((ln, dln), (ud, dud), (ua, dua)))
+        bounces = np.concatenate([bounces, np.full(de.size, 2)])[merge]
+    n_los = le.size
+    aod_az, aod_el = angles_from_unit(np.concatenate([d_vec, ud]))
+    aoa_az, aoa_el = angles_from_unit(np.concatenate([-d_vec, ua]))
+    tof = np.concatenate([2.0 * d / SPEED_OF_LIGHT, ln / SPEED_OF_LIGHT])
+    clean = np.stack([tof, aod_az, aod_el, aoa_az, aoa_el], axis=1)
+    body = np.stack(angles_from_unit(quat.rotate(q_conj[re], ua)), axis=1)
+    # draw order: per epoch its LoS rows, then its reflected rows
+    order = np.argsort(np.concatenate([le, re]), kind="stable")
+    is_los = order < n_los
+    drawn, body = apply_noise(clean[order], setup.noise, streams["obs"], los=is_los, body=body)
+    noisy = np.empty_like(clean)
+    noisy[order] = drawn
+    rss = setup.path_loss.rss(
+        np.concatenate([d, ln]), bounces=np.concatenate([np.zeros(n_los, dtype=int), bounces])
+    )
+    keep = ~outage_mask(epoch_t, setup.outages)[le]
+    los = RadioRecords(
+        off=_offsets(le[keep], n_epochs),
+        bs=lb[keep],
+        obs=noisy[:n_los][keep],
+        rss=rss[:n_los][keep],
+    )
+    sbr = RadioRecords(
+        off=_offsets(re, n_epochs),
+        bs=rb,
+        obs=noisy[n_los:],
+        rss=rss[n_los:],
+        bounces=bounces,
+        body=body,
+    )
+    return MeasurementSet(
+        truth=stack_poses(poses),
+        bs_ids=tuple(bs.id for bs in stations),
+        epoch_idx=epoch_idx,
+        epoch_t=epoch_t,
+        imu_t=np.array([s.t for s in imu]),
+        gyro=np.stack([s.gyro for s in imu]),
+        accel=np.stack([s.accel for s in imu]),
+        odo_t=np.array([o.t for o in odo]),
+        odo_v=np.array([o.speed for o in odo]),
+        los=los,
+        sbr=sbr,
+        truth_biases=biases,
+    )
+
+
 def epoch_records(ms):
     """One (los, sbr) pair of record lists per epoch of an array measurement
     set, the records as LosObs and SbrObs."""
@@ -696,9 +948,8 @@ def run_filter_per_record(ms, epochs, setup):
     from mpnav.pipeline import _init_filter, _rng_streams
 
     bs_by_id = {bs.id: bs for bs in setup.scenario.base_stations}
-    poses = ms.poses
-    fs = _init_filter(setup, poses[0], _rng_streams(setup.seed)["init"])
-    dts = np.diff(np.array([po.t for po in poses]))
+    fs = _init_filter(setup, ms.truth, _rng_streams(setup.seed)["init"])
+    dts = np.diff(ms.truth.t)
     odo_t, odo_v = ms.odo_t, ms.odo_v
     dt_obs = 1.0 / setup.rates.obs_hz
     counters = dict.fromkeys(

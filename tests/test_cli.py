@@ -426,3 +426,60 @@ def test_rerun_into_existing_directory_replaces_files(tmp_path):
     assert files.pop("notes.txt") == b"kept\n"
     assert files == tree_bytes(fresh)
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+
+RING_3S = {
+    "mode": "single",
+    "seed": 0,
+    "duration_s": 3,
+    "scenario": {"preset": "ring", "params": {"speed_mps": 8.0}},
+    "rates": {"imu_hz": 100, "obs_hz": 10, "odo_hz": 10},
+}
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("ukf", "nis_gate", -1.0),
+        ("ukf", "nis_gate", float("nan")),
+        ("ukf", "q_vel", -1.0),
+        ("ukf", "q_att", float("inf")),
+        ("ukf", "kappa", -20.0),
+        ("imu_error", "bias_mode", "weird"),
+        ("imu_error", "gyro_bias_std_rps", -1e-3),
+        ("imu_error", "gyro_noise_density", -1e-4),
+        ("init_errors", "pos_std_m", -0.5),
+        ("init_errors", "pos_std_m", float("nan")),
+    ],
+    ids=[
+        "nis_gate_negative",
+        "nis_gate_nan",
+        "q_vel_negative",
+        "q_att_infinite",
+        "kappa_below_minus_15",
+        "bias_mode_unknown",
+        "gyro_bias_std_negative",
+        "gyro_noise_density_negative",
+        "pos_std_negative",
+        "pos_std_nan",
+    ],
+)
+def test_bad_filter_or_imu_parameter_exits_2(tmp_path, capsys, block, key, value):
+    # json.dumps writes NaN and Infinity, which the config reader accepts
+    cfg = write_config(tmp_path, dict(RING_3S, **{block: {key: value}}))
+    out = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {block}:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_negative_drift_bias_scale_exits_2(tmp_path, capsys):
+    # a negative scale makes a negative bias std, which ImuErrorModel refuses
+    block = {"bias_scales": [1.0, -1.0], "seeds": [0], "duration_s": 2.0, "rate_hz": 20.0}
+    cfg = write_config(tmp_path, {"mode": "drift-profile", "drift_profile": block})
+    out = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
+    assert "drift_profile.bias_scales" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import mechanize_per_sample
+from helpers import mechanize_per_sample, stack_poses
 
 from mpnav import quat
 from mpnav.ins import drift_profile, mechanize_arrays
@@ -76,8 +76,11 @@ def test_zero_dt_limit_and_bounds():
     times = np.arange(0.0, 2.0 + 0.005, 0.01)
     poses = trajectory_poses(circle_spec(), times)
     with pytest.raises(ValueError):
-        drift_profile([poses[0], poses[0], *poses[1:]], ZERO_ERR, 100.0, np.random.default_rng(0))
-    nan_err = ImuErrorModel(gyro_noise_density=float("nan"))
+        repeated = stack_poses([poses[0], *poses])
+        drift_profile(repeated, ZERO_ERR, 100.0, np.random.default_rng(0))
+    # a model set non-finite after construction, past its own validation
+    nan_err = ImuErrorModel()
+    nan_err.gyro_noise_density = float("nan")
     with pytest.raises(ValueError):
         drift_profile(poses, nan_err, 100.0, np.random.default_rng(0))
 
@@ -117,7 +120,7 @@ def test_round_trip_noiseless_imu():
     q0 = quat.from_euler(*poses[0].att)
     dts = np.diff(times)
     p, _, _ = mechanize_arrays(poses[0].p, poses[0].v, q0, ZERO3, ZERO3, gyros, accels, dts)
-    truth = np.stack([po.p for po in poses[1:]])
+    truth = poses.p[1:]
     worst = float(np.max(np.linalg.norm(p - truth, axis=1)))
     assert worst < 0.01
 

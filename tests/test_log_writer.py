@@ -2,7 +2,7 @@
 json.dumps reference, and the round trip through the reader."""
 
 import numpy as np
-from helpers import log_columns, write_log_json
+from helpers import OdoSample, log_columns, write_log_json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +11,6 @@ from mpnav.scene import BaseStation, Scenario
 from mpnav.synth import (
     ImuSample,
     LosObs,
-    OdoSample,
     SbrObs,
     read_measurement_log,
     write_measurement_log,

@@ -1,6 +1,8 @@
 """End-to-end runs: synthesis determinism, gating behavior, log bridging."""
 
-from dataclasses import replace
+import math
+import tracemalloc
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,10 +15,13 @@ from helpers import (
     run_filter_per_record,
     sbr_screen_per_record,
     synth_epochs_per_epoch,
+    synth_measurements_unchunked,
     write_log_json,
 )
 
-from mpnav import pipeline, quat
+from mpnav import pipeline, quat, scene
+from mpnav.evaluate import _SWEEP_RATES
+from mpnav.ins import drift_profile
 from mpnav.pipeline import (
     Rates,
     RunSetup,
@@ -28,11 +33,19 @@ from mpnav.pipeline import (
     screen_sbr,
     synth_measurements,
 )
-from mpnav.scene import SceneArrays, double_bounce_path, ring_scenario
+from mpnav.scene import (
+    SceneArrays,
+    Trajectory,
+    double_bounce_path,
+    ring_scenario,
+    trajectory_poses,
+)
 from mpnav.synth import (
     ImuErrorModel,
     LosObs,
+    NoiseCfg,
     OutageWindow,
+    RadioRecords,
     read_measurement_log,
     synth_los,
     synth_sbr,
@@ -73,7 +86,7 @@ def per_record_epochs(ms, setup):
     rng = _rng_streams(setup.seed)["obs"]
     out = []
     for idx in ms.epoch_idx:
-        pose = ms.poses[idx]
+        pose = ms.truth[idx]
         vis = arrays.los_mask(pose.p)
         clean = [synth_los(bs, pose, setup.path_loss) for b, bs in enumerate(stations) if vis[b]]
         bi, _, _, _, _, ln, ud, ua, _ = arrays.specular_arrays(pose.p)
@@ -144,6 +157,113 @@ def test_whole_run_synthesis_matches_per_epoch_reference(kwargs):
     assert sum(len(los) for los, _ in got) == len(ms.los)
 
 
+def array_columns(obj, prefix=""):
+    """Every array of a measurement set by dotted name, nested records
+    (truth, los, sbr) and the truth biases included."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, (Trajectory, RadioRecords)):
+            out.update(array_columns(value, f"{prefix}{f.name}."))
+        elif isinstance(value, tuple) and value and isinstance(value[0], np.ndarray):
+            out.update({f"{prefix}{f.name}[{k}]": v for k, v in enumerate(value)})
+        elif isinstance(value, np.ndarray):
+            out[prefix + f.name] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "duration_s, chunk_epochs, double",
+    [(12.0, 1, True), (12.0, 7, True), (12.0, 25, True), (60.0, None, False)],
+    ids=["chunks_of_1", "chunks_of_7", "one_chunk_over_E", "default_budget"],
+)
+def test_chunked_synthesis_matches_unchunked_reference(monkeypatch, duration_s, chunk_epochs, double):
+    # epochs every 0.5 s: with 7-epoch chunks the outage starts in the first
+    # chunk (3.5 s is its last epoch) and ends in the second
+    setup = fast_setup(
+        duration_s=duration_s,
+        seed=5,
+        include_double_bounce=double,
+        outages=[OutageWindow(2.0, 5.0)],
+    )
+    n_triples = len(setup.scenario.base_stations) * len(setup.scenario.walls)
+    if chunk_epochs is None:
+        chunk_epochs = pipeline._CHUNK_TRIPLES // n_triples  # 85 epochs of the ring
+    else:
+        monkeypatch.setattr(pipeline, "_CHUNK_TRIPLES", chunk_epochs * n_triples)
+    calls = []
+    noise = pipeline.apply_noise
+    monkeypatch.setattr(pipeline, "apply_noise", lambda *a, **k: calls.append(1) or noise(*a, **k))
+    ms = synth_measurements(setup)
+    n_epochs = len(ms.epoch_t)
+    assert len(calls) == math.ceil(n_epochs / chunk_epochs)
+    ref = synth_measurements_unchunked(setup)
+    got, want = array_columns(ms), array_columns(ref)
+    assert sorted(got) == sorted(want)
+    for name, value in want.items():
+        assert got[name].dtype == value.dtype, name
+        assert np.array_equal(got[name], value), name
+    assert (ms.sbr.bounces == 2).any() == double
+    assert np.diff(ms.los.off)[(ms.epoch_t >= 2.0) & (ms.epoch_t <= 5.0)].sum() == 0
+
+
+def sweep_case_400s():
+    """The outage sweep's longest case: 415 s at 20 Hz, a 400 s outage."""
+    return RunSetup(
+        scenario=ring_scenario(speed_mps=6.5),
+        duration_s=415.0,
+        seed=0,
+        rates=_SWEEP_RATES,
+        noise=NoiseCfg(),
+        imu_err=ImuErrorModel(bias_mode="fixed_magnitude"),
+        outages=[OutageWindow(10.0, 410.0)],
+        compute_nees=False,
+    )
+
+
+def owned_nbytes(ms):
+    """Bytes of the measurement set's arrays that own their memory (views,
+    such as imu_t into the truth times, add nothing)."""
+    return sum(a.nbytes for a in array_columns(ms).values() if a.base is None)
+
+
+def test_synthesis_memory_is_its_outputs():
+    # chunked synthesis keeps its temporaries to a few chunks' worth; per-
+    # sample Pose and ImuSample objects or whole-run geometry would not fit
+    setup = sweep_case_400s()
+    synth_measurements(replace(setup, duration_s=5.0))  # first-call caches
+    tracemalloc.start()
+    try:
+        ms = synth_measurements(setup)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = owned_nbytes(ms)
+    assert len(ms.truth) == 8301 and len(ms.sbr) > 30000
+    assert peak <= nbytes + 4 * 2**20, (peak, nbytes)
+
+
+def test_no_pose_objects_on_the_run_path(monkeypatch, tmp_path):
+    built = []
+    post_init = scene.Pose.__post_init__
+    monkeypatch.setattr(
+        scene.Pose, "__post_init__", lambda self: built.append(1) or post_init(self)
+    )
+    setup = fast_setup(duration_s=20.0, seed=2, outages=[OutageWindow(8.0, 12.0)])
+    ms = synth_measurements(setup)
+    res = run_filter(ms, setup)
+    assert np.isfinite(res.nees).all()
+    log = tmp_path / "m.jsonl"
+    write_measurement_log(log, ms)
+    run_filter(measurement_set_from_records(read_measurement_log(log), setup), setup)
+    truth = trajectory_poses(setup.scenario.trajectory, np.arange(401) / 20.0)
+    drift_profile(truth, setup.imu_err, 20.0, np.random.default_rng(0))
+    assert built == []
+    # the one path that still builds them: indexing a trajectory row
+    truth[0]
+    assert built == [1]
+
+
 def test_filter_matches_per_record_reference():
     # batched LoS fixes and motion gates give the record-by-record loop's
     # positions bit for bit; with reflections on, the reference screens
@@ -172,7 +292,7 @@ def test_sbr_screen_matches_per_record_reference():
     tied_sbr = replace(ms.sbr, rss=np.round(ms.sbr.rss))
     for k, ((_, ep_sbr), idx, t) in enumerate(zip(epoch_records(ms), ms.epoch_idx, ms.epoch_t)):
         rows = slice(ms.sbr.off[k], ms.sbr.off[k + 1])
-        pose = ms.poses[idx]
+        pose = ms.truth[idx]
         # a position prior off by a few meters makes residual rejections
         p_ref = pose.p + [2.0 * np.cos(k), 2.0 * np.sin(k), 0.0]
         # a tilted attitude makes elevation rejections of globalized angles

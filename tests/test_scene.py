@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
-from helpers import random_bs, random_single_bounce, random_ue, random_wall
+from helpers import (
+    random_bs,
+    random_single_bounce,
+    random_ue,
+    random_wall,
+    stack_poses,
+    trajectory_poses_per_sample,
+)
 
 from mpnav.scene import (
     BaseStation,
     GeometryError,
+    Pose,
     Scenario,
     SceneArrays,
+    Trajectory,
     Wall,
     angles_from_unit,
     double_bounce_path,
@@ -242,9 +251,7 @@ def test_trajectory_circle():
         # yaw follows the velocity direction
         assert po.att[2] == pytest.approx(np.arctan2(po.v[1], po.v[0]), abs=1e-12)
     # distance traveled matches speed * time
-    arc = sum(
-        np.linalg.norm(b.p - a.p) for a, b in zip(poses[:-1], poses[1:])
-    )
+    arc = np.linalg.norm(np.diff(poses.p, axis=0), axis=1).sum()
     assert arc == pytest.approx(8.0 * 19.5, rel=1e-3)
 
 
@@ -278,6 +285,64 @@ def test_trajectory_samples_and_errors():
         trajectory_poses({"kind": "circle", "center_en_m": [0, 0], "radius_m": 0.0, "speed_mps": 1.0}, [0.0])
     with pytest.raises(GeometryError):
         trajectory_poses({"kind": "samples", "t_s": ts, "p_enu_m": ps}, [5.0])
+
+
+CIRCLE = {"kind": "circle", "center_en_m": [10.0, -5.0], "radius_m": 100.0, "speed_mps": 8.0, "z_m": 1.5}
+ROUTE = {
+    "kind": "waypoints",
+    "points_enu_m": [[0.0, 0.0, 1.5], [100.0, 0.0, 1.5], [100.0, 50.0, 4.0], [-20.0, 80.0, 2.0]],
+    "speed_mps": 9.0,
+}
+SAMPLE_T = [0.0, 0.7, 1.5, 2.0, 3.1, 4.0]
+SAMPLE_P = [[0, 0, 1], [1, 0.5, 1], [2.5, 1.5, 1.2], [3, 3, 1.1], [2, 5, 1], [0, 6, 1]]
+TRAJECTORY_CASES = {
+    "circle_ccw": (dict(CIRCLE, phase_rad=0.3), np.arange(6001) / 100.0),
+    "circle_cw": (dict(CIRCLE, ccw=False, phase_rad=-1.2), np.arange(6001) / 100.0),
+    "circle_at_rest_ccw": (dict(CIRCLE, speed_mps=0.0, phase_rad=0.7), np.arange(201) / 20.0),
+    "circle_at_rest_cw": (dict(CIRCLE, speed_mps=0.0, ccw=False), np.arange(201) / 20.0),
+    # the route is 291 m long: past 32.4 s it holds the last point
+    "waypoints_and_end_hold": (ROUTE, np.arange(801) / 20.0),
+    "waypoints_on_the_corners": (ROUTE, np.array([0.0, 100.0 / 9.0, 150.0 / 9.0, 400.0])),
+    "samples_differenced": (
+        {"kind": "samples", "t_s": SAMPLE_T, "p_enu_m": SAMPLE_P},
+        np.linspace(0.0, 4.0, 97),
+    ),
+    "samples_given_v_and_att": (
+        {
+            "kind": "samples",
+            "t_s": SAMPLE_T,
+            "p_enu_m": SAMPLE_P,
+            "v_enu_mps": [[1, 0.2, 0], [1.5, 1, 0], [1, 2, 0.1], [0, 2, 0], [-1, 1, 0], [-2, 0, 0]],
+            "att_rpy_rad": [[0, 0, 0.1], [0.01, 0, 0.5], [0, -0.02, 1.1], [0, 0, 1.6], [0, 0, 2.4], [0, 0, 3.1]],
+        },
+        np.linspace(0.0, 4.0, 97),
+    ),
+}
+
+
+def bit_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(TRAJECTORY_CASES))
+def test_trajectory_columns_match_per_sample_reference(case):
+    spec, times = TRAJECTORY_CASES[case]
+    got = trajectory_poses(spec, times)
+    poses = trajectory_poses_per_sample(spec, times)
+    ref = stack_poses(poses)
+    assert isinstance(got, Trajectory)
+    for name in ("t", "p", "v", "att"):
+        assert bit_equal(getattr(got, name), getattr(ref, name)), name
+    # rows read back as the reference's Pose objects
+    assert len(got) == len(poses)
+    for k in (0, 1, len(poses) // 2, -1):
+        row = got[k]
+        assert isinstance(row, Pose)
+        assert row.t == poses[k].t
+        assert all(bit_equal(getattr(row, n), getattr(poses[k], n)) for n in ("p", "v", "att"))
+    # iteration walks the rows and stops at the end
+    assert [po.t for po in got] == [po.t for po in poses]
 
 
 def test_scenario_round_trip(tmp_path):

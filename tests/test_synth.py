@@ -4,21 +4,32 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import (
+    OdoSample,
     add_noise,
     apply_noise_per_record,
     random_double_bounce,
     random_single_bounce,
+    stack_poses,
+    synth_imu_per_sample,
+    synth_odo_per_sample,
+    trajectory_poses_per_sample,
     write_log_json,
 )
 
 from mpnav import quat
-from mpnav.scene import SPEED_OF_LIGHT, BaseStation, Pose, specular_path, unit_from_angles
+from mpnav.scene import (
+    SPEED_OF_LIGHT,
+    BaseStation,
+    Pose,
+    specular_path,
+    trajectory_poses,
+    unit_from_angles,
+)
 from mpnav.synth import (
     ImuErrorModel,
     ImuSample,
     LosObs,
     NoiseCfg,
-    OdoSample,
     OutageWindow,
     PathLossModel,
     apply_noise,
@@ -255,9 +266,7 @@ def test_outage_mask():
 
 def level_track(duration=10.0, rate=100.0, speed=0.0):
     ts = np.arange(0.0, duration + 0.5 / rate, 1.0 / rate)
-    return [
-        pose_at([speed * t, 0.0, 0.0], t=t, v=[speed, 0.0, 0.0]) for t in ts
-    ]
+    return stack_poses([pose_at([speed * t, 0.0, 0.0], t=t, v=[speed, 0.0, 0.0]) for t in ts])
 
 
 def test_synth_imu_stationary_and_uniform_motion():
@@ -270,7 +279,7 @@ def test_synth_imu_stationary_and_uniform_motion():
         assert np.allclose(gyro, 0.0, atol=1e-12)
         assert np.allclose(accel, [0.0, 0.0, 9.80665], atol=1e-9)
     with pytest.raises(ValueError):
-        synth_imu(level_track()[:2], err, 100.0, rng)
+        synth_imu(level_track(duration=0.01), err, 100.0, rng)
 
 
 def test_synth_imu_bias_modes():
@@ -287,10 +296,42 @@ def test_synth_imu_bias_modes():
 def test_synth_odo():
     poses = level_track(duration=2.0, rate=10.0, speed=6.0)
     out = synth_odo(poses, 10.0, 0.0, np.random.default_rng(6))
-    assert len(out) == 21
-    assert all(o.speed == pytest.approx(6.0) for o in out)
+    assert np.allclose(out.t, np.arange(21) / 10.0)
+    assert np.allclose(out.speed, 6.0)
     noisy = synth_odo(poses, 10.0, 0.1, np.random.default_rng(6))
-    assert any(abs(o.speed - 6.0) > 1e-6 for o in noisy)
+    assert np.any(np.abs(noisy.speed - 6.0) > 1e-6)
+
+
+TRUTH_SPECS = [
+    {"kind": "circle", "center_en_m": [0.0, 0.0], "radius_m": 160.0, "speed_mps": 8.0, "z_m": 1.5},
+    {"kind": "circle", "center_en_m": [5.0, 0.0], "radius_m": 80.0, "speed_mps": 6.5, "ccw": False},
+    # ends on the route's end hold: the odometer reads zero there
+    {"kind": "waypoints", "points_enu_m": [[0, 0, 1], [60, 0, 1], [60, 40, 2]], "speed_mps": 9.0},
+]
+
+
+@pytest.mark.parametrize("spec", TRUTH_SPECS, ids=["circle_ccw", "circle_cw", "waypoints"])
+def test_imu_and_odometer_columns_match_per_sample_reference(spec):
+    times = np.arange(1201) / 100.0
+    truth = trajectory_poses(spec, times)
+    poses = trajectory_poses_per_sample(spec, times)
+    for err in (ImuErrorModel(), ImuErrorModel(bias_mode="fixed_magnitude")):
+        got = synth_imu(truth, err, 100.0, np.random.default_rng(3))
+        ref = synth_imu_per_sample(poses, err, 100.0, np.random.default_rng(3))
+        assert len(got) == len(ref) == len(times) - 1
+        assert np.array_equal(got.t, [s.t for s in ref])
+        assert np.array_equal(got.gyro, np.stack([s.gyro for s in ref]))
+        assert np.array_equal(got.accel, np.stack([s.accel for s in ref]))
+        # iteration yields the same samples as rows
+        rows = list(got)
+        assert all(isinstance(r, ImuSample) for r in rows)
+        assert [r.t for r in rows] == [s.t for s in ref]
+        assert np.array_equal(np.stack([r.gyro for r in rows]), got.gyro)
+    for rate, noise_std in ((10.0, 0.0), (10.0, 0.05), (7.0, 0.2)):
+        got = synth_odo(truth, rate, noise_std, np.random.default_rng(4))
+        ref = synth_odo_per_sample(poses, rate, noise_std, np.random.default_rng(4))
+        assert np.array_equal(got.t, [o.t for o in ref])
+        assert np.array_equal(got.speed, [o.speed for o in ref])
 
 
 def test_measurement_log_round_trip(tmp_path):
