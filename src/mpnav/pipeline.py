@@ -24,7 +24,6 @@ from .scene import (
     SceneArrays,
     Trajectory,
     angles_from_unit,
-    double_bounce_path,
     trajectory_poses,
     unit_from_angles,
 )
@@ -144,25 +143,6 @@ def _offsets(epoch_of_row, n_epochs):
     return np.concatenate([[0], np.cumsum(np.bincount(epoch_of_row, minlength=n_epochs))])
 
 
-def _double_bounces(stations, walls, ue):
-    """Two-bounce paths of every epoch, (epoch, station, length, u_dep,
-    u_arr) per path, ordered by epoch, station, first wall, second wall."""
-    found = []
-    for e, p in enumerate(ue):
-        for b, bs in enumerate(stations):
-            for w1 in walls:
-                for w2 in walls:
-                    if w1.id != w2.id:
-                        path = double_bounce_path(bs, p, w1, w2)
-                        if path is not None:
-                            found.append((e, b, path.length, path.u_dep, path.u_arr))
-    if not found:
-        i, v = np.zeros(0, dtype=int), np.zeros((0, 3))
-        return i, i, np.zeros(0), v, v
-    e, b, ln, ud, ua = zip(*found)
-    return np.array(e), np.array(b), np.array(ln), np.stack(ud), np.stack(ua)
-
-
 def _synth_epochs(setup: RunSetup, arrays: SceneArrays, ue, att, epoch_t, rng):
     """Radio records of consecutive epochs, numbered from 0, at UE
     positions ue (n, 3), attitudes att (n, 3) and times epoch_t (n,).
@@ -185,7 +165,7 @@ def _synth_epochs(setup: RunSetup, arrays: SceneArrays, ue, att, epoch_t, rng):
     rb, _, _, _, _, ln, ud, ua, re = arrays.specular_arrays(ue)
     bounces = np.ones(rb.size, dtype=int)
     if setup.include_double_bounce:
-        de, db, dln, dud, dua = _double_bounces(arrays.base_stations, arrays.walls, ue)
+        db, _, _, _, _, dln, dud, dua, de = arrays.double_bounce_arrays(ue)
         merge = np.argsort(np.concatenate([re, de]), kind="stable")
         re, rb = np.concatenate([re, de])[merge], np.concatenate([rb, db])[merge]
         ln, ud, ua = (np.concatenate(x)[merge] for x in ((ln, dln), (ud, dud), (ua, dua)))
@@ -210,16 +190,18 @@ def _synth_epochs(setup: RunSetup, arrays: SceneArrays, ue, att, epoch_t, rng):
     return los, (re, rb, noisy[n_los:], rss[n_los:], bounces, body)
 
 
-def _join(parts: list) -> np.ndarray:
-    """Concatenate parts and empty the list, freeing them."""
-    out = np.concatenate(parts)
-    parts.clear()
-    return out
+def _extend(col: np.ndarray, part: np.ndarray) -> None:
+    """Append part's rows to col, which owns its data and has no views: one
+    realloc grows it in place, so the rows so far are never held twice."""
+    n = len(col)
+    col.resize((n + len(part),) + col.shape[1:], refcheck=False)
+    col[n:] = part
 
 
-# (epoch, station, wall) triples per synthesis chunk: about 85 epochs of an
-# 8-station, 6-wall scene, so that the geometry and noise temporaries stay
-# small however long the drive
+# (epoch, station, wall) triples per synthesis chunk, or (epoch, station,
+# wall pair) with double bounces: about 85 epochs of an 8-station, 6-wall
+# scene, 14 with double bounces, so that the geometry and noise temporaries
+# stay small however long the drive
 _CHUNK_TRIPLES = 4096
 
 
@@ -228,13 +210,14 @@ def synth_measurements(setup: RunSetup) -> MeasurementSet:
 
     The truth trajectory, IMU and odometer streams come as whole-run
     columns. The radio records are synthesized a chunk of epochs at a time
-    (about _CHUNK_TRIPLES epoch-station-wall triples), each chunk drawing its
-    noise block from the one observation stream, and the rows of all chunks
-    are joined. Noise draws are consumed in a fixed order (IMU stream, then
-    per epoch: LoS by station order, single bounces station-major then
-    wall, double bounces last), so configurations that differ only in noise
-    variance or outage schedule share identical unit draws, and the chunk
-    size changes no number; outage LoS rows are drawn, then dropped.
+    (about _CHUNK_TRIPLES epoch-station-wall triples, counting wall pairs
+    with double bounces), each chunk drawing its noise block from the one
+    observation stream and appending its rows to the run's columns. Noise
+    draws are consumed in a fixed order (IMU stream, then per epoch: LoS by
+    station order, single bounces station-major then wall, double bounces
+    last), so configurations that differ only in noise variance or outage
+    schedule share identical unit draws, and the chunk size changes no
+    number; outage LoS rows are drawn, then dropped.
     """
     streams = _rng_streams(setup.seed)
     epoch_idx, _, n_samples = _epoch_indices(setup)
@@ -247,18 +230,22 @@ def synth_measurements(setup: RunSetup) -> MeasurementSet:
     arrays = SceneArrays(stations, setup.scenario.walls)
     n_epochs = len(epoch_idx)
     epoch_t = times[epoch_idx]
-    step = max(1, _CHUNK_TRIPLES // max(1, arrays.n_bs * arrays.n_walls))
-    # each column's parts, one per chunk: the LoS columns, then the SBR ones
-    parts = [[] for _ in range(10)]
+    walls_per_epoch = arrays.n_walls * (arrays.n_walls if setup.include_double_bounce else 1)
+    step = max(1, _CHUNK_TRIPLES // max(1, arrays.n_bs * walls_per_epoch))
+    # the LoS columns, then the SBR ones, each grown by every chunk's rows
+    cols = None
     for e0 in range(0, n_epochs, step):
         rows = epoch_idx[e0 : e0 + step]
         los, sbr = _synth_epochs(
             setup, arrays, truth.p[rows], truth.att[rows], epoch_t[e0 : e0 + step], streams["obs"]
         )
-        for col, part in zip(parts, (los[0] + e0, *los[1:], sbr[0] + e0, *sbr[1:])):
-            col.append(part)
-    # joined one column at a time, each column's parts freed once joined
-    le, lb, l_obs, l_rss, re, rb, r_obs, r_rss, bounces, body = (_join(col) for col in parts)
+        chunk = (los[0] + e0, *los[1:], sbr[0] + e0, *sbr[1:])
+        if cols is None:
+            cols = [np.array(part) for part in chunk]
+        else:
+            for col, part in zip(cols, chunk):
+                _extend(col, part)
+    le, lb, l_obs, l_rss, re, rb, r_obs, r_rss, bounces, body = cols
     return MeasurementSet(
         truth=truth,
         bs_ids=tuple(bs.id for bs in stations),
@@ -320,9 +307,9 @@ def _init_filter(setup: RunSetup, truth: Trajectory, rng) -> FilterState:
     )
 
 
-def screen_sbr(sbr: RadioRecords, rows: slice, t, stations, q_bn, p_ref, setup: RunSetup):
+def screen_sbr(sbr: RadioRecords, rows: slice, t, stations, bs_p, q_bn, p_ref, setup: RunSetup):
     """Bounce-order screen of one epoch's reflected records, sbr's rows, on
-    arrays.
+    arrays; bs_p (B, 3) holds the positions of stations.
 
     With setup.use_body_aoa the body-frame arrival angles are globalized
     with the attitude q_bn. Each path's locus is scored against p_ref, one
@@ -338,7 +325,7 @@ def screen_sbr(sbr: RadioRecords, rows: slice, t, stations, q_bn, p_ref, setup: 
         u_glob = quat.rotate(q_bn, unit_from_angles(body[:, 0], body[:, 1]))
         obs[:, 3], obs[:, 4] = angles_from_unit(u_glob)
     residuals = sbr_locus_residuals(
-        np.stack([stations[b].p for b in bs.tolist()]),
+        bs_p[bs],
         obs[:, 0] * SPEED_OF_LIGHT,
         unit_from_angles(obs[:, 1], obs[:, 2]),
         unit_from_angles(obs[:, 3], obs[:, 4]),
@@ -391,6 +378,9 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
     odo_t, odo_v = ms.odo_t, ms.odo_v
 
     dt_obs = 1.0 / setup.rates.obs_hz
+    # odometer speed over each epoch interval
+    odo_j = np.minimum(np.searchsorted(odo_t, ms.epoch_t - 1e-9), len(odo_v) - 1)
+    odo_speed = odo_v[odo_j].tolist()
     epoch_idx = ms.epoch_idx.tolist()
     epoch_t = ms.epoch_t.tolist()
     n_epochs = len(epoch_idx)
@@ -436,9 +426,7 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
         )
         prev_idx = idx
 
-        # odometer travel over this epoch interval
-        j = min(int(np.searchsorted(odo_t, epoch_t[e_i] - 1e-9)), len(odo_v) - 1)
-        travel_budget += abs(odo_v[j]) * dt_obs
+        travel_budget += abs(odo_speed[e_i]) * dt_obs
 
         accepted_any = False
         a, b = los_off[e_i], los_off[e_i + 1]
@@ -473,7 +461,7 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
             counters["sbr_total"] += b - a
         if setup.with_sbr and b - a >= 2:
             admitted, counts = screen_sbr(
-                sbr, slice(a, b), epoch_t[e_i], stations, fs.q_bn, fs.p, setup
+                sbr, slice(a, b), epoch_t[e_i], stations, bs_p, fs.q_bn, fs.p, setup
             )
             for key, n in counts.items():
                 counters[key] += n

@@ -15,56 +15,52 @@ from __future__ import annotations
 import numpy as np
 
 
-def identity() -> np.ndarray:
-    return np.array([1.0, 0.0, 0.0, 0.0])
-
-
 def normalize(q: np.ndarray) -> np.ndarray:
     # the sum np.linalg.norm(q, axis=-1) takes, without its call overhead
     q = np.asarray(q, dtype=float)
     return q / np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
 
 
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product; R(multiply(a, b)) = R(a) @ R(b)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    aw, ax, ay, az = (a[..., i] for i in range(4))
-    bw, bx, by, bz = (b[..., i] for i in range(4))
-    out = np.empty(np.broadcast(aw, bw).shape + (4,))
-    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
-    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
-    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
-    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+# Hamilton product a (x) b as sum_i a[i] * F[i], where F[i, j] is the b
+# term, with its sign, that multiplies a[i] in output component j:
+# F[i, j] = _SIGN[i, j] * b[_PERM[i, j]]
+_PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_SIGN = np.array([[1.0, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]])
+
+
+def _sum_rows(p: np.ndarray) -> np.ndarray:
+    """((p[0] + p[1]) + p[2]) + p[3] over the second-to-last axis, as a
+    C-ordered array: normalize's component sum depends on the layout."""
+    out = np.add(p[..., 0, :], p[..., 1, :], order="C")
+    out += p[..., 2, :]
+    out += p[..., 3, :]
     return out
+
+
+def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product; R(multiply(a, b)) = R(a) @ R(b).
+
+    Each output component sums a's w, x, y, z terms in that order; a sign
+    folded into a factor leaves every rounding of the written-out
+    difference unchanged.
+    """
+    b = np.asarray(b, dtype=float)
+    return _sum_rows(np.asarray(a, dtype=float)[..., :, None] * (b[..., _PERM] * _SIGN))
 
 
 def chain(q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """Running products q (x) dq[0] (x) dq[1] ..., renormalized after each
     factor; returns every partial product, shape (m, ..., 4).
 
-    Equal bit for bit to repeating q = normalize(multiply(q, dq[k])): each
-    output component sums the same four products in the same order (a's w,
-    x, y, z), with the signs moved onto the precomputed dq factors, which
-    leaves every rounding unchanged.
+    Equal bit for bit to repeating q = normalize(multiply(q, dq[k])), with
+    every step's signed factors taken at once.
     """
     dq = np.asarray(dq, dtype=float)
-    w, x, y, z = (dq[..., i] for i in range(4))
-    # factors[k, j]: the dq[k] terms that multiply component j of the left side
-    factors = np.stack(
-        [
-            np.stack([w, x, y, z], axis=-1),
-            np.stack([-x, w, -z, y], axis=-1),
-            np.stack([-y, z, w, -x], axis=-1),
-            np.stack([-z, -y, x, w], axis=-1),
-        ],
-        axis=1,
-    )
+    factors = dq[..., _PERM] * _SIGN
     q = np.asarray(q, dtype=float)
     out = np.empty(dq.shape[:1] + np.broadcast_shapes(q.shape, dq.shape[1:]))
     for k, f in enumerate(factors):
-        q = q[..., 0:1] * f[0] + q[..., 1:2] * f[1] + q[..., 2:3] * f[2] + q[..., 3:4] * f[3]
-        q = out[k] = normalize(q)
+        q = out[k] = normalize(_sum_rows(q[..., :, None] * f))
     return out
 
 
@@ -72,24 +68,27 @@ def conjugate(q: np.ndarray) -> np.ndarray:
     return np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
 
 
+# a x b = p[:3] - p[3:] with p = a[..., _CROSS_A] * b[..., _CROSS_B]
+_CROSS_A = np.array([1, 2, 0, 2, 0, 1])
+_CROSS_B = np.array([2, 0, 1, 1, 2, 0])
+
+
 def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply R(q) to vectors; q must be unit length.
 
-    v + 2 w (u x v) + 2 u x (u x v), with the cross products written out
-    componentwise; np.cross is an order of magnitude slower on small inputs.
+    v + 2 w (u x v) + 2 u x (u x v), with each cross product taken as the
+    difference of two index-permuted products and the sum left to right;
+    np.cross is an order of magnitude slower on small inputs.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    w = q[..., 0]
-    ux, uy, uz = q[..., 1], q[..., 2], q[..., 3]
-    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
-    tx = 2.0 * (uy * vz - uz * vy)
-    ty = 2.0 * (uz * vx - ux * vz)
-    tz = 2.0 * (ux * vy - uy * vx)
-    out = np.empty(np.broadcast(w, vx).shape + (3,))
-    out[..., 0] = vx + w * tx + uy * tz - uz * ty
-    out[..., 1] = vy + w * ty + uz * tx - ux * tz
-    out[..., 2] = vz + w * tz + ux * ty - uy * tx
+    u = q[..., 1:][..., _CROSS_A]
+    p = u * v[..., _CROSS_B]
+    t = 2.0 * (p[..., :3] - p[..., 3:])
+    p = u * t[..., _CROSS_B]
+    out = np.add(v, q[..., :1] * t, order="C")
+    out += p[..., :3]
+    out -= p[..., 3:]
     return out
 
 

@@ -3,7 +3,9 @@
 Base stations, finite vertical reflector walls, ground-truth trajectories,
 and the mirror construction that turns a wall into a virtual anchor: the
 reflected ray from a base station equals a straight ray from the station's
-mirror image across the wall plane.
+mirror image across the wall plane. SceneArrays answers visibility, single-
+and double-bounce queries for a whole stack of UE positions on arrays; it is
+the package's one implementation of reflection paths.
 
 Positions are local ENU meters. Azimuth is CCW from East, elevation above
 horizontal, angles in radians everywhere inside the package.
@@ -19,7 +21,6 @@ import numpy as np
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 
 _PLANE_TOL = 1e-9  # m, on-plane slack for crossing tests
-_INPLANE = "inplane"
 
 
 class GeometryError(ValueError):
@@ -122,60 +123,10 @@ class Trajectory:
         return Pose(t=self.t[k], p=self.p[k].copy(), v=self.v[k].copy(), att=self.att[k].copy())
 
 
-@dataclass
-class SbrPath:
-    """One single-bounce reflection: BS -> wall point -> UE."""
-
-    bs_id: str
-    wall_id: str
-    point: np.ndarray  # bounce point on the wall, m
-    leg_bs: float  # BS -> bounce, m
-    leg_ue: float  # bounce -> UE, m
-    length: float  # total path length, m
-    u_dep: np.ndarray  # unit departure direction at the BS, global axes
-    u_arr: np.ndarray  # unit arrival direction at the UE, pointing UE -> bounce
-    bounces: int = 1
-
-
-@dataclass
-class DoubleBouncePath:
-    """Two-bounce path BS -> wall1 -> wall2 -> UE, used to exercise the
-    single-bounce admission gate with realistic impostors."""
-
-    bs_id: str
-    wall_ids: tuple
-    points: tuple  # the two bounce points
-    length: float
-    u_dep: np.ndarray
-    u_arr: np.ndarray
-    bounces: int = 2
-
-
 def mirror_point(p, wall: Wall) -> np.ndarray:
     """Reflect p across the wall's infinite vertical plane; z is unchanged."""
     p = np.asarray(p, dtype=float)
     return p - 2.0 * wall.signed_distance(p) * wall.normal
-
-
-def _segment_plane_crossing(p0, p1, wall: Wall):
-    """Parameter t in [0, 1] where p0 + t*(p1 - p0) meets the wall plane.
-
-    Returns None when both endpoints sit strictly on one side, the _INPLANE
-    sentinel when the whole segment lies in the plane.
-    """
-    s0 = wall.signed_distance(p0)
-    s1 = wall.signed_distance(p1)
-    if abs(s0) <= _PLANE_TOL and abs(s1) <= _PLANE_TOL:
-        return _INPLANE
-    if s0 * s1 > 0.0:
-        return None
-    denom = s0 - s1
-    if denom == 0.0:
-        return None
-    t = s0 / denom
-    if t < 0.0 or t > 1.0:
-        return None
-    return t
 
 
 def _inplane_overlap(p0, p1, wall: Wall) -> bool:
@@ -202,101 +153,6 @@ def _inplane_overlap(p0, p1, wall: Wall) -> bool:
         if t_lo > t_hi:
             return False
     return True
-
-
-def specular_path(bs: BaseStation, ue, wall: Wall):
-    """Single-bounce path from bs to ue off one wall, or None.
-
-    The reflected ray is the straight segment from the mirrored base station
-    to the UE; where it crosses the wall rectangle is the bounce point, and
-    the total length equals |mirror - ue|. None when the crossing misses the
-    finite rectangle, the endpoints sit on the same side of the plane, or the
-    geometry is degenerate (an endpoint on the plane itself).
-    """
-    ue = np.asarray(ue, dtype=float)
-    m = mirror_point(bs.p, wall)
-    t = _segment_plane_crossing(m, ue, wall)
-    if t is None or t is _INPLANE:
-        return None
-    if t <= 0.0 or t >= 1.0:
-        return None
-    point = m + t * (ue - m)
-    if not wall.on_rectangle(point):
-        return None
-    leg_bs = float(np.linalg.norm(point - bs.p))
-    leg_ue = float(np.linalg.norm(ue - point))
-    if leg_bs <= _PLANE_TOL or leg_ue <= _PLANE_TOL:
-        return None
-    return SbrPath(
-        bs_id=bs.id,
-        wall_id=wall.id,
-        point=point,
-        leg_bs=leg_bs,
-        leg_ue=leg_ue,
-        length=leg_bs + leg_ue,
-        u_dep=(point - bs.p) / leg_bs,
-        u_arr=(point - ue) / leg_ue,
-    )
-
-
-def los_visible(bs: BaseStation, ue, walls) -> bool:
-    """True when the straight bs-ue segment meets no wall rectangle.
-
-    Endpoint contact counts as blocked; the test is symmetric in bs and ue.
-    """
-    p0 = np.asarray(bs.p, dtype=float)
-    p1 = np.asarray(ue, dtype=float)
-    for wall in walls:
-        t = _segment_plane_crossing(p0, p1, wall)
-        if t is None:
-            continue
-        if t is _INPLANE:
-            if _inplane_overlap(p0, p1, wall):
-                return False
-            continue
-        if wall.on_rectangle(p0 + t * (p1 - p0)):
-            return False
-    return True
-
-
-def double_bounce_path(bs: BaseStation, ue, wall1: Wall, wall2: Wall):
-    """Two-bounce path bs -> wall1 -> wall2 -> ue via double unfolding.
-
-    Mirror bs across wall1, then that image across wall2; the second bounce
-    point is where the segment from the double image to ue crosses wall2, and
-    the first is where the segment from the single image to that point
-    crosses wall1. None whenever either crossing misses its rectangle.
-    """
-    if wall1 is wall2 or wall1.id == wall2.id:
-        raise GeometryError("double bounce needs two distinct walls")
-    ue = np.asarray(ue, dtype=float)
-    m1 = mirror_point(bs.p, wall1)
-    m12 = mirror_point(m1, wall2)
-    t2 = _segment_plane_crossing(m12, ue, wall2)
-    if not isinstance(t2, float) or not 0.0 < t2 < 1.0:
-        return None
-    q2 = m12 + t2 * (ue - m12)
-    if not wall2.on_rectangle(q2):
-        return None
-    t1 = _segment_plane_crossing(m1, q2, wall1)
-    if not isinstance(t1, float) or not 0.0 < t1 < 1.0:
-        return None
-    q1 = m1 + t1 * (q2 - m1)
-    if not wall1.on_rectangle(q1):
-        return None
-    leg1 = float(np.linalg.norm(q1 - bs.p))
-    leg2 = float(np.linalg.norm(q2 - q1))
-    leg3 = float(np.linalg.norm(ue - q2))
-    if min(leg1, leg2, leg3) <= _PLANE_TOL:
-        return None
-    return DoubleBouncePath(
-        bs_id=bs.id,
-        wall_ids=(wall1.id, wall2.id),
-        points=(q1, q2),
-        length=leg1 + leg2 + leg3,
-        u_dep=(q1 - bs.p) / leg1,
-        u_arr=(q2 - ue) / leg3,
-    )
 
 
 def unit_from_angles(az, el) -> np.ndarray:
@@ -437,27 +293,6 @@ class Scenario:
             raise GeometryError("trajectory spec needs a 'kind'")
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "name": s.name,
-        "base_stations": [
-            {"id": b.id, "p_enu_m": [float(x) for x in b.p]} for b in s.base_stations
-        ],
-        "walls": [
-            {
-                "id": w.id,
-                "a_en_m": [float(x) for x in w.a],
-                "b_en_m": [float(x) for x in w.b],
-                "z0_m": w.z0,
-                "height_m": w.h,
-                "reflection_loss_db": w.reflection_loss_db,
-            }
-            for w in s.walls
-        ],
-        "trajectory": dict(s.trajectory),
-    }
-
-
 def scenario_from_dict(d: dict) -> Scenario:
     try:
         stations = [
@@ -488,12 +323,6 @@ def scenario_from_dict(d: dict) -> Scenario:
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as f:
         return scenario_from_dict(json.load(f))
-
-
-def save_scenario(path, s: Scenario) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(scenario_to_dict(s), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def ring_scenario(
@@ -562,14 +391,25 @@ def ring_scenario(
     )
 
 
+def _strict_crossing(s0, s1):
+    """Where the segments with end offsets s0, s1 from a wall plane cross
+    it strictly between their ends: (t, hit) arrays, t the crossing's
+    parameter (meaningless where hit is False)."""
+    inplane = (np.abs(s0) <= _PLANE_TOL) & (np.abs(s1) <= _PLANE_TOL)
+    denom = s0 - s1
+    hit = ~inplane & ~(s0 * s1 > 0.0) & (denom != 0.0)
+    t = s0 / np.where(hit, denom, 1.0)
+    return t, hit & (t > 0.0) & (t < 1.0)
+
+
 class SceneArrays:
     """Precomputed geometry arrays for one scenario, for batch queries over
-    every (UE position, base station, wall) triple at once: a whole run's
-    epoch positions in one call.
+    every (UE position, base station, wall) triple, or wall pair for double
+    bounces, at once: a chunk of a run's epoch positions in one call.
 
-    Results match the scalar specular_path / los_visible functions (which
-    stay around as the readable reference and test oracle) up to float
-    reassociation.
+    The tests hold the results to scalar one-path forms (specular_path,
+    los_visible and double_bounce_path in tests/helpers.py): double bounces
+    bit for bit, single bounces up to float reassociation.
     """
 
     def __init__(self, base_stations, walls):
@@ -596,7 +436,41 @@ class SceneArrays:
             )
             self.bs_mirror = self.bs_p[:, None, :].repeat(W, axis=1).astype(float)
             self.bs_mirror[:, :, :2] -= 2.0 * self.bs_sd[:, :, None] * self.w_nrm[None, :, :]
+            # double bounces: each station's image across a first wall
+            # (B, W, 3), that image across every second wall (B, W, W, 3),
+            # and their offsets from the wall each crossing tests, taken as
+            # Wall.signed_distance and mirror_point take them
+            self.w_a3 = np.concatenate([self.w_a, np.zeros((W, 1))], axis=1)
+            self.w_nrm3 = np.stack([w.normal for w in self.walls])
+            self.db_m1 = self._mirror(self.bs_p[:, None, :])
+            self.db_m1_sd = self._plane_offset(self.db_m1)
+            self.db_m12 = self._mirror(self.db_m1[:, :, None, :])
+            self.db_m12_sd = self._plane_offset(self.db_m12)
         self._tol = 1e-9
+
+    def _plane_offset(self, p, w=slice(None)):
+        """Wall.signed_distance of points p (..., 3) from walls w, an index
+        of the wall axis (all walls, by default) that broadcasts against
+        p's leading axes."""
+        d = p - self.w_a3[w]
+        return (d[..., None, :] @ self.w_nrm3[w][..., :, None])[..., 0, 0]
+
+    def _mirror(self, p, w=slice(None)):
+        """mirror_point of points p (..., 3) across walls w."""
+        return p - (2.0 * self._plane_offset(p, w))[..., None] * self.w_nrm3[w]
+
+    def _on_rectangle(self, p, w=slice(None)):
+        """Wall.on_rectangle of points p (..., 3) on walls w."""
+        tol = self._tol
+        d = p[..., :2] - self.w_a[w]
+        along = (d[..., None, :] @ self.w_tan[w][..., :, None])[..., 0, 0]
+        return (
+            (np.abs(self._plane_offset(p, w)) <= max(tol, _PLANE_TOL))
+            & (along >= -tol)
+            & (along <= self.w_len[w] + tol)
+            & (p[..., 2] >= self.w_z0[w] - tol)
+            & (p[..., 2] <= self.w_z1[w] + tol)
+        )
 
     def _ue_sd(self, ue):
         """Signed offsets of UE positions (E, 3) from every wall plane, (E, W)."""
@@ -617,20 +491,11 @@ class SceneArrays:
             z = np.zeros(0)
             i = np.zeros(0, dtype=int)
             return i, i, empty3, z, z, z, empty3, empty3, i
-        s_ue = self._ue_sd(ue)[:, None, :]  # (E, 1, W)
-        s0 = -self.bs_sd  # mirror offsets, (B, W)
-        opposite = (s0 * s_ue) < 0.0  # strict crossing only
-        not_inplane = ~((np.abs(s0) <= _PLANE_TOL) & (np.abs(s_ue) <= _PLANE_TOL))
-        denom = s0 - s_ue
-        safe = denom != 0.0
-        t = np.where(safe, s0 / np.where(safe, denom, 1.0), -1.0)
-        valid = opposite & not_inplane & safe & (t > 0.0) & (t < 1.0)
+        # the mirror's offsets are the negated station offsets, (B, W)
+        t, valid = _strict_crossing(-self.bs_sd, self._ue_sd(ue)[:, None, :])
         ue4 = ue[:, None, None, :]
         point = self.bs_mirror + t[..., None] * (ue4 - self.bs_mirror)
-        along = np.einsum("ebwk,wk->ebw", point[..., :2] - self.w_a, self.w_tan)
-        tol = self._tol
-        valid &= (along >= -tol) & (along <= self.w_len + tol)
-        valid &= (point[..., 2] >= self.w_z0 - tol) & (point[..., 2] <= self.w_z1 + tol)
+        valid &= self._on_rectangle(point)
         d_bs = point - self.bs_p[:, None, :]
         d_ue = point - ue4
         leg_bs = np.linalg.norm(d_bs, axis=-1)
@@ -642,6 +507,56 @@ class SceneArrays:
         u_dep = d_bs[ei, bi, wi] / lb[:, None]
         u_arr = d_ue[ei, bi, wi] / lu[:, None]
         return bi, wi, point[ei, bi, wi], lb, lu, lb + lu, u_dep, u_arr, ei
+
+    def double_bounce_arrays(self, ue):
+        """All two-bounce hits for one UE position (3,) or a stack (E, 3).
+
+        Double unfolding: the second bounce point is where the segment from
+        the station's double image to the UE crosses the second wall, the
+        first where the segment from the single image to that point crosses
+        the first wall; a path needs both crossings strictly inside their
+        segments, both points on their rectangles and three legs longer
+        than the plane tolerance. Returns (bs_idx, wall1_idx, wall2_idx,
+        point1, point2, length, u_dep, u_arr, ue_idx) arrays, one entry per
+        hit, ordered by UE, station, first wall, then second wall (never
+        the first); ue_idx is the hit's row in the UE stack.
+        """
+        ue = np.asarray(ue, dtype=float).reshape(-1, 3)
+        if self.n_walls < 2 or self.n_bs == 0:
+            i = np.zeros(0, dtype=int)
+            z = np.zeros(0)
+            v = np.zeros((0, 3))
+            return i, i, i, v, v, z, v, v, i
+        # second bounce on the full (E, B, W1, W2) grid
+        s1 = self._plane_offset(ue[:, None, :])[:, None, None, :]
+        t2, hit = _strict_crossing(self.db_m12_sd, s1)
+        hit &= ~np.eye(self.n_walls, dtype=bool)
+        q2 = self.db_m12 + t2[..., None] * (ue[:, None, None, None, :] - self.db_m12)
+        hit &= self._on_rectangle(q2)
+        ei, bi, w1, w2 = np.nonzero(hit)
+        q2 = q2[ei, bi, w1, w2]
+        # first bounce, on the surviving paths only
+        m1 = self.db_m1[bi, w1]
+        t1, hit = _strict_crossing(self.db_m1_sd[bi, w1], self._plane_offset(q2, w1))
+        q1 = m1 + t1[:, None] * (q2 - m1)
+        hit &= self._on_rectangle(q1, w1)
+        d1 = q1 - self.bs_p[bi]
+        d2 = q2 - q1
+        d3 = q2 - ue[ei]
+        leg1, leg2, leg3 = (np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) for d in (d1, d2, d3))
+        hit &= (leg1 > _PLANE_TOL) & (leg2 > _PLANE_TOL) & (leg3 > _PLANE_TOL)
+        k = np.flatnonzero(hit)
+        return (
+            bi[k],
+            w1[k],
+            w2[k],
+            q1[k],
+            q2[k],
+            leg1[k] + leg2[k] + leg3[k],
+            d1[k] / leg1[k, None],
+            d3[k] / leg3[k, None],
+            ei[k],
+        )
 
     def los_mask(self, ue):
         """Visibility of every base station from a UE position (3,) or a
@@ -661,15 +576,7 @@ class SceneArrays:
         crossing = (s0 * s_ue <= 0.0) & safe & (t >= 0.0) & (t <= 1.0) & ~inplane
         bs4 = self.bs_p[:, None, :]
         hit = bs4 + t[..., None] * (ue[:, None, None, :] - bs4)
-        along = np.einsum("ebwk,wk->ebw", hit[..., :2] - self.w_a, self.w_tan)
-        tol = self._tol
-        on_rect = (
-            (along >= -tol)
-            & (along <= self.w_len + tol)
-            & (hit[..., 2] >= self.w_z0 - tol)
-            & (hit[..., 2] <= self.w_z1 + tol)
-        )
-        blocked = crossing & on_rect
+        blocked = crossing & self._on_rectangle(hit)
         if inplane.any():
             for e, b, w in zip(*np.nonzero(inplane)):
                 if _inplane_overlap(self.bs_p[b], ue[e], self.walls[w]):

@@ -4,8 +4,13 @@ Rejection-samples random worlds until the requested propagation geometry
 exists; all randomness flows through a caller-provided Generator so every
 test controls its own seed. The references are the plain per-path,
 per-sample, per-epoch and per-record forms that the batched program code
-must reproduce: sbr_fix_svd (the dense-SVD reflection solver behind
-mpnav.fixes.sbr_fix), mechanize_per_sample (behind
+must reproduce: the scalar reflection geometry (specular_path, los_visible
+and double_bounce_path, one path of one UE at a time, and
+double_bounces_per_path looping it over UEs, stations and wall pairs,
+behind mpnav.scene.SceneArrays), the quaternion kernels written out per
+component (behind mpnav.quat.multiply, chain and rotate), sbr_fix_svd
+(the dense-SVD reflection solver behind mpnav.fixes.sbr_fix),
+mechanize_per_sample (behind
 mpnav.ins.mechanize_arrays), trajectory_poses_per_sample (one Pose per
 sample, behind mpnav.scene.trajectory_poses), synth_imu_per_sample and
 synth_odo_per_sample (one ImuSample or OdoSample per sample, behind
@@ -31,15 +36,17 @@ from mpnav import quat
 from mpnav.fixes import Fix, _angle_std_rad, _unit_jacobian
 from mpnav.ins import GRAVITY
 from mpnav.scene import (
+    _PLANE_TOL,
     SPEED_OF_LIGHT,
     BaseStation,
     GeometryError,
     Pose,
+    Scenario,
     Trajectory,
     Wall,
+    _inplane_overlap,
     angles_from_unit,
-    double_bounce_path,
-    specular_path,
+    mirror_point,
     unit_from_angles,
 )
 from mpnav.synth import ImuSample, LogColumns, LosObs, SbrObs, apply_noise
@@ -51,6 +58,254 @@ class OdoSample:
 
     t: float
     speed: float  # m/s
+
+
+# ---------------------------------------------------------------------------
+# scalar reflection geometry and scenario writer: one path, one UE at a time
+
+
+_INPLANE = "inplane"
+
+
+@dataclass
+class SbrPath:
+    """One single-bounce reflection: BS -> wall point -> UE."""
+
+    bs_id: str
+    wall_id: str
+    point: np.ndarray  # bounce point on the wall, m
+    leg_bs: float  # BS -> bounce, m
+    leg_ue: float  # bounce -> UE, m
+    length: float  # total path length, m
+    u_dep: np.ndarray  # unit departure direction at the BS, global axes
+    u_arr: np.ndarray  # unit arrival direction at the UE, pointing UE -> bounce
+    bounces: int = 1
+
+
+@dataclass
+class DoubleBouncePath:
+    """Two-bounce path BS -> wall1 -> wall2 -> UE, used to exercise the
+    single-bounce admission gate with realistic impostors."""
+
+    bs_id: str
+    wall_ids: tuple
+    points: tuple  # the two bounce points
+    length: float
+    u_dep: np.ndarray
+    u_arr: np.ndarray
+    bounces: int = 2
+
+
+def _segment_plane_crossing(p0, p1, wall: Wall):
+    """Parameter t in [0, 1] where p0 + t*(p1 - p0) meets the wall plane.
+
+    Returns None when both endpoints sit strictly on one side, the _INPLANE
+    sentinel when the whole segment lies in the plane.
+    """
+    s0 = wall.signed_distance(p0)
+    s1 = wall.signed_distance(p1)
+    if abs(s0) <= _PLANE_TOL and abs(s1) <= _PLANE_TOL:
+        return _INPLANE
+    if s0 * s1 > 0.0:
+        return None
+    denom = s0 - s1
+    if denom == 0.0:
+        return None
+    t = s0 / denom
+    if t < 0.0 or t > 1.0:
+        return None
+    return t
+
+
+def specular_path(bs: BaseStation, ue, wall: Wall):
+    """Single-bounce path from bs to ue off one wall, or None.
+
+    The reflected ray is the straight segment from the mirrored base station
+    to the UE; where it crosses the wall rectangle is the bounce point, and
+    the total length equals |mirror - ue|. None when the crossing misses the
+    finite rectangle, the endpoints sit on the same side of the plane, or the
+    geometry is degenerate (an endpoint on the plane itself).
+    """
+    ue = np.asarray(ue, dtype=float)
+    m = mirror_point(bs.p, wall)
+    t = _segment_plane_crossing(m, ue, wall)
+    if t is None or t is _INPLANE:
+        return None
+    if t <= 0.0 or t >= 1.0:
+        return None
+    point = m + t * (ue - m)
+    if not wall.on_rectangle(point):
+        return None
+    leg_bs = float(np.linalg.norm(point - bs.p))
+    leg_ue = float(np.linalg.norm(ue - point))
+    if leg_bs <= _PLANE_TOL or leg_ue <= _PLANE_TOL:
+        return None
+    return SbrPath(
+        bs_id=bs.id,
+        wall_id=wall.id,
+        point=point,
+        leg_bs=leg_bs,
+        leg_ue=leg_ue,
+        length=leg_bs + leg_ue,
+        u_dep=(point - bs.p) / leg_bs,
+        u_arr=(point - ue) / leg_ue,
+    )
+
+
+def los_visible(bs: BaseStation, ue, walls) -> bool:
+    """True when the straight bs-ue segment meets no wall rectangle.
+
+    Endpoint contact counts as blocked; the test is symmetric in bs and ue.
+    """
+    p0 = np.asarray(bs.p, dtype=float)
+    p1 = np.asarray(ue, dtype=float)
+    for wall in walls:
+        t = _segment_plane_crossing(p0, p1, wall)
+        if t is None:
+            continue
+        if t is _INPLANE:
+            if _inplane_overlap(p0, p1, wall):
+                return False
+            continue
+        if wall.on_rectangle(p0 + t * (p1 - p0)):
+            return False
+    return True
+
+
+def double_bounce_path(bs: BaseStation, ue, wall1: Wall, wall2: Wall):
+    """Two-bounce path bs -> wall1 -> wall2 -> ue via double unfolding.
+
+    Mirror bs across wall1, then that image across wall2; the second bounce
+    point is where the segment from the double image to ue crosses wall2, and
+    the first is where the segment from the single image to that point
+    crosses wall1. None whenever either crossing misses its rectangle.
+    """
+    if wall1 is wall2 or wall1.id == wall2.id:
+        raise GeometryError("double bounce needs two distinct walls")
+    ue = np.asarray(ue, dtype=float)
+    m1 = mirror_point(bs.p, wall1)
+    m12 = mirror_point(m1, wall2)
+    t2 = _segment_plane_crossing(m12, ue, wall2)
+    if not isinstance(t2, float) or not 0.0 < t2 < 1.0:
+        return None
+    q2 = m12 + t2 * (ue - m12)
+    if not wall2.on_rectangle(q2):
+        return None
+    t1 = _segment_plane_crossing(m1, q2, wall1)
+    if not isinstance(t1, float) or not 0.0 < t1 < 1.0:
+        return None
+    q1 = m1 + t1 * (q2 - m1)
+    if not wall1.on_rectangle(q1):
+        return None
+    leg1 = float(np.linalg.norm(q1 - bs.p))
+    leg2 = float(np.linalg.norm(q2 - q1))
+    leg3 = float(np.linalg.norm(ue - q2))
+    if min(leg1, leg2, leg3) <= _PLANE_TOL:
+        return None
+    return DoubleBouncePath(
+        bs_id=bs.id,
+        wall_ids=(wall1.id, wall2.id),
+        points=(q1, q2),
+        length=leg1 + leg2 + leg3,
+        u_dep=(q1 - bs.p) / leg1,
+        u_arr=(q2 - ue) / leg3,
+    )
+
+
+def scenario_to_dict(s: Scenario) -> dict:
+    return {
+        "name": s.name,
+        "base_stations": [
+            {"id": b.id, "p_enu_m": [float(x) for x in b.p]} for b in s.base_stations
+        ],
+        "walls": [
+            {
+                "id": w.id,
+                "a_en_m": [float(x) for x in w.a],
+                "b_en_m": [float(x) for x in w.b],
+                "z0_m": w.z0,
+                "height_m": w.h,
+                "reflection_loss_db": w.reflection_loss_db,
+            }
+            for w in s.walls
+        ],
+        "trajectory": dict(s.trajectory),
+    }
+
+
+def save_scenario(path, s: Scenario) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(scenario_to_dict(s), f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# quaternion kernels written out one component at a time
+
+
+def identity() -> np.ndarray:
+    return np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def multiply_componentwise(a, b):
+    """Reference for mpnav.quat.multiply: the Hamilton product written out
+    one output component at a time."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    aw, ax, ay, az = (a[..., i] for i in range(4))
+    bw, bx, by, bz = (b[..., i] for i in range(4))
+    out = np.empty(np.broadcast(aw, bw).shape + (4,))
+    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
+    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
+
+
+def chain_componentwise(q, dq):
+    """Reference for mpnav.quat.chain: running products with the signed dq
+    terms stacked per left component and multiplied in one slice at a
+    time."""
+    dq = np.asarray(dq, dtype=float)
+    w, x, y, z = (dq[..., i] for i in range(4))
+    # factors[k, j]: the dq[k] terms that multiply component j of the left side
+    factors = np.stack(
+        [
+            np.stack([w, x, y, z], axis=-1),
+            np.stack([-x, w, -z, y], axis=-1),
+            np.stack([-y, z, w, -x], axis=-1),
+            np.stack([-z, -y, x, w], axis=-1),
+        ],
+        axis=1,
+    )
+    q = np.asarray(q, dtype=float)
+    out = np.empty(dq.shape[:1] + np.broadcast_shapes(q.shape, dq.shape[1:]))
+    for k, f in enumerate(factors):
+        q = q[..., 0:1] * f[0] + q[..., 1:2] * f[1] + q[..., 2:3] * f[2] + q[..., 3:4] * f[3]
+        q = out[k] = quat.normalize(q)
+    return out
+
+
+def rotate_componentwise(q, v):
+    """Reference for mpnav.quat.rotate: v + 2 w (u x v) + 2 u x (u x v)
+    with the cross products written out one component at a time."""
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+    w = q[..., 0]
+    ux, uy, uz = q[..., 1], q[..., 2], q[..., 3]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    tx = 2.0 * (uy * vz - uz * vy)
+    ty = 2.0 * (uz * vx - ux * vz)
+    tz = 2.0 * (ux * vy - uy * vx)
+    out = np.empty(np.broadcast(w, vx).shape + (3,))
+    out[..., 0] = vx + w * tx + uy * tz - uz * ty
+    out[..., 1] = vy + w * ty + uz * tx - ux * tz
+    out[..., 2] = vz + w * tz + ux * ty - uy * tx
+    return out
+
+
+# ---------------------------------------------------------------------------
+# random scenes
 
 
 def random_wall(rng, ident="w0", center_span=80.0, min_len=20.0, max_len=120.0):
@@ -649,6 +904,37 @@ def synth_odo_per_sample(poses, rate, noise_std, rng):
     return out
 
 
+def double_bounces_per_path(stations, walls, ues):
+    """Reference for SceneArrays.double_bounce_arrays: every two-bounce
+    path of every UE position, (ue row, station, first wall, second wall,
+    DoubleBouncePath), in that loop order."""
+    return [
+        (e, b, i, j, path)
+        for e, ue in enumerate(ues)
+        for b, bs in enumerate(stations)
+        for i, w1 in enumerate(walls)
+        for j, w2 in enumerate(walls)
+        if i != j and (path := double_bounce_path(bs, ue, w1, w2)) is not None
+    ]
+
+
+def double_bounces_per_epoch(stations, walls, ue):
+    """The columns synthesis takes of the two-bounce paths of every epoch:
+    (epoch, station, length, u_dep, u_arr), one row per path."""
+    found = double_bounces_per_path(stations, walls, ue)
+    if not found:
+        i, v = np.zeros(0, dtype=int), np.zeros((0, 3))
+        return i, i, np.zeros(0), v, v
+    e, b, _, _, paths = zip(*found)
+    return (
+        np.array(e),
+        np.array(b),
+        np.array([p.length for p in paths]),
+        np.stack([p.u_dep for p in paths]),
+        np.stack([p.u_arr for p in paths]),
+    )
+
+
 def synth_measurements_unchunked(setup):
     """Reference for mpnav.pipeline.synth_measurements: per-sample truth
     poses and sensor samples, then the radio records of all epochs in one
@@ -657,7 +943,6 @@ def synth_measurements_unchunked(setup):
     from mpnav.pipeline import (
         MeasurementSet,
         SceneArrays,
-        _double_bounces,
         _epoch_indices,
         _offsets,
         _rng_streams,
@@ -690,7 +975,7 @@ def synth_measurements_unchunked(setup):
     rb, _, _, _, _, ln, ud, ua, re = arrays.specular_arrays(ue)
     bounces = np.ones(rb.size, dtype=int)
     if setup.include_double_bounce:
-        de, db, dln, dud, dua = _double_bounces(stations, walls, ue)
+        de, db, dln, dud, dua = double_bounces_per_epoch(stations, walls, ue)
         merge = np.argsort(np.concatenate([re, de]), kind="stable")
         re, rb = np.concatenate([re, de])[merge], np.concatenate([rb, db])[merge]
         ln, ud, ua = (np.concatenate(x)[merge] for x in ((ln, dln), (ud, dud), (ua, dua)))

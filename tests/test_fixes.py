@@ -8,6 +8,7 @@ from helpers import (
     random_single_bounce,
     random_two_path_scene,
     sbr_fix_svd,
+    specular_path,
 )
 
 from mpnav.fixes import (
@@ -22,7 +23,6 @@ from mpnav.scene import (
     Pose,
     Wall,
     angles_from_unit,
-    specular_path,
     unit_from_angles,
 )
 from mpnav.synth import NoiseCfg, PathLossModel, SbrObs, synth_los, synth_sbr

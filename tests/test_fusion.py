@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import mechanize_per_sample
+from helpers import identity, mechanize_per_sample
 from scipy.stats import chi2
 
 from mpnav import fusion, quat
@@ -33,7 +33,7 @@ def level_state(P=None, t=0.0):
         t=t,
         p=np.zeros(3),
         v=np.zeros(3),
-        q_bn=quat.identity(),
+        q_bn=identity(),
         P=np.eye(N_ERR) if P is None else P,
     )
 

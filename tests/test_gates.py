@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from helpers import add_noise, random_double_bounce, random_single_bounce
+from helpers import add_noise, random_double_bounce, random_single_bounce, specular_path
 
 from mpnav.fixes import sbr_locus_residual
 from mpnav.gates import GateConfig, classify_los, motion_gate, oori_check
-from mpnav.scene import Pose, specular_path
+from mpnav.scene import Pose
 from mpnav.synth import NoiseCfg, PathLossModel, synth_los, synth_sbr
 
 PLM = PathLossModel()

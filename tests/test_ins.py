@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import mechanize_per_sample, stack_poses
+from helpers import identity, mechanize_per_sample, stack_poses
 
 from mpnav import quat
 from mpnav.ins import drift_profile, mechanize_arrays
@@ -30,7 +30,7 @@ def mechanize_from(p, v, q, gyros, accels, dt):
 
 def from_rest(n, dt, gyro=(0.0, 0.0, 0.0)):
     """Mechanize n constant samples from rest at the origin, level."""
-    return mechanize_from(ZERO3, ZERO3, quat.identity(), *constant_imu(n, gyro=gyro), dt)
+    return mechanize_from(ZERO3, ZERO3, identity(), *constant_imu(n, gyro=gyro), dt)
 
 
 def circle_spec(speed=8.0, radius=100.0):
@@ -47,7 +47,7 @@ def test_equilibrium_state_unchanged():
     p, v, q = from_rest(200, 0.01)
     assert np.allclose(p[-1], 0.0, atol=1e-12)
     assert np.allclose(v[-1], 0.0, atol=1e-12)
-    assert np.allclose(q[-1], quat.identity(), atol=1e-12)
+    assert np.allclose(q[-1], identity(), atol=1e-12)
 
 
 def test_pure_yaw_rate_closed_form():
@@ -63,10 +63,10 @@ def test_pure_yaw_rate_closed_form():
 
 def test_zero_dt_limit_and_bounds():
     p0, v0 = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.0, 0.0])
-    p, v, q = mechanize_from(p0, v0, quat.identity(), *constant_imu(1), 1e-9)
+    p, v, q = mechanize_from(p0, v0, identity(), *constant_imu(1), 1e-9)
     assert np.allclose(p[-1] - p0, v0 * 1e-9, atol=1e-15)
     assert np.allclose(v[-1], v0, atol=1e-12)
-    assert np.allclose(q[-1], quat.identity(), atol=1e-12)
+    assert np.allclose(q[-1], identity(), atol=1e-12)
     # drift_profile refuses intervals outside (0, 0.1] s and non-finite samples
     for rate in (5.0, 9.0):
         times = np.arange(0.0, 2.0 + 0.5 / rate, 1.0 / rate)
@@ -89,7 +89,7 @@ def test_quaternion_norm_preserved():
     rng = np.random.default_rng(0)
     gyros = rng.uniform(-1, 1, (500, 3))
     accels = rng.uniform(-12, 12, (500, 3))
-    _, _, q = mechanize_from(ZERO3, ZERO3, quat.identity(), gyros, accels, 0.01)
+    _, _, q = mechanize_from(ZERO3, ZERO3, identity(), gyros, accels, 0.01)
     assert np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= 1e-9)
 
 

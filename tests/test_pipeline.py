@@ -1,8 +1,10 @@
 """End-to-end runs: synthesis determinism, gating behavior, log bridging."""
 
+import json
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from helpers import (
     apply_noise_per_record,
     apply_outages,
+    double_bounce_path,
     epoch_records,
     log_records,
     run_filter_per_record,
@@ -19,7 +22,8 @@ from helpers import (
     write_log_json,
 )
 
-from mpnav import pipeline, quat, scene
+import mpnav.cli
+from mpnav import evaluate, pipeline, quat, scene
 from mpnav.evaluate import _SWEEP_RATES
 from mpnav.ins import drift_profile
 from mpnav.pipeline import (
@@ -36,7 +40,6 @@ from mpnav.pipeline import (
 from mpnav.scene import (
     SceneArrays,
     Trajectory,
-    double_bounce_path,
     ring_scenario,
     trajectory_poses,
 )
@@ -186,7 +189,9 @@ def test_chunked_synthesis_matches_unchunked_reference(monkeypatch, duration_s, 
         include_double_bounce=double,
         outages=[OutageWindow(2.0, 5.0)],
     )
-    n_triples = len(setup.scenario.base_stations) * len(setup.scenario.walls)
+    n_walls = len(setup.scenario.walls)
+    # with double bounces an epoch counts its (station, wall pair) triples
+    n_triples = len(setup.scenario.base_stations) * n_walls * (n_walls if double else 1)
     if chunk_epochs is None:
         chunk_epochs = pipeline._CHUNK_TRIPLES // n_triples  # 85 epochs of the ring
     else:
@@ -229,18 +234,22 @@ def owned_nbytes(ms):
 
 def test_synthesis_memory_is_its_outputs():
     # chunked synthesis keeps its temporaries to a few chunks' worth; per-
-    # sample Pose and ImuSample objects or whole-run geometry would not fit
-    setup = sweep_case_400s()
-    synth_measurements(replace(setup, duration_s=5.0))  # first-call caches
-    tracemalloc.start()
-    try:
-        ms = synth_measurements(setup)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    nbytes = owned_nbytes(ms)
-    assert len(ms.truth) == 8301 and len(ms.sbr) > 30000
-    assert peak <= nbytes + 4 * 2**20, (peak, nbytes)
+    # sample Pose and ImuSample objects or whole-run geometry would not fit.
+    # Double bounces do six times the geometry per epoch, so their chunks
+    # hold a sixth of the epochs.
+    for double in (False, True):
+        setup = replace(sweep_case_400s(), include_double_bounce=double)
+        synth_measurements(replace(setup, duration_s=5.0))  # first-call caches
+        tracemalloc.start()
+        try:
+            ms = synth_measurements(setup)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nbytes = owned_nbytes(ms)
+        assert len(ms.truth) == 8301 and len(ms.sbr) > 30000
+        assert (ms.sbr.bounces == 2).any() == double
+        assert peak <= nbytes + 4 * 2**20, (double, peak, nbytes)
 
 
 def test_no_pose_objects_on_the_run_path(monkeypatch, tmp_path):
@@ -286,6 +295,7 @@ def test_sbr_screen_matches_per_record_reference():
     setup = fast_setup(duration_s=10.0, seed=4)
     ms = synth_measurements(setup)
     stations = setup.scenario.base_stations
+    bs_p = np.stack([bs.p for bs in stations])
     bs_by_id = {bs.id: bs for bs in stations}
     totals = dict.fromkeys(("sbr_admitted", "sbr_rejected_elevation", "sbr_rejected_residual"), 0)
     n_cut = 0
@@ -303,7 +313,7 @@ def test_sbr_screen_matches_per_record_reference():
             for use_body in (True, False):
                 for max_paths in (16, 5, 0):
                     s = replace(setup, use_body_aoa=use_body, max_sbr_paths=max_paths)
-                    got, got_counts = screen_sbr(sbr, rows, t, stations, q_bn, p_ref, s)
+                    got, got_counts = screen_sbr(sbr, rows, t, stations, bs_p, q_bn, p_ref, s)
                     ref, ref_counts = sbr_screen_per_record(records, bs_by_id, q_bn, p_ref, s)
                     assert got_counts == ref_counts
                     assert [bs.id for bs, _ in got] == [bs.id for bs, _ in ref]
@@ -488,3 +498,44 @@ def test_log_writer_matches_json_dumps_reference(tmp_path):
     write_measurement_log(tmp_path / "new.jsonl", ms)
     write_log_json(tmp_path / "ref.jsonl", log_records(ms))
     assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+
+
+def test_filter_epochs_are_counted_at_run_filter(monkeypatch, tmp_path):
+    # The benchmark derives epochs_per_s from the results of run_filter,
+    # wrapped under the names its callers look up in mpnav.pipeline and
+    # mpnav.cli. Every filter arm, of a CLI run, a log replay or a sweep, has
+    # to pass through one such call; a driver that runs arms another way
+    # changes this together with the benchmark.
+    counted = []
+    original = pipeline.run_filter
+
+    def counting(*args, **kwargs):
+        result = original(*args, **kwargs)
+        counted.append(len(result.t))
+        return result
+
+    for module in (mpnav.cli, pipeline):
+        monkeypatch.setattr(module, "run_filter", counting)
+    # every arm's result, however it was run
+    results = []
+    result_type = pipeline.RunResult
+
+    def recording(*args, **kwargs):
+        results.append(result_type(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(pipeline, "RunResult", recording)
+    root = Path(__file__).resolve().parents[1]
+    ring = json.loads((root / "configs" / "single_ring.json").read_text())
+    ring["duration_s"] = 2
+    (tmp_path / "ring.json").write_text(json.dumps(ring))
+    replay = dict(ring, with_sbr=False, measurement_log="ring/measurements.jsonl")
+    (tmp_path / "replay.json").write_text(json.dumps(replay))
+    for name in ("ring", "replay"):
+        args = [str(tmp_path / f"{name}.json"), "--output-dir", str(tmp_path / name)]
+        assert mpnav.cli.main(args) == mpnav.cli.EXIT_OK
+    evaluate.run_outage_sweep(durations=[2.0], speeds=[8.0], seeds=(0, 1), pre_s=2.0, post_s=1.0)
+    # 20 epochs at 10 Hz for each CLI run; two seeds of a 5 s case at 2 Hz
+    # in two arms
+    assert [len(r.t) for r in results] == [20, 20, 10, 10, 10, 10]
+    assert sum(counted) == sum(len(r.t) for r in results)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import chain_componentwise, identity, multiply_componentwise, rotate_componentwise
 
 from mpnav import quat
 
@@ -10,7 +11,7 @@ def random_unit_quats(rng, n):
 
 
 def test_identity_and_normalize():
-    assert np.allclose(quat.identity(), [1, 0, 0, 0])
+    assert np.allclose(identity(), [1, 0, 0, 0])
     q = quat.normalize([2.0, 0.0, 0.0, 0.0])
     assert np.allclose(q, [1, 0, 0, 0])
     rng = np.random.default_rng(0)
@@ -41,6 +42,41 @@ def test_rotate_matches_matrix_and_broadcasts():
     assert np.allclose(one, v @ quat.to_matrix(q[0]).T, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ((4,), (4,)),
+        ((4,), (7, 4)),
+        ((7, 4), (4,)),
+        ((7, 4), (7, 4)),
+        ((3, 1, 4), (5, 4)),
+        ((5, 4), (3, 1, 4)),
+    ],
+    ids=["1d", "1d_left", "1d_right", "stacked", "broadcast_left", "broadcast_right"],
+)
+def test_kernels_match_componentwise_reference(left, right):
+    # same bits and a C-ordered result: normalize and to_rotvec sum the
+    # components of an F-ordered array in another order
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal(left)
+    b = rng.standard_normal(right)
+    v = rng.standard_normal(right[:-1] + (3,))
+    dq = rng.standard_normal((5,) + right)
+    qa = quat.normalize(a)
+    cases = [
+        (quat.multiply(a, b), multiply_componentwise(a, b)),
+        (quat.rotate(qa, v), rotate_componentwise(qa, v)),
+        (quat.chain(a, dq), chain_componentwise(a, dq)),
+    ]
+    for got, want in cases:
+        assert got.flags.c_contiguous
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    product = quat.multiply(a, b)
+    assert quat.normalize(product).tobytes() == quat.normalize(multiply_componentwise(a, b)).tobytes()
+    assert quat.to_rotvec(product).tobytes() == quat.to_rotvec(multiply_componentwise(a, b)).tobytes()
+
+
 def test_rotate_preserves_length_and_conjugate_inverts():
     rng = np.random.default_rng(3)
     q = random_unit_quats(rng, 40)
@@ -62,7 +98,7 @@ def test_rotvec_round_trip():
     # tiny-angle stability through the sinc branch
     r = np.array([1e-14, -2e-14, 3e-15])
     assert np.allclose(quat.to_rotvec(quat.from_rotvec(r)), r, atol=1e-20)
-    assert np.allclose(quat.from_rotvec(np.zeros(3)), quat.identity())
+    assert np.allclose(quat.from_rotvec(np.zeros(3)), identity())
 
 
 def test_to_rotvec_sign_convention():

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 from helpers import (
+    double_bounce_path,
+    double_bounces_per_path,
+    los_visible,
     random_bs,
     random_single_bounce,
     random_ue,
     random_wall,
+    save_scenario,
+    scenario_to_dict,
+    specular_path,
     stack_poses,
     trajectory_poses_per_sample,
 )
@@ -18,15 +24,10 @@ from mpnav.scene import (
     Trajectory,
     Wall,
     angles_from_unit,
-    double_bounce_path,
     load_scenario,
-    los_visible,
     mirror_point,
     ring_scenario,
-    save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
-    specular_path,
     trajectory_poses,
     unit_from_angles,
 )
@@ -232,6 +233,39 @@ def test_scene_arrays_stacked_ues_match_single_calls():
         mask = arrays.los_mask(ues)
         assert mask.shape == (12, 5)
         assert np.array_equal(mask, np.stack([arrays.los_mask(ue) for ue in ues]))
+
+
+@pytest.mark.parametrize(
+    "n_bs, n_walls, n_ue",
+    [(3, 6, 4), (4, 3, 1), (2, 1, 3), (3, 0, 2), (0, 4, 2)],
+    ids=["stacked_ues", "one_ue", "one_wall", "no_walls", "no_stations"],
+)
+def test_scene_arrays_double_bounces_match_scalar_oracle(n_bs, n_walls, n_ue):
+    # the same paths in the same order, every number bit for bit
+    rng = np.random.default_rng(17)
+    n_paths = 0
+    for _ in range(40):
+        stations = [random_bs(rng, f"bs{k}") for k in range(n_bs)]
+        walls = [random_wall(rng, f"w{k}") for k in range(n_walls)]
+        ues = np.stack([random_ue(rng) for _ in range(n_ue)])
+        got = SceneArrays(stations, walls).double_bounce_arrays(ues if n_ue > 1 else ues[0])
+        want = double_bounces_per_path(stations, walls, ues)
+        bs_idx, w1_idx, w2_idx, point1, point2, length, u_dep, u_arr, ue_idx = got
+        assert all(a.shape[0] == len(want) for a in got)
+        assert [(e, b, i, j) for e, b, i, j, _ in want] == list(
+            zip(ue_idx.tolist(), bs_idx.tolist(), w1_idx.tolist(), w2_idx.tolist())
+        )
+        for k, (*_, path) in enumerate(want):
+            assert point1[k].tobytes() == path.points[0].tobytes()
+            assert point2[k].tobytes() == path.points[1].tobytes()
+            assert length[k] == path.length
+            assert u_dep[k].tobytes() == path.u_dep.tobytes()
+            assert u_arr[k].tobytes() == path.u_arr.tobytes()
+        n_paths += len(want)
+    if n_bs and n_walls >= 2:
+        assert n_paths > 20
+    else:
+        assert n_paths == 0
 
 
 def test_trajectory_circle():

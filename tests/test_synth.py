@@ -9,6 +9,7 @@ from helpers import (
     apply_noise_per_record,
     random_double_bounce,
     random_single_bounce,
+    specular_path,
     stack_poses,
     synth_imu_per_sample,
     synth_odo_per_sample,
@@ -21,7 +22,6 @@ from mpnav.scene import (
     SPEED_OF_LIGHT,
     BaseStation,
     Pose,
-    specular_path,
     trajectory_poses,
     unit_from_angles,
 )
