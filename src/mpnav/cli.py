@@ -14,12 +14,13 @@ Exit codes: 0 ok, 2 bad config, 3 bad geometry, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
-import math
 import os
 import shutil
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -63,60 +64,134 @@ def _expect_mapping(obj, where):
     return obj
 
 
-def _pop_number(d, key, default=None, where="config", minimum=None):
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        return default
-    v = d.pop(key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(f"{where}.{key} must be a finite number")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}")
-    return float(v)
-
-
-def _pop_int(d, key, default, where="config", minimum=None):
-    if key not in d:
-        return default
-    v = d.pop(key)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}.{key} must be an integer")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}")
-    return v
-
-
-def _pop_bool(d, key, default, where="config"):
-    if key not in d:
-        return default
-    v = d.pop(key)
-    if not isinstance(v, bool):
-        raise ConfigError(f"{where}.{key} must be true or false")
-    return v
-
-
-def _pop_list(d, key, default, where="config"):
-    if key not in d:
-        return default
-    v = d.pop(key)
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{where}.{key} must be a non-empty list")
-    return v
-
-
 def _reject_unknown(d, where):
     if d:
         raise ConfigError(f"{where}: unknown keys {sorted(d)}")
 
 
-def _number_list(v, where):
-    out = []
-    for x in v:
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
-            raise ConfigError(f"{where} must contain finite numbers")
-        out.append(float(x))
-    return out
+# Value checks: each takes a JSON value and the name to report it by, and
+# returns the value as its callee takes it.
+
+
+def _number(v, name, minimum=None):
+    """A finite JSON number as a float: not a bool or a string, nor an
+    integer too large for a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number")
+    if minimum is not None and v < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
+    return float(v)
+
+
+def _integer(v, name, minimum=None):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{name} must be an integer")
+    if minimum is not None and v < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
+    return v
+
+
+def _boolean(v, name):
+    if not isinstance(v, bool):
+        raise ConfigError(f"{name} must be true or false")
+    return v
+
+
+def _string(v, name):
+    if not isinstance(v, str):
+        raise ConfigError(f"{name} must be a string")
+    return v
+
+
+def _numbers(v, name):
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{name} must be a non-empty list")
+    return [_number(x, f"{name}[{i}]") for i, x in enumerate(v)]
+
+
+def _outages(v, name):
+    # an empty list means no outage, unlike the sweep lists
+    if not isinstance(v, list):
+        raise ConfigError(f"{name} must be a list")
+    windows = []
+    for i, item in enumerate(v):
+        where = f"{name}[{i}]"
+        if isinstance(item, dict) and set(item) == {"t_start_s", "t_end_s"}:
+            item = [item["t_start_s"], item["t_end_s"]]
+        if not (isinstance(item, list) and len(item) == 2):
+            raise ConfigError(f"{where} must be [start, end] or an object with t_start_s, t_end_s")
+        t0, t1 = _numbers(item, where)
+        try:
+            windows.append(OutageWindow(t0, t1))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    return windows
+
+
+def _optional_outage(v, name):
+    if v is None:
+        return None
+    pair = _numbers(v, name) if isinstance(v, list) else []
+    if len(pair) != 2 or not pair[1] > pair[0]:
+        raise ConfigError(f"{name} must be [start_s, end_s] with end_s > start_s, or null")
+    return tuple(pair)
+
+
+def _pop_args(d, spec, where):
+    """Pop the keys of spec that mapping d holds, each value checked, as
+    keyword arguments. spec maps a config key to (argument name, check,
+    *further check arguments). Keys d lacks are left to the callee's
+    defaults, so a default is stated once, by the callee."""
+    return {
+        arg: check(d.pop(key), f"{where}: {key}", *bounds)
+        for key, (arg, check, *bounds) in spec.items()
+        if key in d
+    }
+
+
+# config block -> (argument it sets, class built from it)
+_BLOCKS = {
+    "rates": ("rates", Rates),
+    "path_loss": ("path_loss", PathLossModel),
+    "noise": ("noise", NoiseCfg),
+    "imu_error": ("imu_err", ImuErrorModel),
+    "gates": ("gate_cfg", GateConfig),
+    "init_errors": ("init_err", InitErrors),
+    "ukf": ("ukf", UkfParams),
+}
+# config keys that differ from the dataclass field they set
+_RENAMED = {"gyro_bias_std": "gyro_bias_std_rps", "accel_bias_std": "accel_bias_std_mps2"}
+# the check of a value, by the type its field or parameter declares (a
+# string, as every mpnav module postpones the evaluation of annotations)
+_CHECKS = {"int": _integer, "float": _number, "str": _string}
+# a block's keys are its class's fields; scenario.params are ring_scenario's
+_FIELDS = {
+    cls: {_RENAMED.get(f.name, f.name): (f.name, _CHECKS[f.type]) for f in fields(cls)}
+    for _, cls in _BLOCKS.values()
+}
+_RING_PARAMS = {
+    name: (name, _CHECKS[p.annotation])
+    for name, p in inspect.signature(ring_scenario).parameters.items()
+}
+
+
+def _pop_blocks(d, keys, prefix=""):
+    """Build the classes of the blocks in keys that mapping d holds, as
+    keyword arguments; a bad or unknown field exits with the block named."""
+    kwargs = {}
+    for key in keys:
+        if key not in d:
+            continue
+        arg, cls = _BLOCKS[key]
+        where = prefix + key
+        raw = dict(_expect_mapping(d.pop(key), where))
+        values = _pop_args(raw, _FIELDS[cls], where)
+        _reject_unknown(raw, where)
+        try:
+            kwargs[arg] = cls(**values)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    return kwargs
 
 
 def _build_scenario(cfg, config_dir: Path) -> Scenario:
@@ -137,130 +212,33 @@ def _build_scenario(cfg, config_dir: Path) -> Scenario:
         _reject_unknown(spec, "scenario")
         if preset != "ring":
             raise ConfigError(f"unknown scenario preset {preset!r}")
-        allowed = {
-            "n_bs",
-            "bs_radius_m",
-            "bs_height_m",
-            "n_walls",
-            "wall_radius_m",
-            "wall_height_m",
-            "route_radius_m",
-            "speed_mps",
-            "ue_height_m",
-            "reflection_loss_db",
-        }
-        bad = set(params) - allowed
-        if bad:
-            raise ConfigError(f"scenario.params: unknown keys {sorted(bad)}")
-        return ring_scenario(**params)
+        kwargs = _pop_args(params, _RING_PARAMS, "scenario.params")
+        _reject_unknown(params, "scenario.params")
+        return ring_scenario(**kwargs)
     return scenario_from_dict(spec)
 
 
-def _build_sub(cfg, key, cls, fields, where=None):
-    """Pop cfg[key] (a mapping) and build cls from a field-name map."""
-    where = where or key
-    raw = dict(_expect_mapping(cfg.pop(key, {}), where))
-    kwargs = {}
-    for json_key, attr in fields.items():
-        if json_key in raw:
-            kwargs[attr] = raw.pop(json_key)
-    _reject_unknown(raw, where)
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, GeometryError):
-            raise
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _build_outages(cfg):
-    # an empty list means no outage, unlike the sweep lists
-    raw = cfg.pop("outages", [])
-    if not isinstance(raw, list):
-        raise ConfigError("config.outages must be a list")
-    windows = []
-    for i, item in enumerate(raw):
-        where = f"outages[{i}]"
-        if isinstance(item, list) and len(item) == 2:
-            t0, t1 = _number_list(item, where)
-        elif isinstance(item, dict):
-            item = dict(item)
-            t0 = _pop_number(item, "t_start_s", where=where)
-            t1 = _pop_number(item, "t_end_s", where=where)
-            _reject_unknown(item, where)
-        else:
-            raise ConfigError(f"{where} must be [start, end] or an object")
-        try:
-            windows.append(OutageWindow(t0, t1))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    return windows
-
-
-_RATES_FIELDS = {"imu_hz": "imu_hz", "obs_hz": "obs_hz", "odo_hz": "odo_hz"}
-_NOISE_FIELDS = {"var_range_m2": "var_range_m2", "var_angle_deg2": "var_angle_deg2"}
-_IMU_FIELDS = {
-    "gyro_bias_std_rps": "gyro_bias_std",
-    "accel_bias_std_mps2": "accel_bias_std",
-    "gyro_noise_density": "gyro_noise_density",
-    "accel_noise_density": "accel_noise_density",
-    "bias_mode": "bias_mode",
-}
-_PL_FIELDS = {
-    "tx_power_dbm": "tx_power_dbm",
-    "pl0_db": "pl0_db",
-    "exponent": "exponent",
-    "reflection_loss_db": "reflection_loss_db",
-    "d0_m": "d0_m",
-}
-_GATE_FIELDS = {
-    "range_consistency_m": "range_consistency_m",
-    "elevation_eps_rad": "elevation_eps_rad",
-    "residual_m": "residual_m",
-    "motion_margin_m": "motion_margin_m",
-}
-_INIT_FIELDS = {
-    "pos_std_m": "pos_std_m",
-    "vel_std_mps": "vel_std_mps",
-    "att_std_rad": "att_std_rad",
-}
-_UKF_FIELDS = {
-    "alpha": "alpha",
-    "beta": "beta",
-    "kappa": "kappa",
-    "q_pos": "q_pos",
-    "q_vel": "q_vel",
-    "q_att": "q_att",
-    "q_bias_gyro": "q_bias_gyro",
-    "q_bias_accel": "q_bias_accel",
-    "nis_gate": "nis_gate",
+# single mode's top-level keys besides scenario and the blocks
+_SETUP_KEYS = {
+    "seed": ("seed", _integer, 0),
+    "duration_s": ("duration_s", _number),
+    "with_sbr": ("with_sbr", _boolean),
+    "outages": ("outages", _outages),
+    "odo_noise_std_mps": ("odo_noise_std", _number, 0.0),
+    "include_double_bounce": ("include_double_bounce", _boolean),
+    "use_body_aoa": ("use_body_aoa", _boolean),
+    "trapezoid": ("trapezoid", _boolean),
 }
 
 
 def _build_setup(cfg, config_dir, seed_override):
-    scenario = _build_scenario(cfg, config_dir)
-    seed = _pop_int(cfg, "seed", 0, minimum=0)
-    if seed_override is not None:
-        seed = seed_override
     kwargs = dict(
-        scenario=scenario,
-        duration_s=_pop_number(cfg, "duration_s", 60.0, minimum=1e-9),
-        seed=seed,
-        with_sbr=_pop_bool(cfg, "with_sbr", True),
-        rates=_build_sub(cfg, "rates", Rates, _RATES_FIELDS),
-        path_loss=_build_sub(cfg, "path_loss", PathLossModel, _PL_FIELDS),
-        noise=_build_sub(cfg, "noise", NoiseCfg, _NOISE_FIELDS),
-        imu_err=_build_sub(cfg, "imu_error", ImuErrorModel, _IMU_FIELDS),
-        gate_cfg=_build_sub(cfg, "gates", GateConfig, _GATE_FIELDS),
-        init_err=_build_sub(cfg, "init_errors", InitErrors, _INIT_FIELDS),
-        outages=_build_outages(cfg),
-        odo_noise_std=_pop_number(cfg, "odo_noise_std_mps", 0.05, minimum=0.0),
-        include_double_bounce=_pop_bool(cfg, "include_double_bounce", False),
-        use_body_aoa=_pop_bool(cfg, "use_body_aoa", True),
-        trapezoid=_pop_bool(cfg, "trapezoid", True),
+        scenario=_build_scenario(cfg, config_dir),
+        **_pop_args(cfg, _SETUP_KEYS, "config"),
+        **_pop_blocks(cfg, _BLOCKS),
     )
-    if "ukf" in cfg:
-        kwargs["ukf"] = _build_sub(cfg, "ukf", UkfParams, _UKF_FIELDS)
+    if seed_override is not None:
+        kwargs["seed"] = seed_override
     try:
         return RunSetup(**kwargs)
     except ValueError as exc:
@@ -269,24 +247,9 @@ def _build_setup(cfg, config_dir, seed_override):
         raise ConfigError(str(exc)) from exc
 
 
-def _seeds_from_block(block, default_n, where):
-    if "seeds" in block:
-        raw = block.pop("seeds")
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{where}.seeds must be a non-empty list")
-        seeds = []
-        for s in raw:
-            if isinstance(s, bool) or not isinstance(s, int) or s < 0:
-                raise ConfigError(f"{where}.seeds must hold non-negative integers")
-            seeds.append(s)
-        return tuple(seeds)
-    n = _pop_int(block, "n_seeds", default_n, where=where, minimum=1)
-    return tuple(range(n))
-
-
 def _run_single(cfg, config_dir, seed_override):
     log_path = cfg.pop("measurement_log", None)
-    write_log = _pop_bool(cfg, "write_measurement_log", True)
+    write_log = _boolean(cfg.pop("write_measurement_log", True), "config: write_measurement_log")
     setup = _build_setup(cfg, config_dir, seed_override)
     _reject_unknown(cfg, "config")
     if log_path is not None:
@@ -318,97 +281,82 @@ def _run_single(cfg, config_dir, seed_override):
     return writer, {"seed": setup.seed}
 
 
-def _run_outage_sweep(cfg, config_dir, seed_override):
-    block = dict(_expect_mapping(cfg.pop("outage_sweep", {}), "outage_sweep"))
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def _sweep_args(cfg, where, spec, blocks):
+    """The sweep block cfg[where] as keyword arguments of its runner: the
+    keys of spec, the optional blocks named in blocks, and the seeds, from
+    "seeds" (a list) or "n_seeds" (a count)."""
+    block = dict(_expect_mapping(cfg.pop(where, {}), where))
     _reject_unknown(cfg, "config")
-    durations = _number_list(
-        _pop_list(block, "durations_s", [20.0, 40.0, 60.0, 200.0, 400.0]), "outage_sweep.durations_s"
-    )
-    speeds = _number_list(
-        _pop_list(block, "speeds_mps", [9.8, 9.4, 5.0, 5.6, 6.5]), "outage_sweep.speeds_mps"
-    )
-    if len(durations) != len(speeds):
-        raise ConfigError("outage_sweep: durations_s and speeds_mps must pair up")
-    seeds = _seeds_from_block(block, 20, "outage_sweep")
-    kwargs = dict(durations=durations, speeds=speeds, seeds=seeds)
-    kwargs["pre_s"] = _pop_number(block, "pre_s", 10.0, "outage_sweep", minimum=1.0)
-    kwargs["post_s"] = _pop_number(block, "post_s", 5.0, "outage_sweep", minimum=0.0)
-    if "rates" in block:
-        kwargs["rates"] = _build_sub(block, "rates", Rates, _RATES_FIELDS, "outage_sweep.rates")
-    if "noise" in block:
-        kwargs["noise"] = _build_sub(block, "noise", NoiseCfg, _NOISE_FIELDS, "outage_sweep.noise")
-    if "imu_error" in block:
-        kwargs["imu_err"] = _build_sub(
-            block, "imu_error", ImuErrorModel, _IMU_FIELDS, "outage_sweep.imu_error"
-        )
-    _reject_unknown(block, "outage_sweep")
+    kwargs = {**_pop_args(block, spec, where), **_pop_blocks(block, blocks, f"{where}.")}
+    if "seeds" in block:
+        seeds = block.pop("seeds")
+        if not isinstance(seeds, list) or not seeds:
+            raise ConfigError(f"{where}: seeds must be a non-empty list")
+        kwargs["seeds"] = tuple(_integer(s, f"{where}: seeds", 0) for s in seeds)
+    elif "n_seeds" in block:
+        kwargs["seeds"] = tuple(range(_integer(block.pop("n_seeds"), f"{where}: n_seeds", 1)))
+    _reject_unknown(block, where)
+    return kwargs
+
+
+def _run_sweep(runner, writer, kwargs, seed_override):
+    """Run a sweep, --seed offsetting its seeds; returns its writer and the
+    manifest's run info."""
     if seed_override is not None:
-        kwargs["seeds"] = tuple(seed_override + s for s in kwargs["seeds"])
-    sweep = evaluate.run_outage_sweep(**kwargs)
-    return lambda outdir: evaluate.write_outage_sweep(outdir, sweep), {"seeds": list(kwargs["seeds"])}
+        seeds = kwargs.get("seeds", _default(runner, "seeds"))
+        kwargs["seeds"] = tuple(seed_override + s for s in seeds)
+    sweep = runner(**kwargs)
+    return lambda outdir: writer(outdir, sweep), {"seeds": sweep["seeds"]}
+
+
+_OUTAGE_SWEEP_KEYS = {
+    "durations_s": ("durations", _numbers),
+    "speeds_mps": ("speeds", _numbers),
+    "pre_s": ("pre_s", _number, 1.0),
+    "post_s": ("post_s", _number, 0.0),
+}
+_NOISE_SWEEP_KEYS = {
+    "var_ranges_m2": ("var_ranges", _numbers),
+    "var_angles_deg2": ("var_angles", _numbers),
+    "duration_s": ("duration_s", _number, 1.0),
+    "speed_mps": ("speed_mps", _number, 0.1),
+    "outage": ("outage", _optional_outage),
+}
+_DRIFT_PROFILE_KEYS = {
+    "bias_scales": ("bias_scales", _numbers),
+    "duration_s": ("duration_s", _number, 1.0),
+    # the free-inertial integration takes steps of at most 0.1 s
+    "rate_hz": ("rate_hz", _number, 10.0),
+    "speed_mps": ("speed_mps", _number, 0.1),
+}
+
+
+def _run_outage_sweep(cfg, config_dir, seed_override):
+    kwargs = _sweep_args(cfg, "outage_sweep", _OUTAGE_SWEEP_KEYS, ("rates", "noise", "imu_error"))
+    runner = evaluate.run_outage_sweep
+    durations = kwargs.get("durations", _default(runner, "durations"))
+    if len(durations) != len(kwargs.get("speeds", _default(runner, "speeds"))):
+        raise ConfigError("outage_sweep: durations_s and speeds_mps must pair up")
+    if min(durations) <= 0.0:
+        raise ConfigError("outage_sweep: durations_s must be > 0")
+    return _run_sweep(runner, evaluate.write_outage_sweep, kwargs, seed_override)
 
 
 def _run_noise_sweep(cfg, config_dir, seed_override):
-    block = dict(_expect_mapping(cfg.pop("noise_sweep", {}), "noise_sweep"))
-    _reject_unknown(cfg, "config")
-    kwargs = dict(
-        var_ranges=_number_list(
-            _pop_list(block, "var_ranges_m2", [0.5, 1.0, 2.0]), "noise_sweep.var_ranges_m2"
-        ),
-        var_angles=_number_list(
-            _pop_list(block, "var_angles_deg2", [0.001, 0.01, 0.05]), "noise_sweep.var_angles_deg2"
-        ),
-        seeds=_seeds_from_block(block, 20, "noise_sweep"),
-        duration_s=_pop_number(block, "duration_s", 60.0, "noise_sweep", minimum=1.0),
-        speed_mps=_pop_number(block, "speed_mps", 8.0, "noise_sweep", minimum=0.1),
-    )
-    if "outage" in block:
-        raw = block.pop("outage")
-        if raw is None:
-            kwargs["outage"] = None
-        else:
-            pair = _number_list(raw if isinstance(raw, list) else [], "noise_sweep.outage")
-            if len(pair) != 2:
-                raise ConfigError("noise_sweep.outage must be [start_s, end_s] or null")
-            kwargs["outage"] = tuple(pair)
-    if "rates" in block:
-        kwargs["rates"] = _build_sub(block, "rates", Rates, _RATES_FIELDS, "noise_sweep.rates")
-    if "imu_error" in block:
-        kwargs["imu_err"] = _build_sub(
-            block, "imu_error", ImuErrorModel, _IMU_FIELDS, "noise_sweep.imu_error"
-        )
-    _reject_unknown(block, "noise_sweep")
-    if seed_override is not None:
-        kwargs["seeds"] = tuple(seed_override + s for s in kwargs["seeds"])
-    sweep = evaluate.run_noise_sweep(**kwargs)
-    return lambda outdir: evaluate.write_noise_sweep(outdir, sweep), {"seeds": list(kwargs["seeds"])}
+    kwargs = _sweep_args(cfg, "noise_sweep", _NOISE_SWEEP_KEYS, ("rates", "imu_error"))
+    return _run_sweep(evaluate.run_noise_sweep, evaluate.write_noise_sweep, kwargs, seed_override)
 
 
 def _run_drift_profile(cfg, config_dir, seed_override):
-    block = dict(_expect_mapping(cfg.pop("drift_profile", {}), "drift_profile"))
-    _reject_unknown(cfg, "config")
-    bias_scales = _number_list(
-        _pop_list(block, "bias_scales", [0.5, 1.0, 2.0, 4.0]), "drift_profile.bias_scales"
-    )
+    kwargs = _sweep_args(cfg, "drift_profile", _DRIFT_PROFILE_KEYS, ("imu_error",))
     # a scaled bias std must stay a valid ImuErrorModel std
-    if min(bias_scales) < 0.0:
+    if any(scale < 0.0 for scale in kwargs.get("bias_scales", ())):
         raise ConfigError("drift_profile.bias_scales must be >= 0")
-    kwargs = dict(
-        bias_scales=bias_scales,
-        seeds=_seeds_from_block(block, 10, "drift_profile"),
-        duration_s=_pop_number(block, "duration_s", 60.0, "drift_profile", minimum=1.0),
-        rate_hz=_pop_number(block, "rate_hz", 100.0, "drift_profile", minimum=1.0),
-        speed_mps=_pop_number(block, "speed_mps", 8.0, "drift_profile", minimum=0.1),
-    )
-    if "imu_error" in block:
-        kwargs["imu_err"] = _build_sub(
-            block, "imu_error", ImuErrorModel, _IMU_FIELDS, "drift_profile.imu_error"
-        )
-    _reject_unknown(block, "drift_profile")
-    if seed_override is not None:
-        kwargs["seeds"] = tuple(seed_override + s for s in kwargs["seeds"])
-    sweep = evaluate.run_drift_profile(**kwargs)
-    return lambda outdir: evaluate.write_drift_profile(outdir, sweep), {"seeds": list(kwargs["seeds"])}
+    return _run_sweep(evaluate.run_drift_profile, evaluate.write_drift_profile, kwargs, seed_override)
 
 
 _MODE_RUNNERS = {

@@ -85,15 +85,12 @@ def run_outage_sweep(
     rates=None,
     pre_s=10.0,
     post_s=5.0,
-    ring_kwargs=None,
-    setup_kwargs=None,
 ) -> dict:
     """Paired runs with an artificial radio outage per case.
 
     Each case gets its own loop speed; the outage starts after a settling
     margin and metrics are evaluated inside the outage window only. The
-    sweep reads no NEES, so its runs skip it unless setup_kwargs sets
-    compute_nees.
+    sweep reads no NEES, so its runs skip it.
     """
     if len(durations) != len(speeds):
         raise ValueError("durations and speeds must pair up")
@@ -102,7 +99,7 @@ def run_outage_sweep(
     rates = rates or _SWEEP_RATES
     cases = []
     for i, (dur, spd) in enumerate(zip(durations, speeds)):
-        scenario = ring_scenario(speed_mps=spd, **(ring_kwargs or {}))
+        scenario = ring_scenario(speed_mps=spd)
         t0, t1 = pre_s, pre_s + dur
         row = {
             "case": i,
@@ -123,7 +120,7 @@ def run_outage_sweep(
                 noise=noise,
                 imu_err=imu_err,
                 outages=[OutageWindow(t0, t1)],
-                **{"compute_nees": False, **(setup_kwargs or {})},
+                compute_nees=False,
             )
             res_w, res_wo = run_pair(setup)
             window = (t0, t1)
@@ -150,8 +147,6 @@ def run_noise_sweep(
     speed_mps=8.0,
     imu_err=None,
     rates=None,
-    ring_kwargs=None,
-    setup_kwargs=None,
 ) -> dict:
     """Paired runs over a grid of range/angle noise variances.
 
@@ -159,11 +154,11 @@ def run_noise_sweep(
     move with the variance scaling rather than with sampling luck. No outage
     by default: accuracy should respond to the measurement noise alone, and
     an optional (start_s, end_s) window is for combined stress runs. As in
-    run_outage_sweep, NEES is skipped unless setup_kwargs sets compute_nees.
+    run_outage_sweep, NEES is skipped.
     """
     imu_err = imu_err or _sweep_imu_err()
     rates = rates or _SWEEP_RATES
-    scenario = ring_scenario(speed_mps=speed_mps, **(ring_kwargs or {}))
+    scenario = ring_scenario(speed_mps=speed_mps)
     outages = [OutageWindow(*outage)] if outage is not None else []
     cells = []
     for vr in var_ranges:
@@ -183,7 +178,7 @@ def run_noise_sweep(
                     noise=NoiseCfg(var_range_m2=float(vr), var_angle_deg2=float(va)),
                     imu_err=imu_err,
                     outages=list(outages),
-                    **{"compute_nees": False, **(setup_kwargs or {})},
+                    compute_nees=False,
                 )
                 res_w, res_wo = run_pair(setup)
                 cell["rmse_with_m"].append(rmse_3d(res_w.t, res_w.err_3d))
@@ -205,7 +200,6 @@ def run_drift_profile(
     rate_hz=100.0,
     speed_mps=8.0,
     imu_err=None,
-    trapezoid=True,
 ) -> dict:
     """Free-inertial drift ensemble: final position error vs bias scale."""
     from .ins import drift_profile
@@ -226,7 +220,7 @@ def run_drift_profile(
         finals = []
         for seed in seeds:
             rng = np.random.default_rng(np.random.SeedSequence(int(seed)).spawn(1)[0])
-            _, drift = drift_profile(truth, err_model, rate_hz, rng, trapezoid=trapezoid)
+            _, drift = drift_profile(truth, err_model, rate_hz, rng)
             finals.append(float(drift[-1]))
         rows.append({"bias_scale": float(scale), "final_drift_m": finals})
     return {"mode": "drift-profile", "seeds": [int(s) for s in seeds], "rows": rows}

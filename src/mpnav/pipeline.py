@@ -46,6 +46,15 @@ class Rates:
     obs_hz: float = 10.0
     odo_hz: float = 10.0
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be a finite number > 0")
+        for name in ("obs_hz", "odo_hz"):
+            ratio = self.imu_hz / getattr(self, name)
+            if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
+                raise ValueError(f"imu_hz must be an integer multiple of {name}")
+
 
 @dataclass
 class InitErrors:
@@ -88,15 +97,8 @@ class RunSetup:
     def __post_init__(self):
         if self.ukf is None:
             self.ukf = UkfParams.from_imu_error(self.imu_err)
-        self.validate()
-
-    def validate(self):
         if self.duration_s <= 0:
             raise ValueError("duration_s must be > 0")
-        for name in ("obs_hz", "odo_hz"):
-            ratio = self.rates.imu_hz / getattr(self.rates, name)
-            if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
-                raise ValueError(f"imu_hz must be an integer multiple of {name}")
         if round(self.duration_s * self.rates.obs_hz) < 1:
             raise ValueError("run too short for one observation epoch")
 

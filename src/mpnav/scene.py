@@ -284,6 +284,8 @@ class Scenario:
 
     def __post_init__(self):
         ids = [b.id for b in self.base_stations]
+        if not ids:
+            raise GeometryError("a scenario needs at least one base station")
         if len(set(ids)) != len(ids):
             raise GeometryError("base station ids must be unique")
         wids = [w.id for w in self.walls]

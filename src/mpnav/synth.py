@@ -11,6 +11,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -152,6 +153,8 @@ class PathLossModel:
     def __post_init__(self):
         if self.exponent <= 0:
             raise ValueError("path-loss exponent must be > 0")
+        if self.d0_m <= 0:
+            raise ValueError("reference distance d0_m must be > 0")
 
     def rss(self, path_length_m, bounces=0):
         """Received power, dBm; accepts scalars or arrays."""
@@ -461,11 +464,17 @@ def write_measurement_log(path, ms) -> None:
 
 
 def _vec3(d: dict, key: str) -> list:
-    """The three numbers of an IMU vector, as Python floats."""
-    v = np.asarray(d[key], dtype=float)
-    if v.shape != (3,):
+    """The three JSON values of an IMU vector."""
+    v = d[key]
+    if not (isinstance(v, list) and len(v) == 3):
         raise ValueError(f"{key} must hold three numbers")
-    return v.tolist()
+    return v
+
+
+# the Python types of a JSON number: a bool's type is bool, not int
+_NUMBER_TYPES = frozenset((int, float))
+# the seven numbers every radio record holds, in the order of LOG_KEYS
+_RADIO_VALUES = {kind: itemgetter(*LOG_KEYS[kind][:7]) for kind in ("los", "sbr")}
 
 
 def read_measurement_log(path) -> dict:
@@ -476,9 +485,10 @@ def read_measurement_log(path) -> dict:
     per-record object is built. SBR records without truth_bounces or body
     angles read as one bounce and zero angles. Raises ValueError naming the
     1-based line of the first record that is not a JSON object, has an
-    unknown kind, lacks a key, holds a value that is not a number (or three,
-    for IMU vectors) where one belongs, or holds a number that is not
-    finite or, for an integer, too large."""
+    unknown kind, lacks a key, holds a value that is not a JSON number (a
+    string or a boolean among them; three, for IMU vectors) where one
+    belongs or a truth_bounces that is not a JSON integer, or holds a number
+    that is not finite or, for an integer, too large."""
     numbers = {kind: array("d") for kind in LOG_KEYS}
     bs = {"los": array("q"), "sbr": array("q")}
     bounces = array("q")
@@ -493,39 +503,24 @@ def read_measurement_log(path) -> dict:
                 if not isinstance(d, dict):
                     raise ValueError("record is not a JSON object")
                 kind = d.get("kind")
-                if kind == "los":
+                if kind == "los" or kind == "sbr":
                     bs_id = str(d["bs_id"])
-                    values = [
-                        float(d["t_s"]),
-                        float(d["rtt_s"]),
-                        float(d["aod_az_rad"]),
-                        float(d["aod_el_rad"]),
-                        float(d["aoa_az_rad"]),
-                        float(d["aoa_el_rad"]),
-                        float(d["rss_dbm"]),
-                    ]
-                elif kind == "sbr":
-                    bs_id = str(d["bs_id"])
-                    values = [
-                        float(d["t_s"]),
-                        float(d["toa_s"]),
-                        float(d["aod_az_rad"]),
-                        float(d["aod_el_rad"]),
-                        float(d["aoa_az_rad"]),
-                        float(d["aoa_el_rad"]),
-                        float(d["rss_dbm"]),
-                    ]
-                    nb = int(d.get("truth_bounces", 1))
-                    values += [
-                        float(d.get("aoa_az_body_rad", 0.0)),
-                        float(d.get("aoa_el_body_rad", 0.0)),
-                    ]
+                    raw = _RADIO_VALUES[kind](d)
+                    if kind == "sbr":
+                        nb = d.get("truth_bounces", 1)
+                        if type(nb) is not int:
+                            raise ValueError("truth_bounces is not an integer")
+                        raw += (d.get("aoa_az_body_rad", 0.0), d.get("aoa_el_body_rad", 0.0))
                 elif kind == "imu":
-                    values = [float(d["t_s"]), *_vec3(d, "gyro_rps"), *_vec3(d, "accel_mps2")]
+                    raw = (d["t_s"], *_vec3(d, "gyro_rps"), *_vec3(d, "accel_mps2"))
                 elif kind == "odo":
-                    values = [float(d["t_s"]), float(d["speed_mps"])]
+                    raw = (d["t_s"], d["speed_mps"])
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
+                if not _NUMBER_TYPES.issuperset(map(type, raw)):
+                    bad = next(k for k, x in zip(LOG_KEYS[kind], raw) if type(x) not in _NUMBER_TYPES)
+                    raise ValueError(f"{bad} is not a number")
+                values = list(map(float, raw))
                 if not all(map(math.isfinite, values)):
                     bad = next(k for k, x in zip(LOG_KEYS[kind], values) if not math.isfinite(x))
                     raise ValueError(f"{bad} is not finite")

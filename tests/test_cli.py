@@ -1,6 +1,7 @@
 """Command line interface: modes, exit codes, output determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -450,6 +451,13 @@ RING_3S = {
         ("imu_error", "gyro_noise_density", -1e-4),
         ("init_errors", "pos_std_m", -0.5),
         ("init_errors", "pos_std_m", float("nan")),
+        ("rates", "obs_hz", 0),
+        ("rates", "imu_hz", "100"),
+        ("path_loss", "tx_power_dbm", "x"),
+        ("path_loss", "d0_m", 0),
+        ("noise", "var_range_m2", True),
+        ("gates", "residual_m", float("nan")),
+        ("init_errors", "pos_std_m", True),
     ],
     ids=[
         "nis_gate_negative",
@@ -462,6 +470,13 @@ RING_3S = {
         "gyro_noise_density_negative",
         "pos_std_negative",
         "pos_std_nan",
+        "obs_hz_zero",
+        "imu_hz_string",
+        "tx_power_string",
+        "d0_zero",
+        "var_range_bool",
+        "residual_nan",
+        "pos_std_bool",
     ],
 )
 def test_bad_filter_or_imu_parameter_exits_2(tmp_path, capsys, block, key, value):
@@ -473,6 +488,138 @@ def test_bad_filter_or_imu_parameter_exits_2(tmp_path, capsys, block, key, value
     assert err.startswith(f"config error: {block}:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(RING_3S, scenario={"preset": "ring", "params": {"n_bs": 8.5}}),
+        dict(RING_3S, scenario={"preset": "ring", "params": {"n_bs": "8"}}),
+        dict(RING_3S, scenario={"preset": "ring", "params": {"speed_mps": "fast"}}),
+        dict(RING_3S, scenario={"preset": "ring", "params": {"speed_mps": True}}),
+        {
+            "mode": "outage-sweep",
+            "outage_sweep": {"durations_s": [2.0], "speeds_mps": [8.0], "seeds": [0], "rates": {"obs_hz": 0}},
+        },
+    ],
+    ids=["n_bs_fraction", "n_bs_string", "speed_string", "speed_bool", "sweep_obs_hz_zero"],
+)
+def test_bad_ring_param_or_sweep_rate_exits_2(tmp_path, capsys, cfg):
+    out = tmp_path / "out"
+    assert main([str(write_config(tmp_path, cfg)), "--output-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# every documented single-mode key at its default value, block by block
+DEFAULT_KEYS = {
+    "seed": 0,
+    "duration_s": 60.0,
+    "with_sbr": True,
+    "outages": [],
+    "odo_noise_std_mps": 0.05,
+    "include_double_bounce": False,
+    "use_body_aoa": True,
+    "trapezoid": True,
+    "write_measurement_log": True,
+    "scenario": {
+        "preset": "ring",
+        "params": {
+            "n_bs": 8,
+            "bs_radius_m": 318.0,
+            "bs_height_m": 20.0,
+            "n_walls": 6,
+            "wall_radius_m": 400.0,
+            "wall_height_m": 30.0,
+            "route_radius_m": 160.0,
+            "speed_mps": 8.0,
+            "ue_height_m": 1.5,
+            "reflection_loss_db": 6.0,
+        },
+    },
+    "rates": {"imu_hz": 100.0, "obs_hz": 10.0, "odo_hz": 10.0},
+    "path_loss": {
+        "tx_power_dbm": 30.0,
+        "pl0_db": 61.4,
+        "exponent": 2.0,
+        "reflection_loss_db": 6.0,
+        "d0_m": 1.0,
+    },
+    "noise": {"var_range_m2": 0.5, "var_angle_deg2": 0.01},
+    "imu_error": {
+        "gyro_bias_std_rps": 2e-4,
+        "accel_bias_std_mps2": 2e-3,
+        "gyro_noise_density": 1e-4,
+        "accel_noise_density": 1e-3,
+        "bias_mode": "gaussian",
+    },
+    "gates": {
+        "range_consistency_m": 10.0,
+        "elevation_eps_rad": math.radians(0.5),
+        "residual_m": 3.0,
+        "motion_margin_m": 2.0,
+    },
+    "init_errors": {"pos_std_m": 0.5, "vel_std_mps": 0.1, "att_std_rad": 0.005},
+    # the filter's default takes q_vel and q_att from the IMU noise densities
+    "ukf": {
+        "alpha": 0.5,
+        "beta": 2.0,
+        "kappa": 0.0,
+        "q_pos": 0.0,
+        "q_vel": 1e-6,
+        "q_att": 1e-8,
+        "q_bias_gyro": 0.0,
+        "q_bias_accel": 0.0,
+        "nis_gate": 16.26623619623813,
+    },
+}
+
+
+def test_every_key_at_its_default_changes_no_output(tmp_path):
+    bare = write_config(tmp_path, {"mode": "single", "scenario": {"preset": "ring"}}, "bare.json")
+    full = write_config(tmp_path, {"mode": "single", **DEFAULT_KEYS}, "full.json")
+    assert main([str(bare), "--output-dir", str(tmp_path / "bare")]) == EXIT_OK
+    assert main([str(full), "--output-dir", str(tmp_path / "full")]) == EXIT_OK
+    got, ref = tree_bytes(tmp_path / "full"), tree_bytes(tmp_path / "bare")
+    assert sorted(got) == sorted(ref)
+    assert "measurements.jsonl" in got
+    for name in ref:
+        if name != "manifest.json":
+            assert got[name] == ref[name], name
+
+
+SWEEP_BLOCKS = {
+    "outage-sweep": ("outage_sweep", ("rates", "noise", "imu_error")),
+    "noise-sweep": ("noise_sweep", ("rates", "imu_error")),
+    "drift-profile": ("drift_profile", ("imu_error",)),
+}
+
+
+def unknown_key_configs():
+    """(block path, config) pairs, each config with one unknown key in the
+    block the path names."""
+    yield "config", {"mode": "single", **DEFAULT_KEYS, "typo": 1}
+    for block, value in DEFAULT_KEYS.items():
+        if isinstance(value, dict):
+            yield block, {"mode": "single", **DEFAULT_KEYS, block: {**value, "typo": 1}}
+    params = dict(DEFAULT_KEYS["scenario"]["params"], typo=1)
+    yield "scenario.params", {"mode": "single", **DEFAULT_KEYS, "scenario": {"preset": "ring", "params": params}}
+    for mode, (name, blocks) in SWEEP_BLOCKS.items():
+        yield name, {"mode": mode, name: {"typo": 1}}
+        for block in blocks:
+            yield f"{name}.{block}", {"mode": mode, name: {block: {"typo": 1}}}
+
+
+def test_unknown_key_in_any_block_exits_2(tmp_path, capsys):
+    cases = list(unknown_key_configs())
+    assert len(cases) == 1 + 8 + 1 + 3 + 6
+    for where, cfg in cases:
+        out = tmp_path / "out"
+        assert main([str(write_config(tmp_path, cfg)), "--output-dir", str(out)]) == EXIT_CONFIG, where
+        assert f"{where}: unknown keys ['typo']" in capsys.readouterr().err, where
+        assert not out.exists()
 
 
 def test_negative_drift_bias_scale_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Metrics and deterministic result writers."""
 
+import dataclasses
 import json
 import math
 
@@ -165,20 +166,29 @@ def test_write_noise_sweep_schema(tmp_path):
 
 
 def test_sweeps_skip_nees_and_keep_their_rmse(monkeypatch):
-    # the sweeps read no NEES, so their runs skip it; a caller can still ask
-    seen = []
+    # the sweeps read no NEES, so their runs skip it; forcing it on in a
+    # second pass shows that it moves no RMSE
+    asked, computed, force = [], [], []
     run_pair = evaluate.run_pair
 
     def spy(setup):
-        seen.append(setup.compute_nees)
-        return run_pair(setup)
+        asked.append(setup.compute_nees)
+        if force:
+            setup = dataclasses.replace(setup, compute_nees=True)
+        res_w, res_wo = run_pair(setup)
+        computed.append(bool(np.isfinite(res_w.nees).any()))
+        return res_w, res_wo
 
     monkeypatch.setattr(evaluate, "run_pair", spy)
     outage = dict(durations=[2.0], speeds=[8.0], seeds=(0, 1), pre_s=2.0, post_s=1.0)
     noise = dict(var_ranges=[0.5], var_angles=[0.01], seeds=(0, 1), duration_s=3.0)
     for sweep, kwargs in ((run_outage_sweep, outage), (run_noise_sweep, noise)):
-        seen.clear()
+        asked.clear()
+        computed.clear()
+        force.clear()
         skipped = sweep(**kwargs)
-        computed = sweep(**kwargs, setup_kwargs={"compute_nees": True})
-        assert seen == [False, False, True, True]
-        assert skipped == computed
+        force.append(True)
+        with_nees = sweep(**kwargs)
+        assert asked == [False, False, False, False]
+        assert computed == [False, False, True, True]
+        assert skipped == with_nees

@@ -193,6 +193,29 @@ def test_out_of_range_integer_names_its_line(tmp_path):
             read_measurement_log(tmp_path / "big.jsonl")
 
 
+def test_strings_and_booleans_are_not_numbers(tmp_path):
+    # float() would read "0.5" as 0.5 and true as 1.0, and int() 1.5 as 1
+    cases = []
+    for k, d in enumerate(VALID):
+        for key in sorted(set(LOG_KEYS[d["kind"]]) & set(d)):
+            for bad in ("0.5", True, False):
+                if isinstance(d[key], list):
+                    cases.append((k, dict(d, **{key: [d[key][0], bad, d[key][2]]}), key))
+                else:
+                    cases.append((k, dict(d, **{key: bad}), key))
+        if d["kind"] == "sbr":
+            for bad in (1.5, "2", True):
+                cases.append((k, dict(d, truth_bounces=bad), None))
+    assert len(cases) == 3 * (3 + 3 + 2 + 7 + 9 + 7) + 2 * 3
+    for k, d, key in cases:
+        lines = [json.dumps(v) for v in VALID]
+        lines[k] = json.dumps(d)
+        write_lines(tmp_path / "typed.jsonl", lines)
+        message = f"{key} is not a number" if key else "truth_bounces is not an integer"
+        with pytest.raises(ValueError, match=f"^line {k + 1}: {message}$"):
+            read_measurement_log(tmp_path / "typed.jsonl")
+
+
 def test_reader_memory_is_its_columns(ring_log):
     # per-record objects would hold several times the columns' bytes
     tracemalloc.start()

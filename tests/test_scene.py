@@ -402,6 +402,10 @@ def test_scenario_validation():
             trajectory={"kind": "circle"},
         )
     with pytest.raises(GeometryError):
+        Scenario(name="empty", base_stations=[], walls=[], trajectory={"kind": "circle"})
+    with pytest.raises(GeometryError):
+        ring_scenario(n_bs=0)
+    with pytest.raises(GeometryError):
         scenario_from_dict({"trajectory": {}})
 
 
