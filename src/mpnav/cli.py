@@ -116,10 +116,8 @@ def _outages(v, name):
     windows = []
     for i, item in enumerate(v):
         where = f"{name}[{i}]"
-        if isinstance(item, dict) and set(item) == {"t_start_s", "t_end_s"}:
-            item = [item["t_start_s"], item["t_end_s"]]
         if not (isinstance(item, list) and len(item) == 2):
-            raise ConfigError(f"{where} must be [start, end] or an object with t_start_s, t_end_s")
+            raise ConfigError(f"{where} must be [start, end]")
         t0, t1 = _numbers(item, where)
         try:
             windows.append(OutageWindow(t0, t1))
@@ -227,7 +225,6 @@ _SETUP_KEYS = {
     "odo_noise_std_mps": ("odo_noise_std", _number, 0.0),
     "include_double_bounce": ("include_double_bounce", _boolean),
     "use_body_aoa": ("use_body_aoa", _boolean),
-    "trapezoid": ("trapezoid", _boolean),
 }
 
 
@@ -269,9 +266,13 @@ def _run_single(cfg, config_dir, seed_override):
         ms = synth_measurements(setup)
     result = run_filter(ms, setup)
     label = "with" if setup.with_sbr else "without"
+    try:
+        summary = evaluate.single_run_summary(result, label)
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from exc
 
     def writer(outdir):
-        summary = evaluate.write_single_run(outdir, result, label=label)
+        evaluate.write_single_run(outdir, result, label=label)
         evaluate.write_csv(
             outdir / "summary.csv", tuple(summary.keys()), [tuple(summary.values())]
         )
@@ -339,10 +340,14 @@ def _run_outage_sweep(cfg, config_dir, seed_override):
     kwargs = _sweep_args(cfg, "outage_sweep", _OUTAGE_SWEEP_KEYS, ("rates", "noise", "imu_error"))
     runner = evaluate.run_outage_sweep
     durations = kwargs.get("durations", _default(runner, "durations"))
-    if len(durations) != len(kwargs.get("speeds", _default(runner, "speeds"))):
+    speeds = kwargs.get("speeds", _default(runner, "speeds"))
+    if len(durations) != len(speeds):
         raise ConfigError("outage_sweep: durations_s and speeds_mps must pair up")
     if min(durations) <= 0.0:
         raise ConfigError("outage_sweep: durations_s must be > 0")
+    # the sweep reports error per distance traveled in each outage
+    if min(speeds) <= 0.0:
+        raise ConfigError("outage_sweep: speeds_mps must be > 0")
     return _run_sweep(runner, evaluate.write_outage_sweep, kwargs, seed_override)
 
 

@@ -268,7 +268,7 @@ def write_manifest(path, config_echo: dict, extra: dict | None = None):
 
 
 def write_single_run(outdir, result, label="run"):
-    """errors_<label>.csv, cdf_<label>.csv for one run; returns summary row."""
+    """errors_<label>.csv, cdf_<label>.csv for one run."""
     outdir = Path(outdir)
     rows = [
         (t, ee, en, eu, e3)
@@ -277,6 +277,11 @@ def write_single_run(outdir, result, label="run"):
     write_csv(outdir / f"errors_{label}.csv", ("t", "ex", "ey", "ez", "e3d"), rows)
     e, p = error_cdf(result.err_3d)
     write_csv(outdir / f"cdf_{label}.csv", ("e3d", "cdf"), list(zip(e, p)))
+
+
+def single_run_summary(result, label) -> dict:
+    """The summary row of one run: its error metrics and gate counters.
+    Raises ValueError when the run travels no distance."""
     summary = {
         "label": label,
         "n_epochs": result.t.size,

@@ -37,11 +37,9 @@ COND_MAX = 1e8
 class Fix:
     """One position solution handed to the fusion filter."""
 
-    t: float
     p: np.ndarray
     cov: np.ndarray  # 3x3, m^2
     residual: float  # RMS equation misfit, m
-    source: str  # "los" or "sbr"
     n_paths: int = 1
     path_residuals: list = field(default_factory=list)
     # present when the solver co-estimated a nav-frame yaw misalignment of
@@ -71,7 +69,7 @@ def los_fix(bs, obs, var_range_m2: float = 0.0, var_angle_deg2: float = 0.0) -> 
     declared measurement variances.
 
     bs: the base station, or anything with its position p; obs: the
-    observation, or anything with rtt, aod_az, aod_el and t. Broadcasts: with
+    observation, or anything with rtt, aod_az and aod_el. Broadcasts: with
     n stations' positions (n, 3) and (n,) observation arrays, the fix holds
     n positions (n, 3) and covariances (n, 3, 3).
     """
@@ -87,7 +85,7 @@ def los_fix(bs, obs, var_range_m2: float = 0.0, var_angle_deg2: float = 0.0) -> 
     # about one value in a thousand
     s2 = np.float_power(sig_a * d, 2)[..., None, None]
     cov = var_range_m2 * _outer(u) + s2 * (_outer(j_az) + _outer(j_el))
-    return Fix(t=obs.t, p=p, cov=cov, residual=0.0, source="los")
+    return Fix(p=p, cov=cov, residual=0.0)
 
 
 def _outer(u):
@@ -219,11 +217,9 @@ def sbr_fix(
     j_p = j_all[:, :3]
     cov = np.einsum("kic,c,kjc->ij", j_p, sig2, j_p)
     fix = Fix(
-        t=pairs[0][1].t,
         p=p,
         cov=cov,
         residual=residual,
-        source="sbr",
         n_paths=K,
         path_residuals=path_residuals,
     )

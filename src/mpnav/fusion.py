@@ -86,11 +86,10 @@ class UkfParams:
         return np.diag(q)
 
     @classmethod
-    def from_imu_error(cls, imu_err, **kwargs) -> "UkfParams":
+    def from_imu_error(cls, imu_err) -> "UkfParams":
         return cls(
             q_vel=imu_err.accel_noise_density**2,
             q_att=imu_err.gyro_noise_density**2,
-            **kwargs,
         )
 
 
@@ -181,13 +180,13 @@ def _inject(fs: FilterState, dx: np.ndarray):
     return p, v, q, bg, ba
 
 
-def _finalize_cov(P: np.ndarray, tol: float = 1e-6):
+def _finalize_cov(P: np.ndarray):
     """Re-symmetrize; floor sub-tolerance negative eigenvalues (an artifact of
-    negative center weights in the scaled transform); fail beyond -tol.
+    negative center weights in the scaled transform); fail below -1e-6.
     Returns (P, smallest eigenvalue of P)."""
     P = 0.5 * (P + P.T)
     eigmin = float(np.linalg.eigvalsh(P)[0])
-    if eigmin < -tol:
+    if eigmin < -1e-6:
         raise NumericError(f"covariance indefinite (min eigenvalue {eigmin:.3e})")
     if eigmin < 1e-12:
         P = P + (1e-12 - min(eigmin, 0.0)) * np.eye(P.shape[0])
@@ -195,7 +194,7 @@ def _finalize_cov(P: np.ndarray, tol: float = 1e-6):
     return P, eigmin
 
 
-def predict(fs: FilterState, gyros, accels, dts, params: UkfParams, trapezoid: bool = True) -> FilterState:
+def predict(fs: FilterState, gyros, accels, dts, params: UkfParams) -> FilterState:
     """Propagate through the mechanization over a batch of IMU samples.
 
     gyros/accels: (m, 3) arrays, dts: (m,) per-sample intervals covering
@@ -210,7 +209,7 @@ def predict(fs: FilterState, gyros, accels, dts, params: UkfParams, trapezoid: b
         raise ValueError("IMU intervals must be positive")
     pts, wm, wc = sigma_points(np.zeros(N_ERR), fs.P, params.alpha, params.beta, params.kappa)
     p, v, q, bg, ba = _inject(fs, pts)
-    p, v, q = mechanize_arrays(p, v, q, bg, ba, gyros, accels, dts, trapezoid=trapezoid)
+    p, v, q = mechanize_arrays(p, v, q, bg, ba, gyros, accels, dts)
     p, v, q = p[-1], v[-1], q[-1]
     p_mean = wm @ p
     v_mean = wm @ v

@@ -60,12 +60,10 @@ def oori_check(aod_el, aoa_el, fix_residual_m, cfg: GateConfig):
     return elevation_ok & (np.asarray(fix_residual_m) <= cfg.residual_m), elevation_ok
 
 
-def motion_gate(candidate_p, prior_p, odo_dist_m: float, dt: float, cfg: GateConfig):
+def motion_gate(candidate_p, prior_p, odo_dist_m: float, cfg: GateConfig):
     """Reject candidate positions farther from the prior than the odometer
     says the vehicle could have traveled (plus margin). Broadcasts over
     stacked candidates (n, 3), returning (n,) booleans."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
     d = np.asarray(candidate_p, dtype=float) - np.asarray(prior_p, dtype=float)
     # each row's norm as the dot product np.linalg.norm takes of one vector
     step = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])

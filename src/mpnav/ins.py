@@ -15,16 +15,15 @@ from . import quat
 GRAVITY = np.array([0.0, 0.0, -9.80665])  # ENU, m/s^2
 
 
-def mechanize_arrays(p, v, q, b_g, b_a, gyro, accel, dt, trapezoid=True):
+def mechanize_arrays(p, v, q, b_g, b_a, gyro, accel, dt):
     """Mechanize one IMU interval of m samples on stacked states.
 
     gyro, accel: (m, 3) body-frame samples; dt: (m,) sample intervals. The
     state p, v (..., 3), q (..., 4) and biases b_g, b_a (..., 3) broadcast
     over leading axes (sigma points). Per sample: attitude first (exponential
     map of the compensated rate), then velocity with the new attitude, then
-    position; trapezoidal position integration by default, rectangular (new
-    velocity) otherwise. Returns (p, v, q) after every sample, each with a
-    leading axis of length m.
+    position by trapezoidal integration. Returns (p, v, q) after every
+    sample, each with a leading axis of length m.
 
     Only the attitude chain runs sample by sample. The rotation increments
     come from one exponential map and the nav-frame accelerations from one
@@ -45,15 +44,12 @@ def mechanize_arrays(p, v, q, b_g, b_a, gyro, accel, dt, trapezoid=True):
     dt3 = dt[lead][..., None]
     v = np.broadcast_to(v, a_nav.shape[1:])
     vs = np.cumsum(np.concatenate([v[None], a_nav * dt3]), axis=0)
-    if trapezoid:
-        dp = 0.5 * (vs[:-1] + vs[1:]) * dt3
-    else:
-        dp = vs[1:] * dt3
+    dp = 0.5 * (vs[:-1] + vs[1:]) * dt3
     ps = np.cumsum(np.concatenate([np.broadcast_to(p, dp.shape[1:])[None], dp]), axis=0)
     return ps[1:], vs[1:], qs
 
 
-def drift_profile(truth, imu_err, rate: float, rng, trapezoid: bool = True):
+def drift_profile(truth, imu_err, rate: float, rng):
     """Free-inertial position error versus time for one noisy IMU stream
     along the truth trajectory (a scene.Trajectory).
 
@@ -80,7 +76,6 @@ def drift_profile(truth, imu_err, rate: float, rng, trapezoid: bool = True):
         imu.gyro,
         imu.accel,
         dts,
-        trapezoid=trapezoid,
     )
     err = np.concatenate([[0.0], np.linalg.norm(p - truth.p[1:], axis=1)])
     return t, err

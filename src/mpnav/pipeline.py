@@ -40,6 +40,10 @@ from .synth import (
 )
 
 
+# variance added to each position fix's covariance, m^2 per axis
+R_FLOOR_M2 = 1e-4
+
+
 @dataclass
 class Rates:
     imu_hz: float = 100.0
@@ -90,8 +94,6 @@ class RunSetup:
     include_double_bounce: bool = False
     use_body_aoa: bool = True
     max_sbr_paths: int = 16
-    r_floor_m2: float = 1e-4
-    trapezoid: bool = True
     compute_nees: bool = True
 
     def __post_init__(self):
@@ -270,15 +272,13 @@ def synth_measurements(setup: RunSetup) -> MeasurementSet:
 class RunResult:
     t: np.ndarray
     p_est: np.ndarray
-    p_truth: np.ndarray
-    err_enu: np.ndarray  # p_est - p_truth per epoch
+    err_enu: np.ndarray  # p_est minus the truth position per epoch
     err_3d: np.ndarray
     arc_m: np.ndarray  # cumulative truth arc length at epochs
     nees: np.ndarray  # NaN when truth biases unknown
     min_eig_p: np.ndarray
     counters: dict
     final_state: FilterState
-    truth_biases: tuple
 
 
 def _init_filter(setup: RunSetup, truth: Trajectory, rng) -> FilterState:
@@ -408,7 +408,7 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
     los, sbr = ms.los, ms.sbr
     los_off, sbr_off = los.off.tolist(), sbr.off.tolist()
     los_rtt, los_rss = los.obs[:, 0].tolist(), los.rss.tolist()
-    r_floor = setup.r_floor_m2 * np.eye(3)
+    r_floor = R_FLOOR_M2 * np.eye(3)
     truth_bg, truth_ba = (None, None) if ms.truth_biases is None else ms.truth_biases
     if setup.compute_nees and truth_bg is not None:
         att_ep = truth.att[ms.epoch_idx]
@@ -424,7 +424,6 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
             ms.accel[prev_idx:idx],
             dts[prev_idx:idx],
             setup.ukf,
-            trapezoid=setup.trapezoid,
         )
         prev_idx = idx
 
@@ -443,11 +442,11 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
             obs = los.obs[rows]
             fix = los_fix(
                 SimpleNamespace(p=bs_p[los.bs[rows]]),
-                SimpleNamespace(t=epoch_t[e_i], rtt=obs[:, 0], aod_az=obs[:, 1], aod_el=obs[:, 2]),
+                SimpleNamespace(rtt=obs[:, 0], aod_az=obs[:, 1], aod_el=obs[:, 2]),
                 setup.noise.var_range_m2,
                 setup.noise.var_angle_deg2,
             )
-            near = motion_gate(fix.p, last_accept_p, travel_budget, dt_obs, setup.gate_cfg)
+            near = motion_gate(fix.p, last_accept_p, travel_budget, setup.gate_cfg)
             n_near = int(np.count_nonzero(near))
             counters["los_rejected_motion"] += len(rows) - n_near
             counters["los_admitted"] += n_near
@@ -487,21 +486,18 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
                 )
                 if fix is None:
                     counters["sbr_fix_failed"] += 1
-                elif not motion_gate(fix.p, last_accept_p, travel_budget, dt_obs, setup.gate_cfg):
+                elif not motion_gate(fix.p, last_accept_p, travel_budget, setup.gate_cfg):
                     counters["sbr_fix_rejected_motion"] += 1
-                elif fix.yaw is not None:
-                    r4 = np.zeros((4, 4))
-                    r4[:3, :3] = fix.cov + r_floor
-                    r4[3, 3] = fix.yaw_var + 1e-8
-                    r4[:3, 3] = r4[3, :3] = fix.yaw_pos_cov
-                    fs, info = update_position_yaw(fs, fix, r4, setup.ukf)
-                    if info.accepted:
-                        accepted_any = True
-                        counters["sbr_updates"] += 1
-                    else:
-                        counters["sbr_nis_skipped"] += 1
                 else:
-                    fs, info = update_position(fs, fix, fix.cov + r_floor, setup.ukf)
+                    if fix.yaw is not None:
+                        r_mat = np.zeros((4, 4))
+                        r_mat[:3, :3] = fix.cov + r_floor
+                        r_mat[3, 3] = fix.yaw_var + 1e-8
+                        r_mat[:3, 3] = r_mat[3, :3] = fix.yaw_pos_cov
+                        update = update_position_yaw
+                    else:
+                        r_mat, update = fix.cov + r_floor, update_position
+                    fs, info = update(fs, fix, r_mat, setup.ukf)
                     if info.accepted:
                         accepted_any = True
                         counters["sbr_updates"] += 1
@@ -526,7 +522,6 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
     return RunResult(
         t=ms.epoch_t.copy(),
         p_est=out_est,
-        p_truth=out_truth,
         err_enu=err_enu,
         err_3d=np.linalg.norm(err_enu, axis=1),
         arc_m=arc_dense[epoch_idx],
@@ -534,7 +529,6 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
         min_eig_p=out_eig,
         counters=counters,
         final_state=fs,
-        truth_biases=ms.truth_biases,
     )
 
 
@@ -584,8 +578,10 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
     consistency statistics are unavailable on ingested runs.
 
     Raises ValueError when the log cannot feed the filter: an IMU sample
-    count other than the scenario's, no odometer records, or a base station
-    the scenario does not have."""
+    count other than the scenario's, an IMU time other than the scenario's
+    sample time (at the 1 µs the epoch grid is matched at), no odometer
+    records, odometer times that go back, or a base station the scenario
+    does not have. The message names the first offending record."""
     epoch_idx, _, n_samples = _epoch_indices(setup)
     times = np.arange(n_samples + 1) / setup.rates.imu_hz
     truth = trajectory_poses(setup.scenario.trajectory, times)
@@ -594,8 +590,18 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
         raise ValueError(
             f"log has {len(imu)} IMU samples, scenario expects {n_samples}"
         )
+    # the filter steps by the scenario's sample times, not by the log's
+    for k, (t, want) in enumerate(zip(imu.values[:, 0].tolist(), times.tolist())):
+        if round(t, 6) != round(want, 6):
+            raise ValueError(f"IMU sample {k} has t_s {t!r}, scenario expects {want!r}")
     if not len(odo):
         raise ValueError("log has no odometer records")
+    odo_t = odo.values[:, 0]
+    back = np.flatnonzero(np.diff(odo_t) < 0.0)
+    if back.size:
+        k = int(back[0]) + 1
+        t0, t1 = odo_t[k - 1 : k + 1].tolist()
+        raise ValueError(f"odometer record {k} has t_s {t1!r}, before record {k - 1}'s {t0!r}")
     stations = setup.scenario.base_stations
     station = {bs.id: b for b, bs in enumerate(stations)}
     unknown = {
@@ -615,7 +621,7 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
         imu_t=imu.values[:, 0].copy(),
         gyro=imu.values[:, 1:4].copy(),
         accel=imu.values[:, 4:7].copy(),
-        odo_t=odo.values[:, 0].copy(),
+        odo_t=odo_t.copy(),
         odo_v=odo.values[:, 1].copy(),
         los=_radio_columns(los, epoch_of_t, station, n_epochs),
         sbr=_radio_columns(sbr, epoch_of_t, station, n_epochs, sbr=True),

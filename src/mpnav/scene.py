@@ -53,7 +53,6 @@ class Wall:
     b: np.ndarray
     z0: float = 0.0
     h: float = 10.0
-    reflection_loss_db: float = 6.0
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float).reshape(2)
@@ -173,6 +172,13 @@ def angles_from_unit(u):
 
 # ---------------------------------------------------------------------------
 # trajectories
+
+# the keys of a trajectory spec, by kind
+_TRAJECTORY_KEYS = {
+    "circle": {"kind", "center_en_m", "radius_m", "speed_mps", "z_m", "phase_rad", "ccw"},
+    "waypoints": {"kind", "points_enu_m", "speed_mps"},
+    "samples": {"kind", "t_s", "p_enu_m", "v_enu_mps", "att_rpy_rad"},
+}
 
 
 def trajectory_poses(spec: dict, times) -> Trajectory:
@@ -295,8 +301,24 @@ class Scenario:
             raise GeometryError("trajectory spec needs a 'kind'")
 
 
+def _reject_unknown(d, keys, where):
+    unknown = set(d) - keys
+    if unknown:
+        raise GeometryError(f"bad scenario structure: {where}: unknown keys {sorted(unknown)}")
+
+
 def scenario_from_dict(d: dict) -> Scenario:
+    """A scenario from its JSON form; a key the scenario does not read
+    raises GeometryError, as a missing or malformed one does."""
     try:
+        _reject_unknown(d, {"name", "base_stations", "walls", "trajectory"}, "scenario")
+        for i, b in enumerate(d.get("base_stations", [])):
+            _reject_unknown(b, {"id", "p_enu_m"}, f"base_stations[{i}]")
+        for i, w in enumerate(d.get("walls", [])):
+            _reject_unknown(w, {"id", "a_en_m", "b_en_m", "z0_m", "height_m"}, f"walls[{i}]")
+        kind = d["trajectory"].get("kind")
+        if kind in _TRAJECTORY_KEYS:
+            _reject_unknown(d["trajectory"], _TRAJECTORY_KEYS[kind], f"{kind} trajectory")
         stations = [
             BaseStation(id=str(b["id"]), p=b["p_enu_m"]) for b in d.get("base_stations", [])
         ]
@@ -307,12 +329,11 @@ def scenario_from_dict(d: dict) -> Scenario:
                 b=w["b_en_m"],
                 z0=float(w.get("z0_m", 0.0)),
                 h=float(w.get("height_m", 10.0)),
-                reflection_loss_db=float(w.get("reflection_loss_db", 6.0)),
             )
             for w in d.get("walls", [])
         ]
         traj = dict(d["trajectory"])
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise GeometryError(f"bad scenario structure: {exc}") from exc
     return Scenario(
         name=str(d.get("name", "scenario")),
@@ -337,7 +358,6 @@ def ring_scenario(
     route_radius_m: float = 160.0,
     speed_mps: float = 8.0,
     ue_height_m: float = 1.5,
-    reflection_loss_db: float = 6.0,
 ) -> Scenario:
     """Urban-block stand-in: a circular route inside a ring of base stations,
     all enclosed by a regular polygon of building facades.
@@ -346,6 +366,8 @@ def ring_scenario(
     apart, and the six facades form a hexagon whose walls face every part of
     the route, so several single-bounce paths exist at all epochs.
     """
+    if n_walls < 0:
+        raise GeometryError("a ring scenario needs n_walls >= 0")
     stations = []
     for k in range(n_bs):
         ang = 2.0 * np.pi * k / n_bs + np.pi / n_bs  # offset from wall vertices
@@ -374,7 +396,6 @@ def ring_scenario(
                 b=verts[(k + 1) % n_walls],
                 z0=0.0,
                 h=wall_height_m,
-                reflection_loss_db=reflection_loss_db,
             )
         )
     return Scenario(

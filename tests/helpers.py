@@ -225,7 +225,6 @@ def scenario_to_dict(s: Scenario) -> dict:
                 "b_en_m": [float(x) for x in w.b],
                 "z0_m": w.z0,
                 "height_m": w.h,
-                "reflection_loss_db": w.reflection_loss_db,
             }
             for w in s.walls
         ],
@@ -450,7 +449,6 @@ def sbr_fix_svd(
     y = np.zeros(3 * K)
     lengths = np.empty(K)
     units = []
-    t_obs = pairs[0][1].t
     for k, (bs, obs) in enumerate(pairs):
         L = SPEED_OF_LIGHT * obs.toa
         u_dep = unit_from_angles(obs.aod_az, obs.aod_el)
@@ -532,11 +530,9 @@ def sbr_fix_svd(
     j_p = j_all[:3]
     cov = (j_p * sig2) @ j_p.T
     fix = Fix(
-        t=t_obs,
         p=p,
         cov=cov,
         residual=residual,
-        source="sbr",
         n_paths=K,
         path_residuals=path_residuals,
     )
@@ -548,30 +544,26 @@ def sbr_fix_svd(
     return fix
 
 
-def mechanize_step(p, v, q, b_g, b_a, gyro, accel, dt, trapezoid=True):
+def mechanize_step(p, v, q, b_g, b_a, gyro, accel, dt):
     """One mechanization step on stacked states; broadcasts over leading axes.
 
     Attitude first (exponential map of the compensated rate), then velocity
-    with the new attitude, then position; trapezoidal position integration by
-    default, rectangular (new velocity) otherwise.
+    with the new attitude, then position by trapezoidal integration.
     """
     dq = quat.from_rotvec((gyro - b_g) * dt)
     q_new = quat.normalize(quat.multiply(q, dq))
     a_nav = quat.rotate(q_new, accel - b_a) + GRAVITY
     v_new = v + a_nav * dt
-    if trapezoid:
-        p_new = p + 0.5 * (v + v_new) * dt
-    else:
-        p_new = p + v_new * dt
+    p_new = p + 0.5 * (v + v_new) * dt
     return p_new, v_new, q_new
 
 
-def mechanize_per_sample(p, v, q, b_g, b_a, gyros, accels, dts, trapezoid=True):
+def mechanize_per_sample(p, v, q, b_g, b_a, gyros, accels, dts):
     """Reference for mechanize_arrays: one mechanize_step per IMU sample,
     states stacked per sample along a new leading axis."""
     out = []
     for k in range(len(dts)):
-        p, v, q = mechanize_step(p, v, q, b_g, b_a, gyros[k], accels[k], dts[k], trapezoid)
+        p, v, q = mechanize_step(p, v, q, b_g, b_a, gyros[k], accels[k], dts[k])
         out.append((p, v, q))
     return tuple(np.stack(x) for x in zip(*out))
 
@@ -1230,7 +1222,7 @@ def run_filter_per_record(ms, epochs, setup):
     from mpnav.fixes import los_fix, sbr_fix
     from mpnav.fusion import predict, update_position, update_position_yaw
     from mpnav.gates import classify_los, motion_gate
-    from mpnav.pipeline import _init_filter, _rng_streams
+    from mpnav.pipeline import R_FLOOR_M2, _init_filter, _rng_streams
 
     bs_by_id = {bs.id: bs for bs in setup.scenario.base_stations}
     fs = _init_filter(setup, ms.truth, _rng_streams(setup.seed)["init"])
@@ -1268,7 +1260,6 @@ def run_filter_per_record(ms, epochs, setup):
             ms.accel[prev_idx:idx],
             dts[prev_idx:idx],
             setup.ukf,
-            trapezoid=setup.trapezoid,
         )
         prev_idx = idx
         j = min(int(np.searchsorted(odo_t, t - 1e-9)), len(odo_v) - 1)
@@ -1283,11 +1274,11 @@ def run_filter_per_record(ms, epochs, setup):
             fix = los_fix(
                 bs_by_id[obs.bs_id], obs, setup.noise.var_range_m2, setup.noise.var_angle_deg2
             )
-            if not motion_gate(fix.p, last_accept_p, travel_budget, dt_obs, setup.gate_cfg):
+            if not motion_gate(fix.p, last_accept_p, travel_budget, setup.gate_cfg):
                 counters["los_rejected_motion"] += 1
                 continue
             counters["los_admitted"] += 1
-            r_mat = fix.cov + setup.r_floor_m2 * np.eye(3)
+            r_mat = fix.cov + R_FLOOR_M2 * np.eye(3)
             fs, info = update_position(fs, fix, r_mat, setup.ukf)
             if info.accepted:
                 accepted_any = True
@@ -1312,17 +1303,17 @@ def run_filter_per_record(ms, epochs, setup):
                 )
                 if fix is None:
                     counters["sbr_fix_failed"] += 1
-                elif not motion_gate(fix.p, last_accept_p, travel_budget, dt_obs, setup.gate_cfg):
+                elif not motion_gate(fix.p, last_accept_p, travel_budget, setup.gate_cfg):
                     counters["sbr_fix_rejected_motion"] += 1
                 else:
                     if fix.yaw is not None:
                         r4 = np.zeros((4, 4))
-                        r4[:3, :3] = fix.cov + setup.r_floor_m2 * np.eye(3)
+                        r4[:3, :3] = fix.cov + R_FLOOR_M2 * np.eye(3)
                         r4[3, 3] = fix.yaw_var + 1e-8
                         r4[:3, 3] = r4[3, :3] = fix.yaw_pos_cov
                         fs, info = update_position_yaw(fs, fix, r4, setup.ukf)
                     else:
-                        r_mat = fix.cov + setup.r_floor_m2 * np.eye(3)
+                        r_mat = fix.cov + R_FLOOR_M2 * np.eye(3)
                         fs, info = update_position(fs, fix, r_mat, setup.ukf)
                     if info.accepted:
                         accepted_any = True

@@ -105,6 +105,32 @@ def test_geometry_failure_exits_3(tmp_path):
     assert not out.exists()
 
 
+def edited_scenario(edit):
+    scen = json.loads(json.dumps(MINI_SCENARIO))
+    edit(scen)
+    return scen
+
+
+@pytest.mark.parametrize(
+    "scenario, where, key",
+    [
+        (edited_scenario(lambda s: s.update(colour="grey")), "scenario", "colour"),
+        (edited_scenario(lambda s: s["base_stations"][1].update(height_m=25)), "base_stations[1]", "height_m"),
+        (edited_scenario(lambda s: s["walls"][0].update(heigth_m=25)), "walls[0]", "heigth_m"),
+        (edited_scenario(lambda s: s["walls"][0].update(reflection_loss_db=20)), "walls[0]", "reflection_loss_db"),
+        (edited_scenario(lambda s: s["trajectory"].update(z_m=3.0)), "waypoints trajectory", "z_m"),
+    ],
+    ids=["top_level", "station", "wall_typo", "wall_reflection_loss", "trajectory"],
+)
+def test_unknown_scenario_key_exits_3(tmp_path, capsys, scenario, where, key):
+    cfg = write_config(tmp_path, mini_config(scenario=scenario))
+    out = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_GEOMETRY
+    err = capsys.readouterr().err
+    assert f"bad scenario structure: {where}: unknown keys ['{key}']" in err
+    assert not out.exists()
+
+
 def test_numeric_failure_exits_4(tmp_path):
     cfg = write_config(tmp_path, mini_config())
     out1 = tmp_path / "out1"
@@ -157,6 +183,46 @@ def test_log_with_wrong_imu_count_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main([str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
     assert "IMU samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def reversed_kind(lines, kind):
+    """lines with the records of one kind in reverse order, each kind in
+    its own places."""
+    at = [i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind]
+    out = list(lines)
+    for i, j in zip(at, reversed(at)):
+        out[i] = lines[j]
+    return out
+
+
+def shifted_imu(lines, dt):
+    out = []
+    for line in lines:
+        d = json.loads(line)
+        if d["kind"] == "imu":
+            d["t_s"] += dt
+        out.append(json.dumps(d))
+    return out
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda lines: reversed_kind(lines, "imu"), "IMU sample 0 has t_s 19.95"),
+        (lambda lines: shifted_imu(lines, 100.0), "IMU sample 0 has t_s 100.0"),
+        (lambda lines: reversed_kind(lines, "odo"), "odometer record 1 has t_s"),
+    ],
+    ids=["imu_reversed", "imu_shifted_100_s", "odo_reversed"],
+)
+def test_log_with_imu_or_odometer_times_off_exits_2(tmp_path, capsys, edit, needle):
+    # the filter steps by the scenario's sample times and looks odometer
+    # speeds up by time, so a log whose IMU times differ from them or whose
+    # odometer times go back cannot feed it
+    cfg = edited_lines(tmp_path, edit)
+    out = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
+    assert needle in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -501,8 +567,22 @@ def test_bad_filter_or_imu_parameter_exits_2(tmp_path, capsys, block, key, value
             "mode": "outage-sweep",
             "outage_sweep": {"durations_s": [2.0], "speeds_mps": [8.0], "seeds": [0], "rates": {"obs_hz": 0}},
         },
+        # no travel leaves the error per distance traveled undefined
+        dict(RING_3S, scenario={"preset": "ring", "params": {"speed_mps": 0}}),
+        {
+            "mode": "outage-sweep",
+            "outage_sweep": {"durations_s": [2.0], "speeds_mps": [0], "seeds": [0]},
+        },
     ],
-    ids=["n_bs_fraction", "n_bs_string", "speed_string", "speed_bool", "sweep_obs_hz_zero"],
+    ids=[
+        "n_bs_fraction",
+        "n_bs_string",
+        "speed_string",
+        "speed_bool",
+        "sweep_obs_hz_zero",
+        "speed_zero",
+        "sweep_speed_zero",
+    ],
 )
 def test_bad_ring_param_or_sweep_rate_exits_2(tmp_path, capsys, cfg):
     out = tmp_path / "out"
@@ -522,7 +602,6 @@ DEFAULT_KEYS = {
     "odo_noise_std_mps": 0.05,
     "include_double_bounce": False,
     "use_body_aoa": True,
-    "trapezoid": True,
     "write_measurement_log": True,
     "scenario": {
         "preset": "ring",
@@ -536,7 +615,6 @@ DEFAULT_KEYS = {
             "route_radius_m": 160.0,
             "speed_mps": 8.0,
             "ue_height_m": 1.5,
-            "reflection_loss_db": 6.0,
         },
     },
     "rates": {"imu_hz": 100.0, "obs_hz": 10.0, "odo_hz": 10.0},
@@ -588,6 +666,125 @@ def test_every_key_at_its_default_changes_no_output(tmp_path):
     for name in ref:
         if name != "manifest.json":
             assert got[name] == ref[name], name
+
+
+# every key of DEFAULT_KEYS at a valid value off its default
+OFF_DEFAULT_KEYS = {
+    "seed": 1,
+    "duration_s": 2.0,
+    "with_sbr": False,
+    "outages": [[1.0, 2.0]],
+    "odo_noise_std_mps": 0.5,
+    "include_double_bounce": True,
+    "use_body_aoa": False,
+    "write_measurement_log": False,
+    "scenario": {
+        "preset": "ring",
+        "params": {
+            "n_bs": 7,
+            "bs_radius_m": 300.0,
+            "bs_height_m": 25.0,
+            "n_walls": 5,
+            "wall_radius_m": 380.0,
+            "wall_height_m": 5.0,
+            "route_radius_m": 150.0,
+            "speed_mps": 6.0,
+            "ue_height_m": 2.0,
+        },
+    },
+    "rates": {"imu_hz": 200.0, "obs_hz": 5.0, "odo_hz": 5.0},
+    "path_loss": {
+        "tx_power_dbm": 33.0,
+        "pl0_db": 60.0,
+        "exponent": 2.2,
+        "reflection_loss_db": 8.0,
+        "d0_m": 2.0,
+    },
+    "noise": {"var_range_m2": 1.0, "var_angle_deg2": 0.02},
+    "imu_error": {
+        "gyro_bias_std_rps": 4e-4,
+        "accel_bias_std_mps2": 4e-3,
+        "gyro_noise_density": 2e-4,
+        "accel_noise_density": 2e-3,
+        "bias_mode": "fixed_magnitude",
+    },
+    "gates": {
+        "range_consistency_m": 0.1,
+        "elevation_eps_rad": 0.0,
+        "residual_m": 0.01,
+        "motion_margin_m": 0.0,
+    },
+    "init_errors": {"pos_std_m": 1.0, "vel_std_mps": 0.2, "att_std_rad": 0.01},
+    "ukf": {
+        "alpha": 0.4,
+        "beta": 3.0,
+        "kappa": 1.0,
+        "q_pos": 1e-4,
+        "q_vel": 1e-5,
+        "q_att": 1e-7,
+        "q_bias_gyro": 1e-12,
+        "q_bias_accel": 1e-10,
+        "nis_gate": 1.0,
+    },
+}
+
+
+def key_paths(keys):
+    """(path, config fragment) per key of a DEFAULT_KEYS-shaped mapping,
+    each fragment setting that one key."""
+    for key, value in keys.items():
+        if key == "scenario":
+            for name, v in value["params"].items():
+                yield f"scenario.params.{name}", {"scenario": {"preset": "ring", "params": {name: v}}}
+        elif isinstance(value, dict):
+            for name, v in value.items():
+                yield f"{key}.{name}", {key: {name: v}}
+        else:
+            yield key, {key: value}
+
+
+def test_every_key_off_its_default_changes_some_output(tmp_path):
+    import mpnav.cli
+
+    # the keys single mode reads, besides mode, output_dir (covered by
+    # test_output_dir_precedence) and the scenario choice
+    documented = {*mpnav.cli._SETUP_KEYS, "write_measurement_log"}
+    for block, (_, cls) in mpnav.cli._BLOCKS.items():
+        documented |= {f"{block}.{key}" for key in mpnav.cli._FIELDS[cls]}
+    documented |= {f"scenario.params.{name}" for name in mpnav.cli._RING_PARAMS}
+    cases = dict(key_paths(OFF_DEFAULT_KEYS))
+    assert sorted(cases) == sorted(documented) == sorted(dict(key_paths(DEFAULT_KEYS)))
+
+    bare = {"mode": "single", "duration_s": 3.0, "scenario": {"preset": "ring"}}
+    assert main([str(write_config(tmp_path, bare, "bare.json")), "--output-dir", str(tmp_path / "bare")]) == EXIT_OK
+    ref = tree_bytes(tmp_path / "bare")
+    # a log of another seed's drive, for the measurement_log key
+    seed1 = write_config(tmp_path, dict(bare, seed=1), "seed1.json")
+    assert main([str(seed1), "--output-dir", str(tmp_path / "seed1")]) == EXIT_OK
+    cases["measurement_log"] = {"measurement_log": "seed1/measurements.jsonl"}
+    for path, fragment in cases.items():
+        out = tmp_path / path
+        assert main([str(write_config(tmp_path, {**bare, **fragment})), "--output-dir", str(out)]) == EXIT_OK, path
+        got = tree_bytes(out)
+        changed = [name for name in {*got, *ref} - {"manifest.json"} if got.get(name) != ref.get(name)]
+        assert changed, path
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(RING_3S, trapezoid=False),
+        dict(RING_3S, scenario={"preset": "ring", "params": {"reflection_loss_db": 20.0}}),
+        dict(RING_3S, outages=[{"t_start_s": 1.0, "t_end_s": 2.0}]),
+    ],
+    ids=["trapezoid", "ring_reflection_loss", "outage_object"],
+)
+def test_removed_setting_exits_2(tmp_path, capsys, cfg):
+    out = tmp_path / "out"
+    assert main([str(write_config(tmp_path, cfg)), "--output-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert not out.exists()
 
 
 SWEEP_BLOCKS = {

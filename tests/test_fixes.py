@@ -48,7 +48,6 @@ def test_los_fix_inverts_synth():
     obs = synth_los(bs, pose_at([30.0, 40.0, 0.0]), PLM)
     fix = los_fix(bs, obs)
     assert np.allclose(fix.p, [30.0, 40.0, 0.0], atol=1e-9)
-    assert fix.source == "los"
     assert np.allclose(fix.cov, 0.0)
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -123,7 +122,6 @@ def test_sbr_fix_two_path_worked_example():
     assert fix.residual <= 1e-9
     assert fix.n_paths == 2
     assert len(fix.path_residuals) == 2
-    assert fix.source == "sbr"
 
 
 def test_sbr_fix_exact_on_random_scenes():

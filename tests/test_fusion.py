@@ -105,18 +105,17 @@ def test_predict_matches_per_sample_reference(monkeypatch):
         P=np.diag([0.25] * 3 + [0.01] * 3 + [2.5e-5] * 3 + [1e-8, 4e-8, 9e-8] + [1e-6, 4e-6, 9e-6]),
     )
     params = UkfParams(q_vel=1e-6, q_att=1e-8)
-    for trapezoid in (True, False):
-        for m in (1, 10):
-            gyros = rng.normal(0.0, 0.2, (m, 3))
-            accels = rng.normal(0.0, 1.0, (m, 3)) + UP_ACCEL
-            dts = np.full(m, 0.05)
-            got = predict(fs, gyros, accels, dts, params, trapezoid=trapezoid)
-            with monkeypatch.context() as mp:
-                mp.setattr(fusion, "mechanize_arrays", mechanize_per_sample)
-                ref = predict(fs, gyros, accels, dts, params, trapezoid=trapezoid)
-            assert got.t == ref.t
-            for name in ("p", "v", "q_bn", "b_g", "b_a", "P"):
-                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    for m in (1, 10):
+        gyros = rng.normal(0.0, 0.2, (m, 3))
+        accels = rng.normal(0.0, 1.0, (m, 3)) + UP_ACCEL
+        dts = np.full(m, 0.05)
+        got = predict(fs, gyros, accels, dts, params)
+        with monkeypatch.context() as mp:
+            mp.setattr(fusion, "mechanize_arrays", mechanize_per_sample)
+            ref = predict(fs, gyros, accels, dts, params)
+        assert got.t == ref.t
+        for name in ("p", "v", "q_bn", "b_g", "b_a", "P"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
 def test_predict_biases_spread_velocity():

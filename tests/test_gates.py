@@ -103,26 +103,24 @@ def test_oori_zero_eps_rejects_noisy():
 
 def test_motion_gate():
     cfg = GateConfig(motion_margin_m=2.0)
-    assert motion_gate([0, 0, 0], [0, 0, 0], 0.0, 0.1, cfg)
-    assert not motion_gate([50, 0, 0], [0, 0, 0], 1.0, 0.1, cfg)
+    assert motion_gate([0, 0, 0], [0, 0, 0], 0.0, cfg)
+    assert not motion_gate([50, 0, 0], [0, 0, 0], 1.0, cfg)
     # margin monotonicity
-    assert not motion_gate([5, 0, 0], [0, 0, 0], 1.0, 0.1, cfg)
-    assert motion_gate([5, 0, 0], [0, 0, 0], 1.0, 0.1, GateConfig(motion_margin_m=4.5))
+    assert not motion_gate([5, 0, 0], [0, 0, 0], 1.0, cfg)
+    assert motion_gate([5, 0, 0], [0, 0, 0], 1.0, GateConfig(motion_margin_m=4.5))
     # true fix while driving at 9.8 m/s over one 0.1 s epoch
     prior = np.array([0.0, 0.0, 0.0])
     true_p = prior + np.array([0.98, 0.0, 0.0])
-    assert motion_gate(true_p, prior, 0.98, 0.1, cfg)
-    with pytest.raises(ValueError):
-        motion_gate([0, 0, 0], [0, 0, 0], 0.0, 0.0, cfg)
+    assert motion_gate(true_p, prior, 0.98, cfg)
     # stacked candidates: one verdict per row, equal to the single-row calls
     rng = np.random.default_rng(8)
     cands = rng.normal(0.0, 3.0, (200, 3))
     prior = rng.normal(0.0, 1.0, 3)
-    batch = motion_gate(cands, prior, 1.5, 0.1, cfg)
+    batch = motion_gate(cands, prior, 1.5, cfg)
     assert batch.shape == (200,)
-    assert batch.tolist() == [bool(motion_gate(c, prior, 1.5, 0.1, cfg)) for c in cands]
+    assert batch.tolist() == [bool(motion_gate(c, prior, 1.5, cfg)) for c in cands]
     # the step is the norm np.linalg.norm gives a single vector, bit for bit
     for c in cands[:50]:
         step = float(np.linalg.norm(c - prior))
-        assert motion_gate(c, prior, step - cfg.motion_margin_m, 0.1, cfg)
-        assert not motion_gate(c, prior, np.nextafter(step, 0.0) - cfg.motion_margin_m, 0.1, cfg)
+        assert motion_gate(c, prior, step - cfg.motion_margin_m, cfg)
+        assert not motion_gate(c, prior, np.nextafter(step, 0.0) - cfg.motion_margin_m, cfg)

@@ -142,24 +142,23 @@ def test_round_trip_known_biases_compensated():
 def test_mechanize_arrays_matches_per_sample_reference():
     # bit for bit, on stacked states with per-point biases and on one state
     rng = np.random.default_rng(11)
-    for trapezoid in (True, False):
-        for m in (1, 2, 10, 37):
-            for n in (None, 31):
-                lead = () if n is None else (n,)
-                p = rng.normal(0.0, 100.0, lead + (3,))
-                v = rng.normal(0.0, 5.0, lead + (3,))
-                q = quat.normalize(rng.normal(size=lead + (4,)))
-                b_g = rng.normal(0.0, 1e-3, lead + (3,))
-                b_a = rng.normal(0.0, 1e-2, lead + (3,))
-                gyros = rng.normal(0.0, 0.5, (m, 3))
-                accels = rng.normal(0.0, 5.0, (m, 3)) + UP
-                dts = rng.uniform(0.005, 0.1, m)
-                args = (p, v, q, b_g, b_a, gyros, accels, dts)
-                got = mechanize_arrays(*args, trapezoid=trapezoid)
-                ref = mechanize_per_sample(*args, trapezoid=trapezoid)
-                for g, r in zip(got, ref):
-                    assert g.shape == r.shape
-                    assert np.array_equal(g, r)
+    for m in (1, 2, 10, 37):
+        for n in (None, 31):
+            lead = () if n is None else (n,)
+            p = rng.normal(0.0, 100.0, lead + (3,))
+            v = rng.normal(0.0, 5.0, lead + (3,))
+            q = quat.normalize(rng.normal(size=lead + (4,)))
+            b_g = rng.normal(0.0, 1e-3, lead + (3,))
+            b_a = rng.normal(0.0, 1e-2, lead + (3,))
+            gyros = rng.normal(0.0, 0.5, (m, 3))
+            accels = rng.normal(0.0, 5.0, (m, 3)) + UP
+            dts = rng.uniform(0.005, 0.1, m)
+            args = (p, v, q, b_g, b_a, gyros, accels, dts)
+            got = mechanize_arrays(*args)
+            ref = mechanize_per_sample(*args)
+            for g, r in zip(got, ref):
+                assert g.shape == r.shape
+                assert np.array_equal(g, r)
 
 
 def test_drift_profile_zero_error_and_determinism():

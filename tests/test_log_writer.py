@@ -41,8 +41,11 @@ def logs(draw):
     bs_ids = draw(ids)
     bs = st.sampled_from(bs_ids)
     vec = st.tuples(num, num, num).map(np.array)
-    imu = [ImuSample(t=draw(num), gyro=draw(vec), accel=draw(vec)) for _ in range(N_IMU)]
-    odo = draw(st.lists(st.builds(OdoSample, t=num, speed=num), min_size=1, max_size=3))
+    # ingest requires the IMU times to be the run's sample times and the
+    # odometer times not to go back
+    imu = [ImuSample(t=k / RATES.imu_hz, gyro=draw(vec), accel=draw(vec)) for k in range(N_IMU)]
+    odo_t = draw(st.lists(num, min_size=1, max_size=3).map(sorted))
+    odo = [OdoSample(t=t, speed=draw(num)) for t in odo_t]
     epochs = []
     for t in EPOCH_T:
         los = draw(

@@ -406,6 +406,8 @@ def test_scenario_validation():
     with pytest.raises(GeometryError):
         ring_scenario(n_bs=0)
     with pytest.raises(GeometryError):
+        ring_scenario(n_walls=-3)
+    with pytest.raises(GeometryError):
         scenario_from_dict({"trajectory": {}})
 
 
