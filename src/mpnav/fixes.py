@@ -2,8 +2,8 @@
 
 Direct-path fix from RTT plus departure angles; joint multi-path fix over
 two or more validated single-bounce observations via linear least squares;
-and the locus residual that scores one reflected path against a predicted
-position.
+and the locus residuals that score reflected paths against a predicted
+position. Observations arrive as arrays with one row per path.
 
 The single-bounce measurement equation: with departure direction u_dep,
 arrival direction u_arr (UE toward the bounce), total length L and unknown
@@ -63,23 +63,25 @@ def _unit_jacobian(az, el):
     return j_az, j_el
 
 
-def los_fix(bs, obs, var_range_m2: float = 0.0, var_angle_deg2: float = 0.0) -> Fix:
+def los_fix(bs_p, obs, var_range_m2: float = 0.0, var_angle_deg2: float = 0.0) -> Fix:
     """Position from direct-path observations: range out of the RTT,
     direction out of the departure angles, first-order covariance from the
     declared measurement variances.
 
-    bs: the base station, or anything with its position p; obs: the
-    observation, or anything with rtt, aod_az and aod_el. Broadcasts: with
-    n stations' positions (n, 3) and (n,) observation arrays, the fix holds
-    n positions (n, 3) and covariances (n, 3, 3).
+    bs_p: station positions (n, 3); obs: observation rows (n, >= 3) whose
+    first columns are [rtt_s, aod_az, aod_el], rtt the two-way travel time.
+    The fix holds n positions (n, 3) and covariances (n, 3, 3); one station
+    (3,) with one row gives one position (3,) and covariance (3, 3).
     """
-    d = SPEED_OF_LIGHT * np.asarray(obs.rtt, dtype=float) / 2.0
+    obs = np.asarray(obs, dtype=float)
+    d = SPEED_OF_LIGHT * obs[..., 0] / 2.0
     if np.any(d <= 0.0):
         raise ValueError("non-positive range")
-    u = unit_from_angles(obs.aod_az, obs.aod_el)
-    p = bs.p + d[..., None] * u
+    aod_az, aod_el = obs[..., 1], obs[..., 2]
+    u = unit_from_angles(aod_az, aod_el)
+    p = bs_p + d[..., None] * u
     sig_a = _angle_std_rad(var_angle_deg2)
-    j_az, j_el = _unit_jacobian(obs.aod_az, obs.aod_el)
+    j_az, j_el = _unit_jacobian(aod_az, aod_el)
     # float_power rounds as C pow does; squaring by multiplication (what **
     # and np.power do for an exponent of 2) differs in the last bit for
     # about one value in a thousand
@@ -105,7 +107,8 @@ def _normal_inverse(N: np.ndarray):
 
 
 def sbr_fix(
-    pairs,
+    bs_p,
+    obs,
     var_range_m2: float = 0.0,
     var_angle_deg2: float = 0.0,
     var_aoa_extra_rad2: float = 0.0,
@@ -113,7 +116,9 @@ def sbr_fix(
 ):
     """Joint fix over K >= 2 single-bounce paths.
 
-    pairs: list of (BaseStation, SbrObs). Unknowns are (p, leg_1..leg_K);
+    bs_p: the K stations' positions (K, 3); obs: the K paths' rows (K, 5)
+    [toa_s, aod_az, aod_el, aoa_az, aoa_el], toa one-way and the arrival
+    angles on global axes. Unknowns are (p, leg_1..leg_K);
     each path contributes the three equations
         p - leg_k * d_k = y_k,  d_k = u_dep_k + u_arr_k,  y_k = bs_k - L_k * u_arr_k.
     leg_k appears in its own path only, so projecting with
@@ -143,13 +148,10 @@ def sbr_fix(
     attitude uncertainty to the arrival angles beyond what estimate_yaw
     models.
     """
-    K = len(pairs)
+    K = len(bs_p)
     if K < 2:
         raise ValueError("joint fix needs at least two paths")
-    bs_p = np.array([bs.p for bs, _ in pairs], dtype=float)
-    toa, aod_az, aod_el, aoa_az, aoa_el = np.array(
-        [(o.toa, o.aod_az, o.aod_el, o.aoa_az, o.aoa_el) for _, o in pairs]
-    ).T
+    toa, aod_az, aod_el, aoa_az, aoa_el = np.asarray(obs, dtype=float).T
     lengths = SPEED_OF_LIGHT * toa
     u_dep = unit_from_angles(aod_az, aod_el)
     u_arr = unit_from_angles(aoa_az, aoa_el)
@@ -231,30 +233,14 @@ def sbr_fix(
     return fix
 
 
-def sbr_locus_residual(bs, obs, ref_p) -> float:
-    """Distance from ref_p to the observation's solution segment.
+def sbr_locus_residuals(bs_positions, lengths, u_deps, u_arrs, ref_p) -> np.ndarray:
+    """Distance from ref_p to each of K paths' solution segments (arrays
+    shaped (K, 3) / (K,)).
 
     Zero (up to noise) for a genuine single bounce when ref_p is near the
     true position; order of the middle-leg length for higher-order bounces,
     which is what makes the residual usable as a bounce-count discriminator.
     """
-    ref_p = np.asarray(ref_p, dtype=float)
-    L = SPEED_OF_LIGHT * obs.toa
-    u_dep = unit_from_angles(obs.aod_az, obs.aod_el)
-    u_arr = unit_from_angles(obs.aoa_az, obs.aoa_el)
-    base = bs.p - L * u_arr
-    direction = u_dep + u_arr
-    dd = float(direction @ direction)
-    if dd <= 0.0:
-        leg = 0.0
-    else:
-        leg = float(np.clip((ref_p - base) @ direction / dd, 0.0, L))
-    return float(np.linalg.norm(ref_p - (base + leg * direction)))
-
-
-def sbr_locus_residuals(bs_positions, lengths, u_deps, u_arrs, ref_p) -> np.ndarray:
-    """Vectorized sbr_locus_residual over K paths (arrays shaped (K, 3) /
-    (K,)); used by the pipeline where per-epoch path counts are large."""
     ref_p = np.asarray(ref_p, dtype=float)
     base = bs_positions - lengths[:, None] * u_arrs
     direction = u_deps + u_arrs

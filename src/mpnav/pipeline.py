@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .synth import (
     NoiseCfg,
     PathLossModel,
     RadioRecords,
-    SbrObs,
     apply_noise,
     outage_mask,
     synth_imu,
@@ -42,6 +40,8 @@ from .synth import (
 
 # variance added to each position fix's covariance, m^2 per axis
 R_FLOOR_M2 = 1e-4
+# reflected paths per joint fix: the strongest admitted ones of an epoch
+MAX_SBR_PATHS = 16
 
 
 @dataclass
@@ -93,7 +93,6 @@ class RunSetup:
     odo_noise_std: float = 0.05
     include_double_bounce: bool = False
     use_body_aoa: bool = True
-    max_sbr_paths: int = 16
     compute_nees: bool = True
 
     def __post_init__(self):
@@ -309,16 +308,17 @@ def _init_filter(setup: RunSetup, truth: Trajectory, rng) -> FilterState:
     )
 
 
-def screen_sbr(sbr: RadioRecords, rows: slice, t, stations, bs_p, q_bn, p_ref, setup: RunSetup):
+def screen_sbr(sbr: RadioRecords, rows: slice, bs_p, q_bn, p_ref, setup: RunSetup):
     """Bounce-order screen of one epoch's reflected records, sbr's rows, on
-    arrays; bs_p (B, 3) holds the positions of stations.
+    arrays; bs_p (B, 3) holds the positions of the run's stations.
 
     With setup.use_body_aoa the body-frame arrival angles are globalized
     with the attitude q_bn. Each path's locus is scored against p_ref, one
-    oori_check screens them all, and the strongest setup.max_sbr_paths
-    admitted paths are kept, ties in record order. Returns (pairs, counts):
-    the (BaseStation, SbrObs) pairs at epoch time t for sbr_fix and the
-    admitted/rejected counts keyed like run_filter's counters.
+    oori_check screens them all, and the strongest MAX_SBR_PATHS admitted
+    paths are kept, ties in record order. Returns (path_p, path_obs,
+    counts): the kept paths' station positions (K, 3) and observation rows
+    (K, 5) for sbr_fix, and the admitted/rejected counts keyed like
+    run_filter's counters.
     """
     bs = sbr.bs[rows]
     obs = sbr.obs[rows].copy()
@@ -342,20 +342,9 @@ def screen_sbr(sbr: RadioRecords, rows: slice, t, stations, bs_p, q_bn, p_ref, s
         "sbr_rejected_residual": len(bs) - n_admit - n_elev,
     }
     keep = np.flatnonzero(admit)
-    rss = sbr.rss[rows]
-    if setup.max_sbr_paths and keep.size > setup.max_sbr_paths:
-        keep = keep[np.argsort(-rss[keep], kind="stable")[: setup.max_sbr_paths]]
-    cols = zip(
-        bs[keep].tolist(),
-        obs[keep].tolist(),
-        rss[keep].tolist(),
-        sbr.bounces[rows][keep].tolist(),
-        sbr.body[rows][keep].tolist(),
-    )
-    pairs = [
-        (stations[b], SbrObs(stations[b].id, t, *o, r, nb, *bb)) for b, o, r, nb, bb in cols
-    ]
-    return pairs, counts
+    if keep.size > MAX_SBR_PATHS:
+        keep = keep[np.argsort(-sbr.rss[rows][keep], kind="stable")[:MAX_SBR_PATHS]]
+    return bs_p[bs[keep]], obs[keep], counts
 
 
 def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
@@ -369,8 +358,7 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
     from odometer speed since that posterior, so the bound stays meaningful
     across outage gaps.
     """
-    stations = setup.scenario.base_stations
-    bs_p = np.stack([bs.p for bs in stations])
+    bs_p = np.stack([bs.p for bs in setup.scenario.base_stations])
     truth = ms.truth
     fs = _init_filter(setup, truth, _rng_streams(setup.seed)["init"])
 
@@ -384,7 +372,6 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
     odo_j = np.minimum(np.searchsorted(odo_t, ms.epoch_t - 1e-9), len(odo_v) - 1)
     odo_speed = odo_v[odo_j].tolist()
     epoch_idx = ms.epoch_idx.tolist()
-    epoch_t = ms.epoch_t.tolist()
     n_epochs = len(epoch_idx)
     out_est = np.empty((n_epochs, 3))
     out_nees = np.full(n_epochs, np.nan)
@@ -439,10 +426,9 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
         ]
         counters["los_rejected_consistency"] += b - a - len(rows)
         if rows:
-            obs = los.obs[rows]
             fix = los_fix(
-                SimpleNamespace(p=bs_p[los.bs[rows]]),
-                SimpleNamespace(rtt=obs[:, 0], aod_az=obs[:, 1], aod_el=obs[:, 2]),
+                bs_p[los.bs[rows]],
+                los.obs[rows],
                 setup.noise.var_range_m2,
                 setup.noise.var_angle_deg2,
             )
@@ -461,12 +447,10 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
         if setup.with_sbr:
             counters["sbr_total"] += b - a
         if setup.with_sbr and b - a >= 2:
-            admitted, counts = screen_sbr(
-                sbr, slice(a, b), epoch_t[e_i], stations, bs_p, fs.q_bn, fs.p, setup
-            )
+            path_p, path_obs, counts = screen_sbr(sbr, slice(a, b), bs_p, fs.q_bn, fs.p, setup)
             for key, n in counts.items():
                 counters[key] += n
-            if len(admitted) >= 2:
+            if len(path_p) >= 2:
                 # with body-frame arrival angles the solver co-estimates the
                 # yaw misalignment of the fused attitude; roll/pitch error
                 # stays as extra angle variance. Yaw needs three paths: off
@@ -476,13 +460,14 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
                 # angle by about one attitude axis worth of variance, so the
                 # per-angle inflation is half the roll+pitch variance sum
                 fix = sbr_fix(
-                    admitted,
+                    path_p,
+                    path_obs,
                     setup.noise.var_range_m2,
                     setup.noise.var_angle_deg2,
                     var_aoa_extra_rad2=(
                         0.5 * float(fs.P[6, 6] + fs.P[7, 7]) if setup.use_body_aoa else 0.0
                     ),
-                    estimate_yaw=setup.use_body_aoa and len(admitted) >= 3,
+                    estimate_yaw=setup.use_body_aoa and len(path_p) >= 3,
                 )
                 if fix is None:
                     counters["sbr_fix_failed"] += 1
@@ -580,8 +565,9 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
     Raises ValueError when the log cannot feed the filter: an IMU sample
     count other than the scenario's, an IMU time other than the scenario's
     sample time (at the 1 µs the epoch grid is matched at), no odometer
-    records, odometer times that go back, or a base station the scenario
-    does not have. The message names the first offending record."""
+    records, odometer times that go back, a LoS rtt_s or SBR toa_s that is
+    not > 0, or a base station the scenario does not have. The message names
+    the first offending record."""
     epoch_idx, _, n_samples = _epoch_indices(setup)
     times = np.arange(n_samples + 1) / setup.rates.imu_hz
     truth = trajectory_poses(setup.scenario.trajectory, times)
@@ -602,6 +588,13 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
         k = int(back[0]) + 1
         t0, t1 = odo_t[k - 1 : k + 1].tolist()
         raise ValueError(f"odometer record {k} has t_s {t1!r}, before record {k - 1}'s {t0!r}")
+    # travel times become path lengths, which the fixes and the bounce
+    # screen need positive
+    for kind, cols, key in (("LoS", los, "rtt_s"), ("SBR", sbr, "toa_s")):
+        bad = np.flatnonzero(cols.values[:, 1] <= 0.0)
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"{kind} record {k} has {key} {float(cols.values[k, 1])!r}, not > 0")
     stations = setup.scenario.base_stations
     station = {bs.id: b for b, bs in enumerate(stations)}
     unknown = {

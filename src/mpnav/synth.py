@@ -1,6 +1,6 @@
 """Forward measurement model.
 
-Generates per-epoch direct-path (LoS) and reflected-path observables, IMU and
+Holds the radio records as columns (RadioRecords), generates IMU and
 odometer streams, applies Gaussian measurement noise and scheduled LoS
 outages, and reads/writes the line-delimited JSON measurement log.
 """
@@ -17,50 +17,7 @@ import numpy as np
 
 from . import quat
 from .ins import GRAVITY
-from .scene import SPEED_OF_LIGHT, angles_from_unit
-
-
-@dataclass
-class LosObs:
-    """Direct-path observables for one BS at one epoch.
-
-    Angles are radians on global ENU axes: aod at the BS toward the UE, aoa
-    at the UE toward the BS. rtt is the two-way travel time.
-    """
-
-    bs_id: str
-    t: float
-    rtt: float
-    aod_az: float
-    aod_el: float
-    aoa_az: float
-    aoa_el: float
-    rss: float  # dBm
-
-
-@dataclass
-class SbrObs:
-    """Reflected-path observables.
-
-    aoa_az/aoa_el are the arrival direction (UE toward the bounce point) on
-    global axes, the synthesis truth. aoa_az_body/aoa_el_body are the same
-    direction expressed in the vehicle body frame, which is what a receiver
-    actually measures; an estimator rotates them back out with its own
-    attitude. toa is one-way. truth_bounces is simulator ground truth and
-    hidden from estimators.
-    """
-
-    bs_id: str
-    t: float
-    toa: float
-    aod_az: float
-    aod_el: float
-    aoa_az: float
-    aoa_el: float
-    rss: float
-    truth_bounces: int = 1
-    aoa_az_body: float = 0.0
-    aoa_el_body: float = 0.0
+from .scene import SPEED_OF_LIGHT
 
 
 @dataclass
@@ -215,53 +172,6 @@ class ImuErrorModel:
         else:
             raise ValueError(f"unknown bias_mode {self.bias_mode!r}")
         return b_g, b_a
-
-
-def synth_los(bs, pose, plm: PathLossModel) -> LosObs:
-    """Noise-free direct-path observables for one base station."""
-    d_vec = pose.p - bs.p
-    d = float(np.linalg.norm(d_vec))
-    if d <= 0.0:
-        raise ValueError("UE and BS positions coincide")
-    aod_az, aod_el = angles_from_unit(d_vec)
-    aoa_az, aoa_el = angles_from_unit(-d_vec)
-    return LosObs(
-        bs_id=bs.id,
-        t=pose.t,
-        rtt=2.0 * d / SPEED_OF_LIGHT,
-        aod_az=float(aod_az),
-        aod_el=float(aod_el),
-        aoa_az=float(aoa_az),
-        aoa_el=float(aoa_el),
-        rss=plm.rss(d),
-    )
-
-
-def synth_sbr(path, pose, plm: PathLossModel) -> SbrObs:
-    """Noise-free reflected-path observables.
-
-    Works for single- and double-bounce path records (anything exposing
-    length, u_dep, u_arr, bounces); the body-frame arrival angles use the
-    pose's true attitude.
-    """
-    aod_az, aod_el = angles_from_unit(path.u_dep)
-    aoa_az, aoa_el = angles_from_unit(path.u_arr)
-    q_bn = quat.from_euler(*pose.att)
-    u_body = quat.rotate(quat.conjugate(q_bn), path.u_arr)
-    aoa_az_b, aoa_el_b = angles_from_unit(u_body)
-    return SbrObs(
-        bs_id=path.bs_id,
-        t=pose.t,
-        toa=path.length / SPEED_OF_LIGHT,
-        aod_az=float(aod_az),
-        aod_el=float(aod_el),
-        aoa_az=float(aoa_az),
-        aoa_el=float(aoa_el),
-        rss=plm.rss(path.length, bounces=path.bounces),
-        truth_bounces=int(path.bounces),
-        aoa_az_body=float(aoa_az_b),
-        aoa_el_body=float(aoa_el_b),
-    )
 
 
 def _wrap_az(az):

@@ -8,8 +8,11 @@ must reproduce: the scalar reflection geometry (specular_path, los_visible
 and double_bounce_path, one path of one UE at a time, and
 double_bounces_per_path looping it over UEs, stations and wall pairs,
 behind mpnav.scene.SceneArrays), the quaternion kernels written out per
-component (behind mpnav.quat.multiply, chain and rotate), sbr_fix_svd
-(the dense-SVD reflection solver behind mpnav.fixes.sbr_fix),
+component (behind mpnav.quat.multiply, chain and rotate), synth_los and
+synth_sbr (one LosObs or SbrObs record, behind the radio synthesis of
+mpnav.pipeline.synth_measurements), sbr_locus_residual (one path, behind
+mpnav.fixes.sbr_locus_residuals), sbr_fix_svd (the dense-SVD reflection
+solver behind mpnav.fixes.sbr_fix),
 mechanize_per_sample (behind
 mpnav.ins.mechanize_arrays), trajectory_poses_per_sample (one Pose per
 sample, behind mpnav.scene.trajectory_poses), synth_imu_per_sample and
@@ -23,6 +26,8 @@ record-by-record filter loop behind mpnav.pipeline.run_filter),
 write_log_json (json.dumps per record, behind
 mpnav.synth.write_measurement_log) and read_measurement_log_per_record (one
 record object per line, behind mpnav.synth.read_measurement_log).
+los_columns and sbr_columns turn records into the column arguments of
+mpnav.fixes.los_fix and sbr_fix.
 """
 
 import json
@@ -49,7 +54,7 @@ from mpnav.scene import (
     mirror_point,
     unit_from_angles,
 )
-from mpnav.synth import ImuSample, LogColumns, LosObs, SbrObs, apply_noise
+from mpnav.synth import ImuSample, LogColumns, PathLossModel, apply_noise
 
 
 @dataclass
@@ -58,6 +63,136 @@ class OdoSample:
 
     t: float
     speed: float  # m/s
+
+
+# ---------------------------------------------------------------------------
+# radio records one at a time: the row types of the per-record references,
+# their noise-free synthesis, and the columns the fixes take
+
+
+@dataclass
+class LosObs:
+    """Direct-path observables for one BS at one epoch.
+
+    Angles are radians on global ENU axes: aod at the BS toward the UE, aoa
+    at the UE toward the BS. rtt is the two-way travel time.
+    """
+
+    bs_id: str
+    t: float
+    rtt: float
+    aod_az: float
+    aod_el: float
+    aoa_az: float
+    aoa_el: float
+    rss: float  # dBm
+
+
+@dataclass
+class SbrObs:
+    """Reflected-path observables.
+
+    aoa_az/aoa_el are the arrival direction (UE toward the bounce point) on
+    global axes, the synthesis truth. aoa_az_body/aoa_el_body are the same
+    direction expressed in the vehicle body frame, which is what a receiver
+    actually measures; an estimator rotates them back out with its own
+    attitude. toa is one-way. truth_bounces is simulator ground truth and
+    hidden from estimators.
+    """
+
+    bs_id: str
+    t: float
+    toa: float
+    aod_az: float
+    aod_el: float
+    aoa_az: float
+    aoa_el: float
+    rss: float
+    truth_bounces: int = 1
+    aoa_az_body: float = 0.0
+    aoa_el_body: float = 0.0
+
+
+def synth_los(bs, pose, plm: PathLossModel) -> LosObs:
+    """Noise-free direct-path observables for one base station."""
+    d_vec = pose.p - bs.p
+    d = float(np.linalg.norm(d_vec))
+    if d <= 0.0:
+        raise ValueError("UE and BS positions coincide")
+    aod_az, aod_el = angles_from_unit(d_vec)
+    aoa_az, aoa_el = angles_from_unit(-d_vec)
+    return LosObs(
+        bs_id=bs.id,
+        t=pose.t,
+        rtt=2.0 * d / SPEED_OF_LIGHT,
+        aod_az=float(aod_az),
+        aod_el=float(aod_el),
+        aoa_az=float(aoa_az),
+        aoa_el=float(aoa_el),
+        rss=plm.rss(d),
+    )
+
+
+def synth_sbr(path, pose, plm: PathLossModel) -> SbrObs:
+    """Noise-free reflected-path observables.
+
+    Works for single- and double-bounce path records (anything exposing
+    length, u_dep, u_arr, bounces); the body-frame arrival angles use the
+    pose's true attitude.
+    """
+    aod_az, aod_el = angles_from_unit(path.u_dep)
+    aoa_az, aoa_el = angles_from_unit(path.u_arr)
+    q_bn = quat.from_euler(*pose.att)
+    u_body = quat.rotate(quat.conjugate(q_bn), path.u_arr)
+    aoa_az_b, aoa_el_b = angles_from_unit(u_body)
+    return SbrObs(
+        bs_id=path.bs_id,
+        t=pose.t,
+        toa=path.length / SPEED_OF_LIGHT,
+        aod_az=float(aod_az),
+        aod_el=float(aod_el),
+        aoa_az=float(aoa_az),
+        aoa_el=float(aoa_el),
+        rss=plm.rss(path.length, bounces=path.bounces),
+        truth_bounces=int(path.bounces),
+        aoa_az_body=float(aoa_az_b),
+        aoa_el_body=float(aoa_el_b),
+    )
+
+
+def los_columns(bs, obs):
+    """los_fix's arguments for one station and one LosObs: the station
+    position (3,) and the row [rtt, aod_az, aod_el, aoa_az, aoa_el]."""
+    return bs.p, np.array([obs.rtt, obs.aod_az, obs.aod_el, obs.aoa_az, obs.aoa_el])
+
+
+def sbr_columns(pairs):
+    """sbr_fix's arguments for (BaseStation, SbrObs) pairs: station
+    positions (K, 3) and rows [toa, aod_az, aod_el, aoa_az, aoa_el] (K, 5)."""
+    bs_p = np.array([bs.p for bs, _ in pairs])
+    return bs_p, np.array([(o.toa, o.aod_az, o.aod_el, o.aoa_az, o.aoa_el) for _, o in pairs])
+
+
+def sbr_locus_residual(bs, obs, ref_p) -> float:
+    """Reference for mpnav.fixes.sbr_locus_residuals: the distance from
+    ref_p to one observation's solution segment.
+
+    Zero (up to noise) for a genuine single bounce when ref_p is near the
+    true position; order of the middle-leg length for higher-order bounces,
+    which is what makes the residual usable as a bounce-count discriminator.
+    """
+    ref_p = np.asarray(ref_p, dtype=float)
+    L = SPEED_OF_LIGHT * obs.toa
+    u_dep = unit_from_angles(obs.aod_az, obs.aod_el)
+    u_arr = unit_from_angles(obs.aoa_az, obs.aoa_el)
+    base = bs.p - L * u_arr
+    direction = u_dep + u_arr
+    dd = float(direction @ direction)
+    if dd <= 0.0:
+        leg = 0.0
+    else:
+        leg = float(np.clip((ref_p - base) @ direction / dd, 0.0, L))
+    return float(np.linalg.norm(ref_p - (base + leg * direction)))
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +776,10 @@ def add_noise(records, cfg, rng):
 
 def sbr_screen_per_record(sbr, bs_by_id, q_bn, p_ref, setup):
     """Reference for pipeline.screen_sbr: globalize, score, screen and
-    select one record at a time. Returns (pairs, counts) like screen_sbr."""
-    from mpnav.fixes import sbr_locus_residual
+    select one record at a time, keeping at most pipeline.MAX_SBR_PATHS.
+    Returns the admitted (BaseStation, SbrObs) pairs and the counts of
+    screen_sbr."""
+    from mpnav import pipeline
 
     counts = {"sbr_admitted": 0, "sbr_rejected_elevation": 0, "sbr_rejected_residual": 0}
     eps = setup.gate_cfg.elevation_eps_rad
@@ -661,8 +798,8 @@ def sbr_screen_per_record(sbr, bs_by_id, q_bn, p_ref, setup):
             admitted.append((bs, o))
         else:
             counts["sbr_rejected_residual"] += 1
-    if setup.max_sbr_paths and len(admitted) > setup.max_sbr_paths:
-        admitted = sorted(admitted, key=lambda bo: -bo[1].rss)[: setup.max_sbr_paths]
+    if len(admitted) > pipeline.MAX_SBR_PATHS:
+        admitted = sorted(admitted, key=lambda bo: -bo[1].rss)[: pipeline.MAX_SBR_PATHS]
     return admitted, counts
 
 
@@ -1272,7 +1409,9 @@ def run_filter_per_record(ms, epochs, setup):
                 counters["los_rejected_consistency"] += 1
                 continue
             fix = los_fix(
-                bs_by_id[obs.bs_id], obs, setup.noise.var_range_m2, setup.noise.var_angle_deg2
+                *los_columns(bs_by_id[obs.bs_id], obs),
+                setup.noise.var_range_m2,
+                setup.noise.var_angle_deg2,
             )
             if not motion_gate(fix.p, last_accept_p, travel_budget, setup.gate_cfg):
                 counters["los_rejected_motion"] += 1
@@ -1293,7 +1432,7 @@ def run_filter_per_record(ms, epochs, setup):
                 counters[key] += n
             if len(admitted) >= 2:
                 fix = sbr_fix(
-                    admitted,
+                    *sbr_columns(admitted),
                     setup.noise.var_range_m2,
                     setup.noise.var_angle_deg2,
                     var_aoa_extra_rad2=(

@@ -15,24 +15,27 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from helpers import add_noise, random_double_bounce, random_single_bounce, random_two_path_scene
+from helpers import (
+    add_noise,
+    los_columns,
+    random_double_bounce,
+    random_single_bounce,
+    random_two_path_scene,
+    sbr_columns,
+    sbr_locus_residual,
+    synth_los,
+    synth_sbr,
+)
 from mpnav import quat
 from mpnav.cli import EXIT_OK, main as cli_main
 from mpnav.evaluate import run_noise_sweep, run_outage_sweep
-from mpnav.fixes import los_fix, sbr_fix, sbr_locus_residual
+from mpnav.fixes import los_fix, sbr_fix
 from mpnav.fusion import update_position
 from mpnav.gates import GateConfig, oori_check
 from mpnav.ins import drift_profile, mechanize_arrays
 from mpnav.pipeline import Rates, RunSetup, run
 from mpnav.scene import mirror_point, ring_scenario, trajectory_poses
-from mpnav.synth import (
-    ImuErrorModel,
-    NoiseCfg,
-    PathLossModel,
-    synth_imu,
-    synth_los,
-    synth_sbr,
-)
+from mpnav.synth import ImuErrorModel, NoiseCfg, PathLossModel, synth_imu
 
 PLM = PathLossModel()
 
@@ -87,13 +90,13 @@ def test_criterion_2_solver_exactness():
     worst_los = 0.0
     for _ in range(1000):
         bs, ue, _, _ = random_single_bounce(rng)
-        fix = los_fix(bs, synth_los(bs, still_pose(ue), PLM))
+        fix = los_fix(*los_columns(bs, synth_los(bs, still_pose(ue), PLM)))
         worst_los = max(worst_los, float(np.linalg.norm(fix.p - ue)))
     worst_sbr = 0.0
     for _ in range(1000):
         scene, ue = random_two_path_scene(rng)
         pairs = [(bs, synth_sbr(path, still_pose(ue), PLM)) for bs, path in scene]
-        fix = sbr_fix(pairs)
+        fix = sbr_fix(*sbr_columns(pairs))
         assert fix is not None
         worst_sbr = max(worst_sbr, float(np.linalg.norm(fix.p - ue)))
     elapsed = time.perf_counter() - t0
@@ -105,7 +108,7 @@ def test_criterion_2_solver_exactness():
         obs = synth_sbr(path, still_pose(ue), PLM)
         twin = synth_sbr(path, still_pose(ue), PLM)
         twin.toa += 1e-12
-        degenerate = sbr_fix([(bs, obs), (bs, twin)])
+        degenerate = sbr_fix(*sbr_columns([(bs, obs), (bs, twin)]))
         if degenerate is None or np.linalg.norm(degenerate.p - ue) < 1e-3:
             none_count += 1
     ok = worst_los < 1e-9 and worst_sbr < 1e-6 and elapsed < 10.0 and none_count == 50

@@ -226,6 +226,49 @@ def test_log_with_imu_or_odometer_times_off_exits_2(tmp_path, capsys, edit, need
     assert not out.exists()
 
 
+def edited_radio(lines, kind, values, first_only):
+    """lines with the given values set in the first record of one radio
+    kind, or in every one."""
+    out = list(lines)
+    for i in [i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind]:
+        out[i] = json.dumps(dict(json.loads(lines[i]), **values))
+        if first_only:
+            break
+    return out
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (
+            lambda lines: edited_radio(lines, "los", {"rtt_s": -1e-9, "rss_dbm": 0.0}, True),
+            "LoS record 0 has rtt_s -1e-09",
+        ),
+        (
+            lambda lines: edited_radio(lines, "los", {"rtt_s": 0.0, "rss_dbm": 10.0}, True),
+            "LoS record 0 has rtt_s 0.0",
+        ),
+        (
+            lambda lines: edited_radio(lines, "sbr", {"toa_s": -1e-6}, False),
+            "SBR record 0 has toa_s -1e-06",
+        ),
+        (
+            lambda lines: edited_radio(lines, "sbr", {"toa_s": 0.0}, True),
+            "SBR record 0 has toa_s 0.0",
+        ),
+    ],
+    ids=["los_rtt_negative", "los_rtt_zero", "sbr_toa_all_negative", "sbr_toa_zero"],
+)
+def test_log_with_non_positive_travel_time_exits_2(tmp_path, capsys, edit, needle):
+    # a travel time is a path length over c: the LoS fix and the bounce
+    # screen cannot place a station at zero or negative range
+    cfg = edited_lines(tmp_path, edit)
+    out = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_log_without_odometer_exits_2(tmp_path, capsys):
     cfg = edited_log(tmp_path, lambda i, d: d["kind"] != "odo")
     out = tmp_path / "out"

@@ -3,20 +3,22 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    LosObs,
+    SbrObs,
     add_noise,
+    los_columns,
     random_multi_path_scene,
     random_single_bounce,
     random_two_path_scene,
+    sbr_columns,
     sbr_fix_svd,
+    sbr_locus_residual,
     specular_path,
+    synth_los,
+    synth_sbr,
 )
 
-from mpnav.fixes import (
-    los_fix,
-    sbr_fix,
-    sbr_locus_residual,
-    sbr_locus_residuals,
-)
+from mpnav.fixes import los_fix, sbr_fix, sbr_locus_residuals
 from mpnav.scene import (
     SPEED_OF_LIGHT,
     BaseStation,
@@ -25,7 +27,7 @@ from mpnav.scene import (
     angles_from_unit,
     unit_from_angles,
 )
-from mpnav.synth import NoiseCfg, PathLossModel, SbrObs, synth_los, synth_sbr
+from mpnav.synth import NoiseCfg, PathLossModel
 
 PLM = PathLossModel()
 
@@ -46,13 +48,13 @@ def noisy_pairs(pairs, cfg, rng):
 def test_los_fix_inverts_synth():
     bs = BaseStation(id="a", p=[0.0, 0.0, 10.0])
     obs = synth_los(bs, pose_at([30.0, 40.0, 0.0]), PLM)
-    fix = los_fix(bs, obs)
+    fix = los_fix(*los_columns(bs, obs))
     assert np.allclose(fix.p, [30.0, 40.0, 0.0], atol=1e-9)
     assert np.allclose(fix.cov, 0.0)
     rng = np.random.default_rng(0)
     for _ in range(100):
         ue = rng.uniform(-200, 200, 3) * [1, 1, 0] + [0, 0, rng.uniform(0, 5)]
-        fix = los_fix(bs, synth_los(bs, pose_at(ue), PLM))
+        fix = los_fix(*los_columns(bs, synth_los(bs, pose_at(ue), PLM)))
         assert np.linalg.norm(fix.p - ue) < 1e-9
 
 
@@ -63,23 +65,21 @@ def test_los_fix_pole_case_and_errors():
         bs_id="a", t=0.0, rtt=2.0 * d / SPEED_OF_LIGHT,
         aod_az=0.3, aod_el=math.pi / 2, aoa_az=0.0, aoa_el=0.0, rss=-60.0,
     )
-    from mpnav.synth import LosObs
-
-    fix = los_fix(bs, LosObs(**obs_kwargs))
+    fix = los_fix(*los_columns(bs, LosObs(**obs_kwargs)))
     assert np.allclose(fix.p, [5.0, 5.0, 50.0], atol=1e-9)
     with pytest.raises(ValueError):
-        los_fix(bs, LosObs(**{**obs_kwargs, "rtt": 0.0}))
+        los_fix(*los_columns(bs, LosObs(**{**obs_kwargs, "rtt": 0.0})))
 
 
 def test_los_fix_covariance_structure():
     bs = BaseStation(id="a", p=[0.0, 0.0, 10.0])
     obs = synth_los(bs, pose_at([30.0, 40.0, 0.0]), PLM)
-    c1 = los_fix(bs, obs, var_range_m2=1.0, var_angle_deg2=0.0).cov
-    c2 = los_fix(bs, obs, var_range_m2=2.0, var_angle_deg2=0.0).cov
+    c1 = los_fix(*los_columns(bs, obs), var_range_m2=1.0, var_angle_deg2=0.0).cov
+    c2 = los_fix(*los_columns(bs, obs), var_range_m2=2.0, var_angle_deg2=0.0).cov
     assert np.allclose(c2, 2.0 * c1, atol=1e-12)
     u = unit_from_angles(obs.aod_az, obs.aod_el)
     assert np.allclose(c1, np.outer(u, u), atol=1e-12)
-    ca = los_fix(bs, obs, var_range_m2=0.0, var_angle_deg2=0.01).cov
+    ca = los_fix(*los_columns(bs, obs), var_range_m2=0.0, var_angle_deg2=0.01).cov
     assert np.allclose(ca, ca.T, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(ca)) >= -1e-9
     # angle-driven scatter lies in the plane orthogonal to the range direction
@@ -92,9 +92,9 @@ def test_los_fix_covariance_matches_monte_carlo():
     ue = np.array([120.0, -80.0, 1.0])
     clean = synth_los(bs, pose_at(ue), PLM)
     cfg = NoiseCfg(var_range_m2=0.5, var_angle_deg2=0.01)
-    predicted = los_fix(bs, clean, cfg.var_range_m2, cfg.var_angle_deg2).cov
+    predicted = los_fix(*los_columns(bs, clean), cfg.var_range_m2, cfg.var_angle_deg2).cov
     errs = np.stack(
-        [los_fix(bs, add_noise([clean], cfg, rng)[0]).p - ue for _ in range(4000)]
+        [los_fix(*los_columns(bs, add_noise([clean], cfg, rng)[0])).p - ue for _ in range(4000)]
     )
     emp = errs.T @ errs / len(errs)
     assert np.allclose(np.diag(emp), np.diag(predicted), rtol=0.15, atol=1e-6)
@@ -116,7 +116,7 @@ def worked_example_pairs():
 
 def test_sbr_fix_two_path_worked_example():
     scene, ue = worked_example_pairs()
-    fix = sbr_fix(sbr_pairs(scene, ue))
+    fix = sbr_fix(*sbr_columns(sbr_pairs(scene, ue)))
     assert fix is not None
     assert np.linalg.norm(fix.p - ue) < 1e-6
     assert fix.residual <= 1e-9
@@ -128,7 +128,7 @@ def test_sbr_fix_exact_on_random_scenes():
     rng = np.random.default_rng(2)
     for _ in range(300):
         scene, ue = random_two_path_scene(rng)
-        fix = sbr_fix(sbr_pairs(scene, ue))
+        fix = sbr_fix(*sbr_columns(sbr_pairs(scene, ue)))
         assert fix is not None
         assert np.linalg.norm(fix.p - ue) < 1e-6
 
@@ -139,13 +139,13 @@ def test_sbr_fix_rejects_same_wall_degeneracy():
     for _ in range(50):
         bs, ue, wall, path = random_single_bounce(rng)
         obs = synth_sbr(path, pose_at(ue), PLM)
-        assert sbr_fix([(bs, obs), (bs, obs)]) is None
+        assert sbr_fix(*sbr_columns([(bs, obs), (bs, obs)])) is None
         # nearby epoch off the same wall: still (near) rank-deficient
         path2 = specular_path(bs, ue + [0.001, 0.001, 0.0], wall)
         if path2 is None:
             continue
         obs2 = synth_sbr(path2, pose_at(ue + [0.001, 0.001, 0.0]), PLM)
-        assert sbr_fix([(bs, obs), (bs, obs2)]) is None
+        assert sbr_fix(*sbr_columns([(bs, obs), (bs, obs2)])) is None
         hits += 1
     assert hits > 30
 
@@ -154,20 +154,20 @@ def test_sbr_fix_requires_two_paths_and_leg_bounds():
     scene, ue = worked_example_pairs()
     pairs = sbr_pairs(scene, ue)
     with pytest.raises(ValueError):
-        sbr_fix(pairs[:1])
+        sbr_fix(*sbr_columns(pairs[:1]))
     # shrinking one ToA forces the recovered first leg outside [0, L]
     bad = pairs[1][1]
     shrunk = SbrObs(**{**bad.__dict__, "toa": bad.toa * 0.2})
-    assert sbr_fix([pairs[0], (pairs[1][0], shrunk)]) is None
+    assert sbr_fix(*sbr_columns([pairs[0], (pairs[1][0], shrunk)])) is None
 
 
 def test_sbr_fix_residual_zero_vs_noisy():
     rng = np.random.default_rng(4)
     scene, ue = random_two_path_scene(rng)
     pairs = sbr_pairs(scene, ue)
-    assert sbr_fix(pairs).residual <= 1e-9
+    assert sbr_fix(*sbr_columns(pairs)).residual <= 1e-9
     noisy = noisy_pairs(pairs, NoiseCfg(1.0, 0.01), rng)
-    fix = sbr_fix(noisy, var_range_m2=1.0, var_angle_deg2=0.01)
+    fix = sbr_fix(*sbr_columns(noisy), var_range_m2=1.0, var_angle_deg2=0.01)
     if fix is not None:
         assert fix.residual > 1e-6
 
@@ -179,7 +179,7 @@ def test_sbr_fix_least_squares_optimality():
     rng = np.random.default_rng(5)
     scene, ue = random_two_path_scene(rng)
     pairs = noisy_pairs(sbr_pairs(scene, ue), NoiseCfg(0.5, 0.01), rng)
-    fix = sbr_fix(pairs)
+    fix = sbr_fix(*sbr_columns(pairs))
     assert fix is not None
     K = len(pairs)
     A = np.zeros((3 * K, 3 + K))
@@ -229,7 +229,7 @@ def test_sbr_fix_matches_svd_reference():
             for pairs in (clean, noisy):
                 for kwargs in variants:
                     ref = sbr_fix_svd(pairs, **kwargs)
-                    fix = sbr_fix(pairs, **kwargs)
+                    fix = sbr_fix(*sbr_columns(pairs), **kwargs)
                     if n_paths == 2 and kwargs.get("estimate_yaw"):
                         # structurally singular (see the three-path test);
                         # angle noise can lift the reference's singular-value
@@ -263,7 +263,7 @@ def test_sbr_fix_covariance_matches_monte_carlo():
     errs, nees = [], []
     for _ in range(2000):
         noisy = noisy_pairs(clean, cfg, rng)
-        fix = sbr_fix(noisy, cfg.var_range_m2, cfg.var_angle_deg2)
+        fix = sbr_fix(*sbr_columns(noisy), cfg.var_range_m2, cfg.var_angle_deg2)
         if fix is None:
             continue
         e = fix.p - ue
@@ -279,7 +279,7 @@ def test_sbr_fix_yaw_needs_three_paths():
     # off vertical walls every u_dep + u_arr is horizontal, so two paths plus
     # a yaw unknown leave the horizontal subsystem underdetermined
     scene, ue = worked_example_pairs()
-    assert sbr_fix(sbr_pairs(scene, ue), estimate_yaw=True) is None
+    assert sbr_fix(*sbr_columns(sbr_pairs(scene, ue)), estimate_yaw=True) is None
 
 
 def test_sbr_fix_yaw_coestimation():
@@ -303,8 +303,8 @@ def test_sbr_fix_yaw_coestimation():
             az, el = angles_from_unit(rot @ path.u_arr)
             obs.aoa_az, obs.aoa_el = float(az), float(el)
             pairs.append((bs, obs))
-        plain = sbr_fix(pairs)
-        joint = sbr_fix(pairs, estimate_yaw=True)
+        plain = sbr_fix(*sbr_columns(pairs))
+        joint = sbr_fix(*sbr_columns(pairs), estimate_yaw=True)
         assert joint is not None
         # the estimate is the correction that would undo the injected rotation
         assert joint.yaw == pytest.approx(-psi0, abs=3e-4)
@@ -315,7 +315,7 @@ def test_sbr_fix_yaw_coestimation():
     rng = np.random.default_rng(11)
     scene, ue = random_multi_path_scene(rng, n_paths=3)
     fix = sbr_fix(
-        sbr_pairs(scene, ue), var_range_m2=0.5, var_angle_deg2=0.01, estimate_yaw=True
+        *sbr_columns(sbr_pairs(scene, ue)), var_range_m2=0.5, var_angle_deg2=0.01, estimate_yaw=True
     )
     assert fix is not None
     assert fix.yaw == pytest.approx(0.0, abs=1e-9)

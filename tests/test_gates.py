@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from helpers import add_noise, random_double_bounce, random_single_bounce, specular_path
+from helpers import (
+    add_noise,
+    random_double_bounce,
+    random_single_bounce,
+    sbr_locus_residual,
+    specular_path,
+    synth_los,
+    synth_sbr,
+)
 
-from mpnav.fixes import sbr_locus_residual
 from mpnav.gates import GateConfig, classify_los, motion_gate, oori_check
 from mpnav.scene import Pose
-from mpnav.synth import NoiseCfg, PathLossModel, synth_los, synth_sbr
+from mpnav.synth import NoiseCfg, PathLossModel
 
 PLM = PathLossModel()
 CFG = GateConfig()

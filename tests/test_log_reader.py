@@ -4,13 +4,14 @@ memory footprint set by its columns."""
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from helpers import log_columns, read_measurement_log_per_record
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mpnav.pipeline import RunSetup, synth_measurements
+from mpnav.pipeline import RunSetup, measurement_set_from_records, synth_measurements
 from mpnav.scene import ring_scenario
 from mpnav.synth import LOG_KEYS, read_measurement_log, write_measurement_log
 
@@ -90,6 +91,59 @@ def ring_log(tmp_path_factory):
     path = tmp_path_factory.mktemp("ring") / "ring.jsonl"
     write_measurement_log(path, synth_measurements(setup))
     return path
+
+
+SHORT_RING = RunSetup(scenario=ring_scenario(speed_mps=8.0), duration_s=2.0, seed=0)
+
+
+@pytest.fixture(scope="module")
+def short_ring_columns(tmp_path_factory):
+    """The reader's columns of a 2 s ring-drive log."""
+    path = tmp_path_factory.mktemp("short") / "ring.jsonl"
+    write_measurement_log(path, synth_measurements(SHORT_RING))
+    return read_measurement_log(path)
+
+
+@st.composite
+def ingest_faults(draw, cols):
+    """(kind, row, column, value, message start): one number of a valid
+    log's columns that the ingest contract rejects, with the start of the
+    error naming its record. An IMU time moves off the sample grid, an
+    odometer time goes before its predecessor's, or a radio travel time
+    becomes <= 0."""
+    kind = draw(st.sampled_from(["imu", "odo", "los", "sbr"]))
+    times = cols[kind].values[:, 0]
+    if kind == "imu":
+        k = draw(st.integers(0, len(times) - 1))
+        shift = draw(st.floats(1e-5, 100.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        return kind, k, 0, float(times[k]) + shift, f"IMU sample {k} has t_s "
+    if kind == "odo":
+        k = draw(st.integers(1, len(times) - 1))
+        back = draw(st.floats(1e-6, 100.0))
+        return kind, k, 0, float(times[k - 1]) - back, f"odometer record {k} has t_s "
+    k = draw(st.integers(0, len(times) - 1))
+    tof = draw(st.floats(max_value=0.0, allow_nan=False, allow_infinity=False))
+    if kind == "los":
+        return kind, k, 1, tof, f"LoS record {k} has rtt_s "
+    return kind, k, 1, tof, f"SBR record {k} has toa_s "
+
+
+def test_ingest_rejects_the_offending_record(short_ring_columns):
+    assert min(len(cols) for cols in short_ring_columns.values()) > 1
+    measurement_set_from_records(short_ring_columns, SHORT_RING)
+
+    @settings(max_examples=120, deadline=None)
+    @given(fault=ingest_faults(short_ring_columns))
+    def check(fault):
+        kind, k, col, value, message = fault
+        values = short_ring_columns[kind].values.copy()
+        values[k, col] = value
+        cols = dict(short_ring_columns, **{kind: replace(short_ring_columns[kind], values=values)})
+        with pytest.raises(ValueError) as err:
+            measurement_set_from_records(cols, SHORT_RING)
+        assert str(err.value).startswith(message), (str(err.value), message)
+
+    check()
 
 
 def test_reader_matches_per_record_reference_on_a_ring_log(ring_log):

@@ -2,19 +2,13 @@
 json.dumps reference, and the round trip through the reader."""
 
 import numpy as np
-from helpers import OdoSample, log_columns, write_log_json
+from helpers import LosObs, OdoSample, SbrObs, log_columns, write_log_json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mpnav.pipeline import Rates, RunSetup, measurement_set_from_records
 from mpnav.scene import BaseStation, Scenario
-from mpnav.synth import (
-    ImuSample,
-    LosObs,
-    SbrObs,
-    read_measurement_log,
-    write_measurement_log,
-)
+from mpnav.synth import ImuSample, read_measurement_log, write_measurement_log
 
 # 0.3 s at 20 Hz IMU and 10 Hz radio: six IMU samples, three epochs
 RATES = Rates(imu_hz=20.0, obs_hz=10.0, odo_hz=10.0)
@@ -24,6 +18,8 @@ N_IMU = 6
 
 # finite floats of every size: -0.0, subnormals and 1e+-300 included
 num = st.floats(allow_nan=False, allow_infinity=False)
+# ingest requires travel times > 0: the smallest subnormal up to 1e+308
+tof = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # station ids with quotes, backslashes, control and non-ASCII characters
 ids = st.lists(
     st.one_of(
@@ -49,12 +45,12 @@ def logs(draw):
     epochs = []
     for t in EPOCH_T:
         los = draw(
-            st.lists(st.builds(LosObs, bs, st.just(t), num, num, num, num, num, num), max_size=3)
+            st.lists(st.builds(LosObs, bs, st.just(t), tof, num, num, num, num, num), max_size=3)
         )
         sbr = draw(
             st.lists(
                 st.builds(
-                    SbrObs, bs, st.just(t), num, num, num, num, num, num,
+                    SbrObs, bs, st.just(t), tof, num, num, num, num, num,
                     st.integers(0, 3), num, num,
                 ),
                 max_size=3,

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from helpers import (
+    LosObs,
     apply_noise_per_record,
     apply_outages,
     double_bounce_path,
@@ -18,9 +19,12 @@ from helpers import (
     run_filter_per_record,
     sbr_screen_per_record,
     synth_epochs_per_epoch,
+    synth_los,
     synth_measurements_unchunked,
+    synth_sbr,
     write_log_json,
 )
+from test_tracer_contract import ROOT, load_tracer
 
 import mpnav.cli
 from mpnav import evaluate, pipeline, quat, scene
@@ -45,13 +49,10 @@ from mpnav.scene import (
 )
 from mpnav.synth import (
     ImuErrorModel,
-    LosObs,
     NoiseCfg,
     OutageWindow,
     RadioRecords,
     read_measurement_log,
-    synth_los,
-    synth_sbr,
     write_measurement_log,
 )
 
@@ -291,7 +292,7 @@ def test_filter_matches_per_record_reference():
             assert np.array_equal(res.p_est, p_ref)
 
 
-def test_sbr_screen_matches_per_record_reference():
+def test_sbr_screen_matches_per_record_reference(monkeypatch):
     setup = fast_setup(duration_s=10.0, seed=4)
     ms = synth_measurements(setup)
     stations = setup.scenario.base_stations
@@ -300,32 +301,31 @@ def test_sbr_screen_matches_per_record_reference():
     totals = dict.fromkeys(("sbr_admitted", "sbr_rejected_elevation", "sbr_rejected_residual"), 0)
     n_cut = 0
     tied_sbr = replace(ms.sbr, rss=np.round(ms.sbr.rss))
-    for k, ((_, ep_sbr), idx, t) in enumerate(zip(epoch_records(ms), ms.epoch_idx, ms.epoch_t)):
+    for k, ((_, ep_sbr), idx) in enumerate(zip(epoch_records(ms), ms.epoch_idx)):
         rows = slice(ms.sbr.off[k], ms.sbr.off[k + 1])
         pose = ms.truth[idx]
         # a position prior off by a few meters makes residual rejections
         p_ref = pose.p + [2.0 * np.cos(k), 2.0 * np.sin(k), 0.0]
         # a tilted attitude makes elevation rejections of globalized angles
         q_bn = quat.from_euler(*(pose.att + [0.0, 0.012 * np.sin(k), 0.01]))
-        # rss rounded to whole dB: equal-rss ties at the max_sbr_paths cut
+        # rss rounded to whole dB: equal-rss ties at the MAX_SBR_PATHS cut
         tied = [replace(o, rss=float(round(o.rss))) for o in ep_sbr]
         for sbr, records in ((ms.sbr, ep_sbr), (tied_sbr, tied)):
             for use_body in (True, False):
-                for max_paths in (16, 5, 0):
-                    s = replace(setup, use_body_aoa=use_body, max_sbr_paths=max_paths)
-                    got, got_counts = screen_sbr(sbr, rows, t, stations, bs_p, q_bn, p_ref, s)
+                for max_paths in (16, 5):
+                    monkeypatch.setattr(pipeline, "MAX_SBR_PATHS", max_paths)
+                    s = replace(setup, use_body_aoa=use_body)
+                    got_p, got_obs, got_counts = screen_sbr(sbr, rows, bs_p, q_bn, p_ref, s)
                     ref, ref_counts = sbr_screen_per_record(records, bs_by_id, q_bn, p_ref, s)
                     assert got_counts == ref_counts
-                    assert [bs.id for bs, _ in got] == [bs.id for bs, _ in ref]
-                    for (_, g), (_, r) in zip(got, ref):
-                        assert (g.bs_id, g.t, g.truth_bounces) == (r.bs_id, r.t, r.truth_bounces)
-                        assert (g.toa, g.aod_az, g.aod_el) == (r.toa, r.aod_az, r.aod_el)
-                        assert (g.aoa_az_body, g.aoa_el_body) == (r.aoa_az_body, r.aoa_el_body)
-                        assert g.rss == r.rss
-                        assert g.aoa_az == pytest.approx(r.aoa_az, abs=1e-12)
-                        assert g.aoa_el == pytest.approx(r.aoa_el, abs=1e-12)
+                    assert got_p.tolist() == [bs.p.tolist() for bs, _ in ref]
+                    assert len(got_obs) == len(ref)
+                    for g, (_, r) in zip(got_obs.tolist(), ref):
+                        assert g[:3] == [r.toa, r.aod_az, r.aod_el]
+                        assert g[3] == pytest.approx(r.aoa_az, abs=1e-12)
+                        assert g[4] == pytest.approx(r.aoa_el, abs=1e-12)
                     n_admit = got_counts["sbr_admitted"]
-                    n_cut += bool(max_paths) and n_admit > max_paths
+                    n_cut += n_admit > max_paths
                     for key in totals:
                         totals[key] += got_counts[key]
     assert all(v > 0 for v in totals.values()), totals
@@ -539,3 +539,27 @@ def test_filter_epochs_are_counted_at_run_filter(monkeypatch, tmp_path):
     # in two arms
     assert [len(r.t) for r in results] == [20, 20, 10, 10, 10, 10]
     assert sum(counted) == sum(len(r.t) for r in results)
+
+
+def test_traced_sbr_path_count_is_the_fix_n_paths(monkeypatch, tmp_path):
+    # The benchmark tracer counts each joint fix's paths from its arguments,
+    # as len(args[0]); on every call of the ring run that count has to be
+    # the n_paths of the fix sbr_fix returns.
+    tracer = load_tracer()
+    calls = []
+    original = pipeline.sbr_fix
+
+    def recording(*args, **kwargs):
+        fix = original(*args, **kwargs)
+        if fix is not None:
+            calls.append((tracer._paths_solved(args, kwargs, fix)["paths"], fix.n_paths))
+        return fix
+
+    monkeypatch.setattr(pipeline, "sbr_fix", recording)
+    ring = json.loads((ROOT / "configs" / "single_ring.json").read_text())
+    ring["duration_s"] = 2
+    (tmp_path / "ring.json").write_text(json.dumps(ring))
+    args = [str(tmp_path / "ring.json"), "--output-dir", str(tmp_path / "ring")]
+    assert mpnav.cli.main(args) == mpnav.cli.EXIT_OK
+    assert len(calls) > 10
+    assert all(traced == n_paths for traced, n_paths in calls), calls

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import (
+    LosObs,
     OdoSample,
     add_noise,
     apply_noise_per_record,
@@ -12,7 +13,9 @@ from helpers import (
     specular_path,
     stack_poses,
     synth_imu_per_sample,
+    synth_los,
     synth_odo_per_sample,
+    synth_sbr,
     trajectory_poses_per_sample,
     write_log_json,
 )
@@ -28,7 +31,6 @@ from mpnav.scene import (
 from mpnav.synth import (
     ImuErrorModel,
     ImuSample,
-    LosObs,
     NoiseCfg,
     OutageWindow,
     PathLossModel,
@@ -36,9 +38,7 @@ from mpnav.synth import (
     outage_mask,
     read_measurement_log,
     synth_imu,
-    synth_los,
     synth_odo,
-    synth_sbr,
 )
 
 PLM = PathLossModel()
