@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import SPEED_OF_LIGHT
+from .scene import SPEED_OF_LIGHT, row_dot
 
 
 @dataclass
@@ -65,6 +65,5 @@ def motion_gate(candidate_p, prior_p, odo_dist_m: float, cfg: GateConfig):
     says the vehicle could have traveled (plus margin). Broadcasts over
     stacked candidates (n, 3), returning (n,) booleans."""
     d = np.asarray(candidate_p, dtype=float) - np.asarray(prior_p, dtype=float)
-    # each row's norm as the dot product np.linalg.norm takes of one vector
-    step = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+    step = np.sqrt(row_dot(d, d))
     return step <= odo_dist_m + cfg.motion_margin_m

@@ -19,10 +19,12 @@ from .fusion import FilterState, UkfParams, predict, update_position, update_pos
 from .gates import GateConfig, classify_los, motion_gate, oori_check
 from .scene import (
     SPEED_OF_LIGHT,
+    GeometryError,
     Scenario,
     SceneArrays,
     Trajectory,
     angles_from_unit,
+    row_dot,
     trajectory_poses,
     unit_from_angles,
 )
@@ -102,6 +104,8 @@ class RunSetup:
             raise ValueError("duration_s must be > 0")
         if round(self.duration_s * self.rates.obs_hz) < 1:
             raise ValueError("run too short for one observation epoch")
+        if round(self.duration_s * self.rates.imu_hz) < 2:
+            raise ValueError("run too short for two IMU samples")
 
 
 @dataclass
@@ -160,10 +164,9 @@ def _synth_epochs(setup: RunSetup, arrays: SceneArrays, ue, att, epoch_t, rng):
     # direct paths of the visible stations, epoch-major then station
     le, lb = np.nonzero(arrays.los_mask(ue))
     d_vec = ue[le] - arrays.bs_p[lb]
-    # row norms summed as np.linalg.norm sums one vector
-    d = np.sqrt((d_vec[:, None, :] @ d_vec[:, :, None])[:, 0, 0])
+    d = np.sqrt(row_dot(d_vec, d_vec))
     if np.any(d <= 0.0):
-        raise ValueError("UE and BS positions coincide")
+        raise GeometryError("UE and BS positions coincide")
     # reflected paths: single bounces station-major then wall, doubles last
     rb, _, _, _, _, ln, ud, ua, re = arrays.specular_arrays(ue)
     bounces = np.ones(rb.size, dtype=int)

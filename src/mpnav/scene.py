@@ -414,6 +414,14 @@ def ring_scenario(
     )
 
 
+def row_dot(x, y):
+    """Dot products of x and y (..., n) along the last axis, broadcasting
+    the leading axes. A stacked matmul sums each row as a 1-D `@` and
+    np.linalg.norm sum one vector, so np.sqrt(row_dot(d, d)) equals each
+    row's np.linalg.norm bit for bit."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _strict_crossing(s0, s1):
     """Where the segments with end offsets s0, s1 from a wall plane cross
     it strictly between their ends: (t, hit) arrays, t the crossing's
@@ -431,52 +439,38 @@ class SceneArrays:
     bounces, at once: a chunk of a run's epoch positions in one call.
 
     The tests hold the results to scalar one-path forms (specular_path,
-    los_visible and double_bounce_path in tests/helpers.py): double bounces
-    bit for bit, single bounces up to float reassociation.
+    los_visible and double_bounce_path in tests/helpers.py) bit for bit.
     """
 
     def __init__(self, base_stations, walls):
-        self.base_stations = list(base_stations)
         self.walls = list(walls)
-        self.bs_p = (
-            np.stack([bs.p for bs in self.base_stations])
-            if self.base_stations
-            else np.zeros((0, 3))
-        )
-        B = self.bs_p.shape[0]
+        self.bs_p = np.array([bs.p for bs in base_stations], dtype=float).reshape(-1, 3)
         W = len(self.walls)
-        self.n_bs, self.n_walls = B, W
+        self.n_bs, self.n_walls = len(self.bs_p), W
         if W:
             self.w_a = np.stack([w.a for w in self.walls])  # (W, 2)
+            self.w_a3 = np.concatenate([self.w_a, np.zeros((W, 1))], axis=1)
+            self.w_nrm3 = np.stack([w.normal for w in self.walls])
             self.w_tan = np.stack([w.tangent for w in self.walls])
-            self.w_nrm = np.stack([w.normal[:2] for w in self.walls])
             self.w_len = np.array([w.length for w in self.walls])
             self.w_z0 = np.array([w.z0 for w in self.walls])
             self.w_z1 = np.array([w.z0 + w.h for w in self.walls])
-            # signed horizontal offset of every BS from every wall plane
-            self.bs_sd = np.einsum(
-                "bwk,wk->bw", self.bs_p[:, None, :2] - self.w_a[None, :, :], self.w_nrm
-            )
-            self.bs_mirror = self.bs_p[:, None, :].repeat(W, axis=1).astype(float)
-            self.bs_mirror[:, :, :2] -= 2.0 * self.bs_sd[:, :, None] * self.w_nrm[None, :, :]
-            # double bounces: each station's image across a first wall
-            # (B, W, 3), that image across every second wall (B, W, W, 3),
-            # and their offsets from the wall each crossing tests, taken as
-            # Wall.signed_distance and mirror_point take them
-            self.w_a3 = np.concatenate([self.w_a, np.zeros((W, 1))], axis=1)
-            self.w_nrm3 = np.stack([w.normal for w in self.walls])
+            # every station's offset from every wall plane (B, W), its image
+            # across every wall (B, W, 3), that image across every second
+            # wall (B, W, W, 3), and the images' offsets from the wall each
+            # crossing tests, all taken as Wall.signed_distance and
+            # mirror_point take them
+            self.bs_sd = self._plane_offset(self.bs_p[:, None, :])
             self.db_m1 = self._mirror(self.bs_p[:, None, :])
             self.db_m1_sd = self._plane_offset(self.db_m1)
             self.db_m12 = self._mirror(self.db_m1[:, :, None, :])
             self.db_m12_sd = self._plane_offset(self.db_m12)
-        self._tol = 1e-9
 
     def _plane_offset(self, p, w=slice(None)):
         """Wall.signed_distance of points p (..., 3) from walls w, an index
         of the wall axis (all walls, by default) that broadcasts against
         p's leading axes."""
-        d = p - self.w_a3[w]
-        return (d[..., None, :] @ self.w_nrm3[w][..., :, None])[..., 0, 0]
+        return row_dot(p - self.w_a3[w], self.w_nrm3[w])
 
     def _mirror(self, p, w=slice(None)):
         """mirror_point of points p (..., 3) across walls w."""
@@ -484,20 +478,23 @@ class SceneArrays:
 
     def _on_rectangle(self, p, w=slice(None)):
         """Wall.on_rectangle of points p (..., 3) on walls w."""
-        tol = self._tol
-        d = p[..., :2] - self.w_a[w]
-        along = (d[..., None, :] @ self.w_tan[w][..., :, None])[..., 0, 0]
+        along = row_dot(p[..., :2] - self.w_a[w], self.w_tan[w])
         return (
-            (np.abs(self._plane_offset(p, w)) <= max(tol, _PLANE_TOL))
-            & (along >= -tol)
-            & (along <= self.w_len[w] + tol)
-            & (p[..., 2] >= self.w_z0[w] - tol)
-            & (p[..., 2] <= self.w_z1[w] + tol)
+            (np.abs(self._plane_offset(p, w)) <= _PLANE_TOL)
+            & (along >= -_PLANE_TOL)
+            & (along <= self.w_len[w] + _PLANE_TOL)
+            & (p[..., 2] >= self.w_z0[w] - _PLANE_TOL)
+            & (p[..., 2] <= self.w_z1[w] + _PLANE_TOL)
         )
 
-    def _ue_sd(self, ue):
-        """Signed offsets of UE positions (E, 3) from every wall plane, (E, W)."""
-        return np.einsum("ewk,wk->ew", ue[:, None, :2] - self.w_a, self.w_nrm)
+    def _bounce(self, image, image_sd, target, w=slice(None)):
+        """One bounce off walls w: where the segments from images (..., 3),
+        whose offsets from those walls are image_sd, to targets cross the
+        wall planes. Returns (point, hit), hit where the crossing lies
+        strictly inside its segment and on the wall's rectangle."""
+        t, hit = _strict_crossing(image_sd, self._plane_offset(target, w))
+        point = image + t[..., None] * (target - image)
+        return point, hit & self._on_rectangle(point, w)
 
     def specular_arrays(self, ue):
         """All single-bounce hits for one UE position (3,) or a stack (E, 3).
@@ -514,22 +511,26 @@ class SceneArrays:
             z = np.zeros(0)
             i = np.zeros(0, dtype=int)
             return i, i, empty3, z, z, z, empty3, empty3, i
-        # the mirror's offsets are the negated station offsets, (B, W)
-        t, valid = _strict_crossing(-self.bs_sd, self._ue_sd(ue)[:, None, :])
-        ue4 = ue[:, None, None, :]
-        point = self.bs_mirror + t[..., None] * (ue4 - self.bs_mirror)
-        valid &= self._on_rectangle(point)
-        d_bs = point - self.bs_p[:, None, :]
-        d_ue = point - ue4
-        leg_bs = np.linalg.norm(d_bs, axis=-1)
-        leg_ue = np.linalg.norm(d_ue, axis=-1)
-        valid &= (leg_bs > _PLANE_TOL) & (leg_ue > _PLANE_TOL)
-        ei, bi, wi = np.nonzero(valid)
-        lb = leg_bs[ei, bi, wi]
-        lu = leg_ue[ei, bi, wi]
-        u_dep = d_bs[ei, bi, wi] / lb[:, None]
-        u_arr = d_ue[ei, bi, wi] / lu[:, None]
-        return bi, wi, point[ei, bi, wi], lb, lu, lb + lu, u_dep, u_arr, ei
+        # the bounce on the full (E, B, W) grid, legs on the hits only
+        point, hit = self._bounce(self.db_m1, self.db_m1_sd, ue[:, None, None, :])
+        ei, bi, wi = np.nonzero(hit)
+        point = point[ei, bi, wi]
+        d_bs = point - self.bs_p[bi]
+        d_ue = point - ue[ei]
+        leg_bs, leg_ue = (np.sqrt(row_dot(d, d)) for d in (d_bs, d_ue))
+        k = np.flatnonzero((leg_bs > _PLANE_TOL) & (leg_ue > _PLANE_TOL))
+        lb, lu = leg_bs[k], leg_ue[k]
+        return (
+            bi[k],
+            wi[k],
+            point[k],
+            lb,
+            lu,
+            lb + lu,
+            d_bs[k] / lb[:, None],
+            d_ue[k] / lu[:, None],
+            ei[k],
+        )
 
     def double_bounce_arrays(self, ue):
         """All two-bounce hits for one UE position (3,) or a stack (E, 3).
@@ -551,22 +552,15 @@ class SceneArrays:
             v = np.zeros((0, 3))
             return i, i, i, v, v, z, v, v, i
         # second bounce on the full (E, B, W1, W2) grid
-        s1 = self._plane_offset(ue[:, None, :])[:, None, None, :]
-        t2, hit = _strict_crossing(self.db_m12_sd, s1)
-        hit &= ~np.eye(self.n_walls, dtype=bool)
-        q2 = self.db_m12 + t2[..., None] * (ue[:, None, None, None, :] - self.db_m12)
-        hit &= self._on_rectangle(q2)
-        ei, bi, w1, w2 = np.nonzero(hit)
+        q2, hit = self._bounce(self.db_m12, self.db_m12_sd, ue[:, None, None, None, :])
+        ei, bi, w1, w2 = np.nonzero(hit & ~np.eye(self.n_walls, dtype=bool))
         q2 = q2[ei, bi, w1, w2]
         # first bounce, on the surviving paths only
-        m1 = self.db_m1[bi, w1]
-        t1, hit = _strict_crossing(self.db_m1_sd[bi, w1], self._plane_offset(q2, w1))
-        q1 = m1 + t1[:, None] * (q2 - m1)
-        hit &= self._on_rectangle(q1, w1)
+        q1, hit = self._bounce(self.db_m1[bi, w1], self.db_m1_sd[bi, w1], q2, w1)
         d1 = q1 - self.bs_p[bi]
         d2 = q2 - q1
         d3 = q2 - ue[ei]
-        leg1, leg2, leg3 = (np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) for d in (d1, d2, d3))
+        leg1, leg2, leg3 = (np.sqrt(row_dot(d, d)) for d in (d1, d2, d3))
         hit &= (leg1 > _PLANE_TOL) & (leg2 > _PLANE_TOL) & (leg3 > _PLANE_TOL)
         k = np.flatnonzero(hit)
         return (
@@ -590,7 +584,7 @@ class SceneArrays:
         if self.n_walls == 0:
             mask = np.ones((ue.shape[0], self.n_bs), dtype=bool)
             return mask[0] if single else mask
-        s_ue = self._ue_sd(ue)[:, None, :]  # (E, 1, W)
+        s_ue = self._plane_offset(ue[:, None, None, :])  # (E, 1, W)
         s0 = self.bs_sd  # (B, W)
         inplane = (np.abs(s0) <= _PLANE_TOL) & (np.abs(s_ue) <= _PLANE_TOL)
         denom = s0 - s_ue

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quat
 from .ins import GRAVITY
-from .scene import SPEED_OF_LIGHT
+from .scene import SPEED_OF_LIGHT, row_dot
 
 
 @dataclass
@@ -67,16 +67,9 @@ class OutageWindow:
 
 
 @dataclass
-class ImuSample:
-    t: float
-    gyro: np.ndarray  # rad/s, body
-    accel: np.ndarray  # m/s^2 specific force, body
-
-
-@dataclass
 class ImuStream:
     """An IMU stream as columns; sample k covers [t[k], t[k + 1]). len()
-    counts the samples, iteration yields them as ImuSample rows."""
+    counts the samples."""
 
     t: np.ndarray  # (M,) s
     gyro: np.ndarray  # (M, 3) rad/s, body
@@ -84,9 +77,6 @@ class ImuStream:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __iter__(self):
-        return map(ImuSample, self.t.tolist(), self.gyro, self.accel)
 
 
 @dataclass
@@ -273,8 +263,7 @@ def synth_odo(truth, rate: float, noise_std: float, rng) -> OdoStream:
     times = np.arange(t[0], t[-1] + 0.5 / rate, 1.0 / rate)
     idx = np.clip(np.searchsorted(t, times - 1e-9), 0, len(t) - 1)
     v = truth.v[idx]
-    # each row's norm as the dot product np.linalg.norm takes of one vector
-    speed = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    speed = np.sqrt(row_dot(v, v))
     if noise_std > 0.0:
         speed += noise_std * rng.standard_normal(len(times))
     return OdoStream(t=times, speed=speed)

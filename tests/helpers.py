@@ -54,7 +54,16 @@ from mpnav.scene import (
     mirror_point,
     unit_from_angles,
 )
-from mpnav.synth import ImuSample, LogColumns, PathLossModel, apply_noise
+from mpnav.synth import LogColumns, PathLossModel, apply_noise
+
+
+@dataclass
+class ImuSample:
+    """One IMU sample, the row type of the per-sample references."""
+
+    t: float
+    gyro: np.ndarray  # rad/s, body
+    accel: np.ndarray  # m/s^2 specific force, body
 
 
 @dataclass

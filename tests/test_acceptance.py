@@ -291,8 +291,8 @@ def test_criterion_7_dead_reckoning():
         quat.from_euler(*poses[0].att),
         zeros,
         zeros,
-        np.stack([s.gyro for s in imu]),
-        np.stack([s.accel for s in imu]),
+        imu.gyro,
+        imu.accel,
         np.full(len(imu), 0.01),
     )
     round_trip = float(np.linalg.norm(p[-1] - poses[-1].p))

@@ -105,6 +105,34 @@ def test_geometry_failure_exits_3(tmp_path):
     assert not out.exists()
 
 
+def test_route_through_a_station_exits_3(tmp_path, capsys):
+    # at t = 1 s, an epoch, the UE sits on the station: no direct path
+    scen = {
+        "name": "through",
+        "base_stations": [{"id": "bs0", "p_enu_m": [0.0, 0.0, 1.5]}],
+        "walls": [],
+        "trajectory": {
+            "kind": "waypoints",
+            "points_enu_m": [[-10.0, 0.0, 1.5], [30.0, 0.0, 1.5]],
+            "speed_mps": 10.0,
+        },
+    }
+    cfg = write_config(tmp_path, mini_config(duration_s=4.0, scenario=scen))
+    out = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_GEOMETRY
+    assert "UE and BS positions coincide" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_with_one_imu_sample_exits_2(tmp_path, capsys):
+    rates = {"imu_hz": 10.0, "obs_hz": 10.0, "odo_hz": 10.0}
+    cfg = write_config(tmp_path, mini_config(duration_s=0.1, rates=rates))
+    out = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
+    assert "run too short for two IMU samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def edited_scenario(edit):
     scen = json.loads(json.dumps(MINI_SCENARIO))
     edit(scen)

@@ -108,18 +108,14 @@ def test_uncompensated_gyro_bias_drift():
     assert errs[60.0] == pytest.approx(9.80665 * bias * 60.0**3 / 6.0, rel=0.05)
 
 
-def stream_arrays(samples):
-    return np.stack([s.gyro for s in samples]), np.stack([s.accel for s in samples])
-
-
 def test_round_trip_noiseless_imu():
     rate = 100.0
     times = np.arange(0.0, 60.0 + 0.5 / rate, 1.0 / rate)
     poses = trajectory_poses(circle_spec(), times)
-    gyros, accels = stream_arrays(synth_imu(poses, ZERO_ERR, rate, np.random.default_rng(1)))
+    imu = synth_imu(poses, ZERO_ERR, rate, np.random.default_rng(1))
     q0 = quat.from_euler(*poses[0].att)
     dts = np.diff(times)
-    p, _, _ = mechanize_arrays(poses[0].p, poses[0].v, q0, ZERO3, ZERO3, gyros, accels, dts)
+    p, _, _ = mechanize_arrays(poses[0].p, poses[0].v, q0, ZERO3, ZERO3, imu.gyro, imu.accel, dts)
     truth = poses.p[1:]
     worst = float(np.max(np.linalg.norm(p - truth, axis=1)))
     assert worst < 0.01
@@ -132,10 +128,9 @@ def test_round_trip_known_biases_compensated():
     poses = trajectory_poses(circle_spec(), times)
     b_g = np.array([1e-3, -2e-3, 3e-3])
     b_a = np.array([0.01, 0.02, -0.01])
-    samples = synth_imu(poses, ZERO_ERR, rate, np.random.default_rng(2), biases=(b_g, b_a))
-    gyros, accels = stream_arrays(samples)
+    imu = synth_imu(poses, ZERO_ERR, rate, np.random.default_rng(2), biases=(b_g, b_a))
     q0 = quat.from_euler(*poses[0].att)
-    p, _, _ = mechanize_arrays(poses[0].p, poses[0].v, q0, b_g, b_a, gyros, accels, np.diff(times))
+    p, _, _ = mechanize_arrays(poses[0].p, poses[0].v, q0, b_g, b_a, imu.gyro, imu.accel, np.diff(times))
     assert np.linalg.norm(p[-1] - poses[-1].p) < 0.01
 
 

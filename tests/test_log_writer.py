@@ -2,13 +2,13 @@
 json.dumps reference, and the round trip through the reader."""
 
 import numpy as np
-from helpers import LosObs, OdoSample, SbrObs, log_columns, write_log_json
+from helpers import ImuSample, LosObs, OdoSample, SbrObs, log_columns, write_log_json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mpnav.pipeline import Rates, RunSetup, measurement_set_from_records
 from mpnav.scene import BaseStation, Scenario
-from mpnav.synth import ImuSample, read_measurement_log, write_measurement_log
+from mpnav.synth import read_measurement_log, write_measurement_log
 
 # 0.3 s at 20 Hz IMU and 10 Hz radio: six IMU samples, three epochs
 RATES = Rates(imu_hz=20.0, obs_hz=10.0, odo_hz=10.0)

@@ -14,6 +14,8 @@ from helpers import (
     stack_poses,
     trajectory_poses_per_sample,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpnav.scene import (
     BaseStation,
@@ -181,6 +183,8 @@ def test_angle_unit_round_trip():
 
 
 def test_scene_arrays_match_scalar_oracle():
+    # the same single bounces as specular_path, every number bit for bit,
+    # and the same visibility as los_visible
     rng = np.random.default_rng(6)
     for _ in range(60):
         stations = [random_bs(rng, f"bs{k}") for k in range(4)]
@@ -202,13 +206,37 @@ def test_scene_arrays_match_scalar_oracle():
             assert got == set(want)
             for j, (bi, wi) in enumerate(zip(bs_idx, wall_idx)):
                 ref = want[(int(bi), int(wi))]
-                assert np.allclose(point[j], ref.point, atol=1e-8)
-                assert length[j] == pytest.approx(ref.length, rel=1e-12)
-                assert np.allclose(u_dep[j], ref.u_dep, atol=1e-10)
-                assert np.allclose(u_arr[j], ref.u_arr, atol=1e-10)
+                assert point[j].tobytes() == ref.point.tobytes()
+                assert leg_bs[j] == ref.leg_bs
+                assert leg_ue[j] == ref.leg_ue
+                assert length[j] == ref.length
+                assert u_dep[j].tobytes() == ref.u_dep.tobytes()
+                assert u_arr[j].tobytes() == ref.u_arr.tobytes()
             mask = arrays.los_mask(ue)
             for bi, bs in enumerate(stations):
                 assert mask[bi] == los_visible(bs, ue, walls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scene_arrays_hold_the_reflection_invariants(seed):
+    # criterion 1's invariants, held by SceneArrays on criterion 1's scenes
+    bs, ue, wall, _ = random_single_bounce(np.random.default_rng(seed))
+    arrays = SceneArrays([bs], [wall])
+    image = arrays.db_m1[0, 0]
+    # mirroring the image back returns the station
+    back = SceneArrays([BaseStation(id="image", p=image)], [wall]).db_m1[0, 0]
+    assert np.max(np.abs(back - bs.p)) < 1e-12
+    bs_idx, _, _, _, _, length, u_dep, u_arr, _ = arrays.specular_arrays(ue)
+    assert bs_idx.size == 1
+    # the path is as long as the straight line from the image to the UE
+    assert abs(length[0] - np.linalg.norm(image - ue)) < 1e-9
+    # specular law: the departure mirrored in the wall is the arrival reversed
+    n = wall.normal
+    reflected = u_dep[0] - 2.0 * float(u_dep[0] @ n) * n
+    assert np.max(np.abs(reflected + u_arr[0])) < 1e-9
+    # a vertical wall keeps the vertical component of the direction
+    assert abs(u_dep[0, 2] + u_arr[0, 2]) < 1e-9
 
 
 def test_scene_arrays_stacked_ues_match_single_calls():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import (
+    ImuSample,
     LosObs,
     OdoSample,
     add_noise,
@@ -30,7 +31,6 @@ from mpnav.scene import (
 )
 from mpnav.synth import (
     ImuErrorModel,
-    ImuSample,
     NoiseCfg,
     OutageWindow,
     PathLossModel,
@@ -274,10 +274,8 @@ def test_synth_imu_stationary_and_uniform_motion():
     rng = np.random.default_rng(4)
     for speed in (0.0, 7.0):
         samples = synth_imu(level_track(speed=speed), err, 100.0, rng)
-        gyro = np.stack([s.gyro for s in samples])
-        accel = np.stack([s.accel for s in samples])
-        assert np.allclose(gyro, 0.0, atol=1e-12)
-        assert np.allclose(accel, [0.0, 0.0, 9.80665], atol=1e-9)
+        assert np.allclose(samples.gyro, 0.0, atol=1e-12)
+        assert np.allclose(samples.accel, [0.0, 0.0, 9.80665], atol=1e-9)
     with pytest.raises(ValueError):
         synth_imu(level_track(duration=0.01), err, 100.0, rng)
 
@@ -322,11 +320,6 @@ def test_imu_and_odometer_columns_match_per_sample_reference(spec):
         assert np.array_equal(got.t, [s.t for s in ref])
         assert np.array_equal(got.gyro, np.stack([s.gyro for s in ref]))
         assert np.array_equal(got.accel, np.stack([s.accel for s in ref]))
-        # iteration yields the same samples as rows
-        rows = list(got)
-        assert all(isinstance(r, ImuSample) for r in rows)
-        assert [r.t for r in rows] == [s.t for s in ref]
-        assert np.array_equal(np.stack([r.gyro for r in rows]), got.gyro)
     for rate, noise_std in ((10.0, 0.0), (10.0, 0.05), (7.0, 0.2)):
         got = synth_odo(truth, rate, noise_std, np.random.default_rng(4))
         ref = synth_odo_per_sample(poses, rate, noise_std, np.random.default_rng(4))
