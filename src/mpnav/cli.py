@@ -282,14 +282,54 @@ def _run_single(cfg, config_dir, seed_override):
     return writer, {"seed": setup.seed}
 
 
-def _default(fn, name):
-    return inspect.signature(fn).parameters[name].default
+# sweep mode -> (its config block, its runner, the block's keys besides
+# the seeds, its optional blocks)
+_SWEEPS = {
+    "outage-sweep": (
+        "outage_sweep",
+        evaluate.run_outage_sweep,
+        {
+            "durations_s": ("durations", _numbers),
+            "speeds_mps": ("speeds", _numbers),
+            "pre_s": ("pre_s", _number, 1.0),
+            "post_s": ("post_s", _number, 0.0),
+        },
+        ("rates", "noise", "imu_error"),
+    ),
+    "noise-sweep": (
+        "noise_sweep",
+        evaluate.run_noise_sweep,
+        {
+            "var_ranges_m2": ("var_ranges", _numbers),
+            "var_angles_deg2": ("var_angles", _numbers),
+            "duration_s": ("duration_s", _number, 1.0),
+            "speed_mps": ("speed_mps", _number, 0.1),
+            "outage": ("outage", _optional_outage),
+        },
+        ("rates", "imu_error"),
+    ),
+    "drift-profile": (
+        "drift_profile",
+        evaluate.run_drift_profile,
+        {
+            "bias_scales": ("bias_scales", _numbers),
+            "duration_s": ("duration_s", _number, 1.0),
+            # the free-inertial integration takes steps of at most 0.1 s
+            "rate_hz": ("rate_hz", _number, 10.0),
+            "speed_mps": ("speed_mps", _number, 0.1),
+        },
+        ("imu_error",),
+    ),
+}
 
 
-def _sweep_args(cfg, where, spec, blocks):
-    """The sweep block cfg[where] as keyword arguments of its runner: the
-    keys of spec, the optional blocks named in blocks, and the seeds, from
-    "seeds" (a list) or "n_seeds" (a count)."""
+def _run_sweep(cfg, mode, seed_override):
+    """Run the sweep of mode from its config block: the block's keys, its
+    optional blocks and the seeds, from "seeds" (a list) or "n_seeds" (a
+    count), offset by --seed. The runner checks its arguments before its
+    first run, and a ValueError of its exits 2. Returns the sweep's writer
+    and the manifest's run info."""
+    where, runner, spec, blocks = _SWEEPS[mode]
     block = dict(_expect_mapping(cfg.pop(where, {}), where))
     _reject_unknown(cfg, "config")
     kwargs = {**_pop_args(block, spec, where), **_pop_blocks(block, blocks, f"{where}.")}
@@ -301,75 +341,16 @@ def _sweep_args(cfg, where, spec, blocks):
     elif "n_seeds" in block:
         kwargs["seeds"] = tuple(range(_integer(block.pop("n_seeds"), f"{where}: n_seeds", 1)))
     _reject_unknown(block, where)
-    return kwargs
-
-
-def _run_sweep(runner, writer, kwargs, seed_override):
-    """Run a sweep, --seed offsetting its seeds; returns its writer and the
-    manifest's run info."""
     if seed_override is not None:
-        seeds = kwargs.get("seeds", _default(runner, "seeds"))
+        seeds = kwargs.get("seeds", inspect.signature(runner).parameters["seeds"].default)
         kwargs["seeds"] = tuple(seed_override + s for s in seeds)
-    sweep = runner(**kwargs)
-    return lambda outdir: writer(outdir, sweep), {"seeds": sweep["seeds"]}
-
-
-_OUTAGE_SWEEP_KEYS = {
-    "durations_s": ("durations", _numbers),
-    "speeds_mps": ("speeds", _numbers),
-    "pre_s": ("pre_s", _number, 1.0),
-    "post_s": ("post_s", _number, 0.0),
-}
-_NOISE_SWEEP_KEYS = {
-    "var_ranges_m2": ("var_ranges", _numbers),
-    "var_angles_deg2": ("var_angles", _numbers),
-    "duration_s": ("duration_s", _number, 1.0),
-    "speed_mps": ("speed_mps", _number, 0.1),
-    "outage": ("outage", _optional_outage),
-}
-_DRIFT_PROFILE_KEYS = {
-    "bias_scales": ("bias_scales", _numbers),
-    "duration_s": ("duration_s", _number, 1.0),
-    # the free-inertial integration takes steps of at most 0.1 s
-    "rate_hz": ("rate_hz", _number, 10.0),
-    "speed_mps": ("speed_mps", _number, 0.1),
-}
-
-
-def _run_outage_sweep(cfg, config_dir, seed_override):
-    kwargs = _sweep_args(cfg, "outage_sweep", _OUTAGE_SWEEP_KEYS, ("rates", "noise", "imu_error"))
-    runner = evaluate.run_outage_sweep
-    durations = kwargs.get("durations", _default(runner, "durations"))
-    speeds = kwargs.get("speeds", _default(runner, "speeds"))
-    if len(durations) != len(speeds):
-        raise ConfigError("outage_sweep: durations_s and speeds_mps must pair up")
-    if min(durations) <= 0.0:
-        raise ConfigError("outage_sweep: durations_s must be > 0")
-    # the sweep reports error per distance traveled in each outage
-    if min(speeds) <= 0.0:
-        raise ConfigError("outage_sweep: speeds_mps must be > 0")
-    return _run_sweep(runner, evaluate.write_outage_sweep, kwargs, seed_override)
-
-
-def _run_noise_sweep(cfg, config_dir, seed_override):
-    kwargs = _sweep_args(cfg, "noise_sweep", _NOISE_SWEEP_KEYS, ("rates", "imu_error"))
-    return _run_sweep(evaluate.run_noise_sweep, evaluate.write_noise_sweep, kwargs, seed_override)
-
-
-def _run_drift_profile(cfg, config_dir, seed_override):
-    kwargs = _sweep_args(cfg, "drift_profile", _DRIFT_PROFILE_KEYS, ("imu_error",))
-    # a scaled bias std must stay a valid ImuErrorModel std
-    if any(scale < 0.0 for scale in kwargs.get("bias_scales", ())):
-        raise ConfigError("drift_profile.bias_scales must be >= 0")
-    return _run_sweep(evaluate.run_drift_profile, evaluate.write_drift_profile, kwargs, seed_override)
-
-
-_MODE_RUNNERS = {
-    "single": _run_single,
-    "outage-sweep": _run_outage_sweep,
-    "noise-sweep": _run_noise_sweep,
-    "drift-profile": _run_drift_profile,
-}
+    try:
+        sweep = runner(**kwargs)
+    except (GeometryError, np.linalg.LinAlgError):
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return lambda outdir: evaluate.write_sweep(outdir, sweep), {"seeds": sweep["seeds"]}
 
 
 def _parse_args(argv):
@@ -415,7 +396,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             echo["seed_override"] = args.seed
 
-        writer, run_info = _MODE_RUNNERS[mode](cfg, config_path.parent.resolve(), args.seed)
+        if mode == "single":
+            writer, run_info = _run_single(cfg, config_path.parent.resolve(), args.seed)
+        else:
+            writer, run_info = _run_sweep(cfg, mode, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

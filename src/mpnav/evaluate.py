@@ -9,10 +9,12 @@ timestamps, sorted JSON keys.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from .ins import drift_profile
 from .pipeline import Rates, RunSetup, run_pair
 from .scene import ring_scenario, trajectory_poses
 from .synth import ImuErrorModel, NoiseCfg, OutageWindow
@@ -68,12 +70,30 @@ def error_cdf(err_3d):
 # experiment sweeps
 
 _SWEEP_RATES = Rates(imu_hz=20.0, obs_hz=2.0, odo_hz=2.0)
+# Fixed-magnitude biases keep drift scale stable across seeds, which is
+# what a repeatable outage benchmark needs.
+_SWEEP_IMU_ERR = ImuErrorModel(bias_mode="fixed_magnitude")
 
 
-def _sweep_imu_err():
-    # Fixed-magnitude biases keep drift scale stable across seeds, which is
-    # what a repeatable outage benchmark needs.
-    return ImuErrorModel(bias_mode="fixed_magnitude")
+def _paired_runs(setup, seeds, window=None) -> dict:
+    """run_pair at each seed of setup: the with/without RMSE lists, and
+    given an outage window, the RMSE inside it, the largest error as a
+    percentage of the distance traveled in it, and that distance (from the
+    first seed). Only one seed's pair of results is alive at a time."""
+    out = {"rmse_with_m": [], "rmse_without_m": []}
+    if window is not None:
+        out = {"distance_m": None, **out, "maxpct_with": [], "maxpct_without": []}
+    for seed in seeds:
+        pair = run_pair(replace(setup, seed=int(seed)))
+        for arm, res in zip(("with", "without"), pair):
+            out[f"rmse_{arm}_m"].append(rmse_3d(res.t, res.err_3d, window))
+            if window is not None:
+                out[f"maxpct_{arm}"].append(max_error_pct(res.t, res.err_3d, res.arc_m, window))
+        if window is not None and out["distance_m"] is None:
+            arc0, arc1 = (float(np.interp(t, pair[0].t, pair[0].arc_m)) for t in window)
+            out["distance_m"] = arc1 - arc0
+        del pair, res
+    return out
 
 
 def run_outage_sweep(
@@ -90,51 +110,38 @@ def run_outage_sweep(
 
     Each case gets its own loop speed; the outage starts after a settling
     margin and metrics are evaluated inside the outage window only. The
-    sweep reads no NEES, so its runs skip it.
+    sweep reads no NEES, so its runs skip it. Every argument is checked
+    before the first run.
     """
     if len(durations) != len(speeds):
         raise ValueError("durations and speeds must pair up")
-    noise = noise or NoiseCfg()
-    imu_err = imu_err or _sweep_imu_err()
-    rates = rates or _SWEEP_RATES
-    cases = []
-    for i, (dur, spd) in enumerate(zip(durations, speeds)):
-        scenario = ring_scenario(speed_mps=spd)
-        t0, t1 = pre_s, pre_s + dur
-        row = {
+    if not all(dur > 0.0 for dur in durations):
+        raise ValueError("durations must be > 0")
+    # the sweep reports error per distance traveled in each outage
+    if not all(spd > 0.0 for spd in speeds):
+        raise ValueError("speeds must be > 0")
+    windows = [(pre_s, pre_s + dur) for dur in durations]
+    setups = [
+        RunSetup(
+            scenario=ring_scenario(speed_mps=spd),
+            duration_s=t1 + post_s,
+            rates=rates or _SWEEP_RATES,
+            noise=noise or NoiseCfg(),
+            imu_err=imu_err or _SWEEP_IMU_ERR,
+            outages=[OutageWindow(t0, t1)],
+            compute_nees=False,
+        )
+        for spd, (t0, t1) in zip(speeds, windows)
+    ]
+    cases = [
+        {
             "case": i,
             "duration_s": float(dur),
             "speed_mps": float(spd),
-            "distance_m": None,
-            "rmse_with_m": [],
-            "rmse_without_m": [],
-            "maxpct_with": [],
-            "maxpct_without": [],
+            **_paired_runs(setup, seeds, window),
         }
-        for seed in seeds:
-            setup = RunSetup(
-                scenario=scenario,
-                duration_s=t1 + post_s,
-                seed=int(seed),
-                rates=rates,
-                noise=noise,
-                imu_err=imu_err,
-                outages=[OutageWindow(t0, t1)],
-                compute_nees=False,
-            )
-            res_w, res_wo = run_pair(setup)
-            window = (t0, t1)
-            row["rmse_with_m"].append(rmse_3d(res_w.t, res_w.err_3d, window))
-            row["rmse_without_m"].append(rmse_3d(res_wo.t, res_wo.err_3d, window))
-            row["maxpct_with"].append(max_error_pct(res_w.t, res_w.err_3d, res_w.arc_m, window))
-            row["maxpct_without"].append(
-                max_error_pct(res_wo.t, res_wo.err_3d, res_wo.arc_m, window)
-            )
-            if row["distance_m"] is None:
-                arc0 = float(np.interp(t0, res_w.t, res_w.arc_m))
-                arc1 = float(np.interp(t1, res_w.t, res_w.arc_m))
-                row["distance_m"] = arc1 - arc0
-        cases.append(row)
+        for i, (dur, spd, setup, window) in enumerate(zip(durations, speeds, setups, windows))
+    ]
     return {"mode": "outage-sweep", "seeds": [int(s) for s in seeds], "cases": cases}
 
 
@@ -154,36 +161,28 @@ def run_noise_sweep(
     move with the variance scaling rather than with sampling luck. No outage
     by default: accuracy should respond to the measurement noise alone, and
     an optional (start_s, end_s) window is for combined stress runs. As in
-    run_outage_sweep, NEES is skipped.
+    run_outage_sweep, NEES is skipped and every argument is checked before
+    the first run.
     """
-    imu_err = imu_err or _sweep_imu_err()
-    rates = rates or _SWEEP_RATES
     scenario = ring_scenario(speed_mps=speed_mps)
     outages = [OutageWindow(*outage)] if outage is not None else []
-    cells = []
-    for vr in var_ranges:
-        for va in var_angles:
-            cell = {
-                "var_range_m2": float(vr),
-                "var_angle_deg2": float(va),
-                "rmse_with_m": [],
-                "rmse_without_m": [],
-            }
-            for seed in seeds:
-                setup = RunSetup(
-                    scenario=scenario,
-                    duration_s=duration_s,
-                    seed=int(seed),
-                    rates=rates,
-                    noise=NoiseCfg(var_range_m2=float(vr), var_angle_deg2=float(va)),
-                    imu_err=imu_err,
-                    outages=list(outages),
-                    compute_nees=False,
-                )
-                res_w, res_wo = run_pair(setup)
-                cell["rmse_with_m"].append(rmse_3d(res_w.t, res_w.err_3d))
-                cell["rmse_without_m"].append(rmse_3d(res_wo.t, res_wo.err_3d))
-            cells.append(cell)
+    grid = [(float(vr), float(va)) for vr in var_ranges for va in var_angles]
+    setups = [
+        RunSetup(
+            scenario=scenario,
+            duration_s=duration_s,
+            rates=rates or _SWEEP_RATES,
+            noise=NoiseCfg(var_range_m2=vr, var_angle_deg2=va),
+            imu_err=imu_err or _SWEEP_IMU_ERR,
+            outages=outages,
+            compute_nees=False,
+        )
+        for vr, va in grid
+    ]
+    cells = [
+        {"var_range_m2": vr, "var_angle_deg2": va, **_paired_runs(setup, seeds)}
+        for (vr, va), setup in zip(grid, setups)
+    ]
     return {
         "mode": "noise-sweep",
         "seeds": [int(s) for s in seeds],
@@ -201,22 +200,25 @@ def run_drift_profile(
     speed_mps=8.0,
     imu_err=None,
 ) -> dict:
-    """Free-inertial drift ensemble: final position error vs bias scale."""
-    from .ins import drift_profile
-
-    base = imu_err or ImuErrorModel(bias_mode="fixed_magnitude")
+    """Free-inertial drift ensemble: final position error vs bias scale.
+    Every argument is checked before the first run."""
+    # a scaled bias std must stay a valid ImuErrorModel std
+    if not all(scale >= 0.0 for scale in bias_scales):
+        raise ValueError("bias_scales must be >= 0")
+    base = imu_err or _SWEEP_IMU_ERR
+    models = [
+        replace(
+            base,
+            gyro_bias_std=base.gyro_bias_std * scale,
+            accel_bias_std=base.accel_bias_std * scale,
+        )
+        for scale in bias_scales
+    ]
     scenario = ring_scenario(speed_mps=speed_mps)
     times = np.arange(int(round(duration_s * rate_hz)) + 1) / rate_hz
     truth = trajectory_poses(scenario.trajectory, times)
     rows = []
-    for scale in bias_scales:
-        err_model = ImuErrorModel(
-            gyro_bias_std=base.gyro_bias_std * scale,
-            accel_bias_std=base.accel_bias_std * scale,
-            gyro_noise_density=base.gyro_noise_density,
-            accel_noise_density=base.accel_noise_density,
-            bias_mode=base.bias_mode,
-        )
+    for scale, err_model in zip(bias_scales, models):
         finals = []
         for seed in seeds:
             rng = np.random.default_rng(np.random.SeedSequence(int(seed)).spawn(1)[0])
@@ -294,100 +296,60 @@ def single_run_summary(result, label) -> dict:
     return summary
 
 
-def write_outage_sweep(outdir, sweep: dict):
-    outdir = Path(outdir)
-    med = np.median
-    summary_rows = []
-    seed_rows = []
-    for c in sweep["cases"]:
-        summary_rows.append(
-            (
-                c["case"],
-                c["duration_s"],
-                c["speed_mps"],
-                c["distance_m"],
-                med(c["rmse_without_m"]),
-                med(c["maxpct_without"]),
-                med(c["rmse_with_m"]),
-                med(c["maxpct_with"]),
-            )
-        )
-        for k, seed in enumerate(sweep["seeds"]):
-            seed_rows.append(
-                (
-                    c["case"],
-                    seed,
-                    c["rmse_without_m"][k],
-                    c["maxpct_without"][k],
-                    c["rmse_with_m"][k],
-                    c["maxpct_with"][k],
-                )
-            )
-    write_csv(
-        outdir / "summary.csv",
+# sweep mode -> (the key of its rows, the row keys labelling a summary.csv
+# row and a seeds.csv row, and per-seed lists as (summary.csv column of
+# their median, seeds.csv column, row key))
+_SWEEP_LAYOUT = {
+    "outage-sweep": (
+        "cases",
+        ("case", "duration_s", "speed_mps", "distance_m"),
+        ("case",),
         (
-            "case",
-            "duration_s",
-            "speed_mps",
-            "distance_m",
-            "rms_without_m",
-            "pct_without",
-            "rms_with_m",
-            "pct_with",
+            ("rms_without_m", "rms_without_m", "rmse_without_m"),
+            ("pct_without", "pct_without", "maxpct_without"),
+            ("rms_with_m", "rms_with_m", "rmse_with_m"),
+            ("pct_with", "pct_with", "maxpct_with"),
         ),
-        summary_rows,
-    )
-    write_csv(
-        outdir / "seeds.csv",
-        ("case", "seed", "rms_without_m", "pct_without", "rms_with_m", "pct_with"),
-        seed_rows,
-    )
+    ),
+    "noise-sweep": (
+        "cells",
+        ("var_range_m2", "var_angle_deg2"),
+        ("var_range_m2", "var_angle_deg2"),
+        (
+            ("rmse_with_med_m", "rmse_with_m", "rmse_with_m"),
+            ("rmse_without_med_m", "rmse_without_m", "rmse_without_m"),
+        ),
+    ),
+    "drift-profile": (
+        "rows",
+        ("bias_scale",),
+        ("bias_scale",),
+        (("median_drift_m", "final_drift_m", "final_drift_m"),),
+    ),
+}
 
 
-def write_noise_sweep(outdir, sweep: dict):
+def write_sweep(outdir, sweep: dict):
+    """summary.csv, one row per case, cell or bias scale with the medians
+    over seeds, and seeds.csv, one row per seed of each, as a run_* sweep
+    returned them."""
+    rows_key, labels, seed_labels, lists = _SWEEP_LAYOUT[sweep["mode"]]
+    rows = sweep[rows_key]
     outdir = Path(outdir)
-    summary_rows = []
-    seed_rows = []
-    for c in sweep["cells"]:
-        summary_rows.append(
-            (
-                c["var_range_m2"],
-                c["var_angle_deg2"],
-                float(np.median(c["rmse_with_m"])),
-                float(np.median(c["rmse_without_m"])),
-            )
-        )
-        for k, seed in enumerate(sweep["seeds"]):
-            seed_rows.append(
-                (
-                    c["var_range_m2"],
-                    c["var_angle_deg2"],
-                    seed,
-                    c["rmse_with_m"][k],
-                    c["rmse_without_m"][k],
-                )
-            )
     write_csv(
         outdir / "summary.csv",
-        ("var_range_m2", "var_angle_deg2", "rmse_with_med_m", "rmse_without_med_m"),
-        summary_rows,
+        labels + tuple(summary for summary, _, _ in lists),
+        [
+            tuple(r[k] for k in labels) + tuple(float(np.median(r[key])) for _, _, key in lists)
+            for r in rows
+        ],
     )
     write_csv(
         outdir / "seeds.csv",
-        ("var_range_m2", "var_angle_deg2", "seed", "rmse_with_m", "rmse_without_m"),
-        seed_rows,
+        seed_labels + ("seed",) + tuple(column for _, column, _ in lists),
+        [
+            tuple(r[k] for k in seed_labels) + (seed,) + tuple(r[key][i] for _, _, key in lists)
+            for r in rows
+            for i, seed in enumerate(sweep["seeds"])
+        ],
     )
-
-
-def write_drift_profile(outdir, sweep: dict):
-    outdir = Path(outdir)
-    summary_rows = [
-        (r["bias_scale"], float(np.median(r["final_drift_m"]))) for r in sweep["rows"]
-    ]
-    seed_rows = [
-        (r["bias_scale"], seed, r["final_drift_m"][k])
-        for r in sweep["rows"]
-        for k, seed in enumerate(sweep["seeds"])
-    ]
-    write_csv(outdir / "summary.csv", ("bias_scale", "median_drift_m"), summary_rows)
-    write_csv(outdir / "seeds.csv", ("bias_scale", "seed", "final_drift_m"), seed_rows)

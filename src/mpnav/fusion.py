@@ -289,11 +289,13 @@ def _kf_update(fs: FilterState, nu, PHt, S, gate):
 
 def _correct(fs: FilterState, dx: np.ndarray):
     """_inject for one correction dx (15,): the same products and sums on
-    Python floats, which skips numpy's per-call cost on 4-vectors."""
+    Python floats, which skips numpy's per-call cost on 4-vectors. The sinc
+    is np.sinc's own formula, sin(y)/y with y = pi*x, 1 at 0."""
     rx, ry, rz = dx[_SL["att"]].tolist()
     half = 0.5 * math.sqrt(rx * rx + ry * ry + rz * rz)
-    k = 0.5 * float(np.sinc(half / np.pi))
-    bw, bx, by, bz = float(np.cos(half)), k * rx, k * ry, k * rz
+    y = math.pi * (half / math.pi)
+    k = 0.5 * (math.sin(y) / y if y else 1.0)
+    bw, bx, by, bz = math.cos(half), k * rx, k * ry, k * rz
     aw, ax, ay, az = fs.q_bn.tolist()
     w = aw * bw - ax * bx - ay * by - az * bz
     x = aw * bx + ax * bw + ay * bz - az * by

@@ -27,15 +27,34 @@ class GeometryError(ValueError):
     """A scenario's geometry is malformed or degenerate."""
 
 
+def _floats(v, what, shape=()):
+    """v, a number or nested lists of numbers, as a float array of the given
+    shape (None matches any length); raises GeometryError naming what unless
+    every entry is a finite number (never a bool or a string)."""
+    try:
+        a = np.asarray(v)
+    except ValueError:  # ragged lists
+        a = np.empty(0, dtype=object)
+    if (
+        a.dtype.kind not in "iuf"
+        or a.ndim != len(shape)
+        or any(n not in (None, m) for n, m in zip(shape, a.shape))
+        or not np.all(np.isfinite(a))
+    ):
+        dims = ", ".join("n" if n is None else str(n) for n in shape)
+        raise GeometryError(
+            f"{what} must be " + (f"finite numbers of shape ({dims})" if shape else "a finite number")
+        )
+    return a.astype(float)
+
+
 @dataclass
 class BaseStation:
     id: str
     p: np.ndarray  # ENU position, m
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float).reshape(3)
-        if not np.all(np.isfinite(self.p)):
-            raise GeometryError(f"base station {self.id!r}: non-finite position")
+        self.p = _floats(self.p, f"base station {self.id!r}: position", (3,))
 
 
 @dataclass
@@ -55,19 +74,14 @@ class Wall:
     h: float = 10.0
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float).reshape(2)
-        self.b = np.asarray(self.b, dtype=float).reshape(2)
-        self.z0 = float(self.z0)
-        self.h = float(self.h)
+        where = f"wall {self.id!r}"
+        self.a = _floats(self.a, f"{where}: footprint start", (2,))
+        self.b = _floats(self.b, f"{where}: footprint end", (2,))
+        self.z0 = float(_floats(self.z0, f"{where}: base height"))
+        self.h = float(_floats(self.h, f"{where}: height"))
         d = self.b - self.a
         self.length = float(np.hypot(d[0], d[1]))
-        ok = (
-            np.all(np.isfinite(self.a))
-            and np.all(np.isfinite(self.b))
-            and np.isfinite(self.z0)
-            and np.isfinite(self.h)
-        )
-        if not ok or self.length <= 0.0 or self.h <= 0.0:
+        if self.length <= 0.0 or self.h <= 0.0:
             raise GeometryError(f"wall {self.id!r}: degenerate footprint or height")
         self.tangent = d / self.length
         self.normal = np.array([-self.tangent[1], self.tangent[0], 0.0])
@@ -206,12 +220,15 @@ def trajectory_poses(spec: dict, times) -> Trajectory:
 
 
 def _circle(spec, times):
-    cx, cy = (float(v) for v in spec["center_en_m"])
-    r = float(spec["radius_m"])
-    speed = float(spec["speed_mps"])
-    z = float(spec.get("z_m", 0.0))
-    phase = float(spec.get("phase_rad", 0.0))
-    sign = 1.0 if spec.get("ccw", True) else -1.0
+    cx, cy = _floats(spec.get("center_en_m"), "circle trajectory center_en_m", (2,)).tolist()
+    r = float(_floats(spec.get("radius_m"), "circle trajectory radius_m"))
+    speed = float(_floats(spec.get("speed_mps"), "circle trajectory speed_mps"))
+    z = float(_floats(spec.get("z_m", 0.0), "circle trajectory z_m"))
+    phase = float(_floats(spec.get("phase_rad", 0.0), "circle trajectory phase_rad"))
+    ccw = spec.get("ccw", True)
+    if not isinstance(ccw, bool):
+        raise GeometryError("circle trajectory ccw must be true or false")
+    sign = 1.0 if ccw else -1.0
     if r <= 0.0 or speed < 0.0:
         raise GeometryError("circle trajectory needs radius_m > 0, speed_mps >= 0")
     rate = sign * speed / r
@@ -228,9 +245,9 @@ def _circle(spec, times):
 
 
 def _waypoints(spec, times):
-    pts = np.asarray(spec["points_enu_m"], dtype=float)
-    speed = float(spec["speed_mps"])
-    if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 3:
+    pts = _floats(spec.get("points_enu_m"), "waypoints trajectory points_enu_m", (None, 3))
+    speed = float(_floats(spec.get("speed_mps"), "waypoints trajectory speed_mps"))
+    if pts.shape[0] < 2:
         raise GeometryError("waypoints trajectory needs >= 2 ENU points")
     if speed <= 0.0:
         raise GeometryError("waypoints trajectory needs speed_mps > 0")
@@ -251,18 +268,19 @@ def _waypoints(spec, times):
 
 
 def _samples(spec, times):
-    ts = np.asarray(spec["t_s"], dtype=float)
-    ps = np.asarray(spec["p_enu_m"], dtype=float)
-    if ts.ndim != 1 or ts.size < 3 or ps.shape != (ts.size, 3):
+    ts = _floats(spec.get("t_s"), "samples trajectory t_s", (None,))
+    rows = (ts.size, 3)
+    ps = _floats(spec.get("p_enu_m"), "samples trajectory p_enu_m", rows)
+    if ts.size < 3:
         raise GeometryError("samples trajectory needs matching t_s, p_enu_m with >= 3 rows")
     if np.any(np.diff(ts) <= 0.0):
         raise GeometryError("sample times must be strictly increasing")
     if "v_enu_mps" in spec:
-        vs = np.asarray(spec["v_enu_mps"], dtype=float)
+        vs = _floats(spec["v_enu_mps"], "samples trajectory v_enu_mps", rows)
     else:
         vs = np.gradient(ps, ts, axis=0)
     if "att_rpy_rad" in spec:
-        atts = np.asarray(spec["att_rpy_rad"], dtype=float)
+        atts = _floats(spec["att_rpy_rad"], "samples trajectory att_rpy_rad", rows)
     else:
         az, el = angles_from_unit(np.where(np.linalg.norm(vs, axis=1, keepdims=True) > 1e-9, vs, [1.0, 0.0, 0.0]))
         atts = np.stack([np.zeros_like(az), el, np.unwrap(az)], axis=-1)
@@ -283,7 +301,6 @@ def _samples(spec, times):
 class Scenario:
     """A world to simulate: anchors, reflectors, and the truth trajectory."""
 
-    name: str
     base_stations: list
     walls: list
     trajectory: dict
@@ -311,7 +328,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     """A scenario from its JSON form; a key the scenario does not read
     raises GeometryError, as a missing or malformed one does."""
     try:
-        _reject_unknown(d, {"name", "base_stations", "walls", "trajectory"}, "scenario")
+        _reject_unknown(d, {"base_stations", "walls", "trajectory"}, "scenario")
         for i, b in enumerate(d.get("base_stations", [])):
             _reject_unknown(b, {"id", "p_enu_m"}, f"base_stations[{i}]")
         for i, w in enumerate(d.get("walls", [])):
@@ -327,20 +344,15 @@ def scenario_from_dict(d: dict) -> Scenario:
                 id=str(w["id"]),
                 a=w["a_en_m"],
                 b=w["b_en_m"],
-                z0=float(w.get("z0_m", 0.0)),
-                h=float(w.get("height_m", 10.0)),
+                z0=w.get("z0_m", 0.0),
+                h=w.get("height_m", 10.0),
             )
             for w in d.get("walls", [])
         ]
         traj = dict(d["trajectory"])
     except (AttributeError, KeyError, TypeError) as exc:
         raise GeometryError(f"bad scenario structure: {exc}") from exc
-    return Scenario(
-        name=str(d.get("name", "scenario")),
-        base_stations=stations,
-        walls=walls,
-        trajectory=traj,
-    )
+    return Scenario(base_stations=stations, walls=walls, trajectory=traj)
 
 
 def load_scenario(path) -> Scenario:
@@ -399,7 +411,6 @@ def ring_scenario(
             )
         )
     return Scenario(
-        name="ring",
         base_stations=stations,
         walls=walls,
         trajectory={

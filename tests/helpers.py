@@ -358,7 +358,6 @@ def double_bounce_path(bs: BaseStation, ue, wall1: Wall, wall2: Wall):
 
 def scenario_to_dict(s: Scenario) -> dict:
     return {
-        "name": s.name,
         "base_stations": [
             {"id": b.id, "p_enu_m": [float(x) for x in b.p]} for b in s.base_stations
         ],

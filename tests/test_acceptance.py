@@ -315,7 +315,6 @@ def test_criterion_7_dead_reckoning():
 
 
 MINI_SCENARIO = {
-    "name": "mini-line",
     "base_stations": [
         {"id": "bs0", "p_enu_m": [-50.0, 40.0, 25.0]},
         {"id": "bs1", "p_enu_m": [150.0, -60.0, 30.0]},

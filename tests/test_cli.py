@@ -8,7 +8,6 @@ import pytest
 from mpnav.cli import EXIT_CONFIG, EXIT_GEOMETRY, EXIT_NUMERIC, EXIT_OK, main
 
 MINI_SCENARIO = {
-    "name": "mini-line",
     "base_stations": [
         {"id": "bs0", "p_enu_m": [-50.0, 40.0, 25.0]},
         {"id": "bs1", "p_enu_m": [150.0, -60.0, 30.0]},
@@ -108,7 +107,6 @@ def test_geometry_failure_exits_3(tmp_path):
 def test_route_through_a_station_exits_3(tmp_path, capsys):
     # at t = 1 s, an epoch, the UE sits on the station: no direct path
     scen = {
-        "name": "through",
         "base_stations": [{"id": "bs0", "p_enu_m": [0.0, 0.0, 1.5]}],
         "walls": [],
         "trajectory": {
@@ -147,8 +145,10 @@ def edited_scenario(edit):
         (edited_scenario(lambda s: s["walls"][0].update(heigth_m=25)), "walls[0]", "heigth_m"),
         (edited_scenario(lambda s: s["walls"][0].update(reflection_loss_db=20)), "walls[0]", "reflection_loss_db"),
         (edited_scenario(lambda s: s["trajectory"].update(z_m=3.0)), "waypoints trajectory", "z_m"),
+        # nothing reads a scenario name
+        (edited_scenario(lambda s: s.update(name="mini-line")), "scenario", "name"),
     ],
-    ids=["top_level", "station", "wall_typo", "wall_reflection_loss", "trajectory"],
+    ids=["top_level", "station", "wall_typo", "wall_reflection_loss", "trajectory", "name"],
 )
 def test_unknown_scenario_key_exits_3(tmp_path, capsys, scenario, where, key):
     cfg = write_config(tmp_path, mini_config(scenario=scenario))
@@ -157,6 +157,62 @@ def test_unknown_scenario_key_exits_3(tmp_path, capsys, scenario, where, key):
     err = capsys.readouterr().err
     assert f"bad scenario structure: {where}: unknown keys ['{key}']" in err
     assert not out.exists()
+
+
+CIRCLE = {"kind": "circle", "center_en_m": [50.0, 0.0], "radius_m": 40.0, "speed_mps": 8.0, "z_m": 1.5}
+SAMPLES = {
+    "kind": "samples",
+    "t_s": [0.0, 10.0, 20.0],
+    "p_enu_m": [[0.0, 0.0, 1.5], [80.0, 0.0, 1.5], [160.0, 0.0, 1.5]],
+}
+
+
+def with_trajectory(trajectory, **values):
+    return edited_scenario(lambda s: s.update(trajectory=dict(trajectory, **values)))
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        with_trajectory(CIRCLE, radius_m="x"),
+        with_trajectory(CIRCLE, center_en_m=[0]),
+        with_trajectory(CIRCLE, speed_mps="fast"),
+        with_trajectory(CIRCLE, speed_mps=float("inf")),
+        with_trajectory(CIRCLE, ccw="no"),
+        with_trajectory(MINI_SCENARIO["trajectory"], points_enu_m="abc"),
+        with_trajectory(MINI_SCENARIO["trajectory"], points_enu_m=[[0.0, 0.0, 1.5], [float("nan"), 0.0, 1.5]]),
+        with_trajectory(SAMPLES, v_enu_mps=[[1, 0]]),
+        edited_scenario(lambda s: s["walls"][0].update(z0_m="a")),
+        edited_scenario(lambda s: s["base_stations"][0].update(p_enu_m=[1, 2])),
+    ],
+    ids=[
+        "circle_radius_string",
+        "circle_center_one_number",
+        "circle_speed_string",
+        "circle_speed_infinite",
+        "circle_ccw_string",
+        "waypoints_string",
+        "waypoint_nan",
+        "samples_velocity_two_columns",
+        "wall_base_string",
+        "station_two_numbers",
+    ],
+)
+def test_bad_scenario_value_exits_3(tmp_path, capsys, scenario):
+    # json.dumps writes NaN and Infinity, which the config reader accepts
+    cfg = write_config(tmp_path, mini_config(duration_s=2.0, scenario=scenario))
+    out = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_GEOMETRY
+    err = capsys.readouterr().err
+    assert err.startswith("geometry error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trajectory", [CIRCLE, SAMPLES], ids=["circle", "samples"])
+def test_scenario_value_cases_start_from_a_valid_scenario(tmp_path, trajectory):
+    cfg = write_config(tmp_path, mini_config(duration_s=2.0, scenario=with_trajectory(trajectory)))
+    assert main([str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_OK
 
 
 def test_numeric_failure_exits_4(tmp_path):
@@ -644,6 +700,10 @@ def test_bad_filter_or_imu_parameter_exits_2(tmp_path, capsys, block, key, value
             "mode": "outage-sweep",
             "outage_sweep": {"durations_s": [2.0], "speeds_mps": [0], "seeds": [0]},
         },
+        {
+            "mode": "noise-sweep",
+            "noise_sweep": {"var_ranges_m2": [-1.0], "var_angles_deg2": [0.01], "seeds": [0], "duration_s": 2.0},
+        },
     ],
     ids=[
         "n_bs_fraction",
@@ -653,6 +713,7 @@ def test_bad_filter_or_imu_parameter_exits_2(tmp_path, capsys, block, key, value
         "sweep_obs_hz_zero",
         "speed_zero",
         "sweep_speed_zero",
+        "sweep_variance_negative",
     ],
 )
 def test_bad_ring_param_or_sweep_rate_exits_2(tmp_path, capsys, cfg):
@@ -896,5 +957,5 @@ def test_negative_drift_bias_scale_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"mode": "drift-profile", "drift_profile": block})
     out = tmp_path / "out"
     assert main([str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
-    assert "drift_profile.bias_scales" in capsys.readouterr().err
+    assert "config error: drift_profile: bias_scales must be >= 0" in capsys.readouterr().err
     assert not out.exists()

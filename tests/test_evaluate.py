@@ -16,10 +16,8 @@ from mpnav.evaluate import (
     run_noise_sweep,
     run_outage_sweep,
     write_csv,
-    write_drift_profile,
     write_manifest,
-    write_noise_sweep,
-    write_outage_sweep,
+    write_sweep,
 )
 
 
@@ -99,7 +97,7 @@ def test_drift_profile_sweep_scales(tmp_path):
     assert sweep == again
     med = [np.median(r["final_drift_m"]) for r in sweep["rows"]]
     assert med[1] > med[0] > 0.0
-    write_drift_profile(tmp_path, sweep)
+    write_sweep(tmp_path, sweep)
     lines = (tmp_path / "summary.csv").read_text().splitlines()
     assert lines[0] == "bias_scale,median_drift_m"
     assert len(lines) == 3
@@ -108,8 +106,12 @@ def test_drift_profile_sweep_scales(tmp_path):
     assert len(lines) == 7
 
 
-def synthetic_outage_sweep():
-    return {
+def read_lines(outdir):
+    return [(outdir / name).read_text().splitlines() for name in ("summary.csv", "seeds.csv")]
+
+
+def test_write_outage_sweep_schema(tmp_path):
+    sweep = {
         "mode": "outage-sweep",
         "seeds": [0, 1],
         "cases": [
@@ -122,47 +124,119 @@ def synthetic_outage_sweep():
                 "rmse_without_m": [2.0, 4.0],
                 "maxpct_with": [0.2, 0.4],
                 "maxpct_without": [3.0, 5.0],
-            }
+            },
+            {
+                "case": 1,
+                "duration_s": 40.0,
+                "speed_mps": 9.4,
+                "distance_m": 376.0,
+                "rmse_with_m": [0.5, 0.7],
+                "rmse_without_m": [6.0, 8.0],
+                "maxpct_with": [0.6, 0.8],
+                "maxpct_without": [7.0, 9.0],
+            },
         ],
     }
-
-
-def test_write_outage_sweep_schema(tmp_path):
-    write_outage_sweep(tmp_path, synthetic_outage_sweep())
-    lines = (tmp_path / "summary.csv").read_text().splitlines()
-    assert lines[0] == (
-        "case,duration_s,speed_mps,distance_m,"
-        "rms_without_m,pct_without,rms_with_m,pct_with"
-    )
-    assert lines[1] == "0,20,9.8,196,3,4,0.2,0.3"
-    lines = (tmp_path / "seeds.csv").read_text().splitlines()
-    assert lines[0] == "case,seed,rms_without_m,pct_without,rms_with_m,pct_with"
-    assert lines[1] == "0,0,2,3,0.1,0.2"
-    assert lines[2] == "0,1,4,5,0.3,0.4"
+    write_sweep(tmp_path, sweep)
+    summary, seeds = read_lines(tmp_path)
+    assert summary == [
+        "case,duration_s,speed_mps,distance_m,rms_without_m,pct_without,rms_with_m,pct_with",
+        "0,20,9.8,196,3,4,0.2,0.3",
+        "1,40,9.4,376,7,8,0.6,0.7",
+    ]
+    assert seeds == [
+        "case,seed,rms_without_m,pct_without,rms_with_m,pct_with",
+        "0,0,2,3,0.1,0.2",
+        "0,1,4,5,0.3,0.4",
+        "1,0,6,7,0.5,0.6",
+        "1,1,8,9,0.7,0.8",
+    ]
 
 
 def test_write_noise_sweep_schema(tmp_path):
     sweep = {
         "mode": "noise-sweep",
         "seeds": [0, 1],
-        "var_ranges": [0.5],
-        "var_angles": [0.01],
+        "var_ranges": [0.5, 2.0],
+        "var_angles": [0.01, 0.05],
         "cells": [
             {
                 "var_range_m2": 0.5,
                 "var_angle_deg2": 0.01,
                 "rmse_with_m": [0.1, 0.2],
                 "rmse_without_m": [1.0, 3.0],
-            }
+            },
+            {
+                "var_range_m2": 2.0,
+                "var_angle_deg2": 0.05,
+                "rmse_with_m": [0.3, 0.5],
+                "rmse_without_m": [4.0, 6.0],
+            },
         ],
     }
-    write_noise_sweep(tmp_path, sweep)
-    lines = (tmp_path / "summary.csv").read_text().splitlines()
-    assert lines[0] == "var_range_m2,var_angle_deg2,rmse_with_med_m,rmse_without_med_m"
-    assert lines[1] == "0.5,0.01,0.15,2"
-    lines = (tmp_path / "seeds.csv").read_text().splitlines()
-    assert lines[0] == "var_range_m2,var_angle_deg2,seed,rmse_with_m,rmse_without_m"
-    assert len(lines) == 3
+    write_sweep(tmp_path, sweep)
+    summary, seeds = read_lines(tmp_path)
+    assert summary == [
+        "var_range_m2,var_angle_deg2,rmse_with_med_m,rmse_without_med_m",
+        "0.5,0.01,0.15,2",
+        "2,0.05,0.4,5",
+    ]
+    assert seeds == [
+        "var_range_m2,var_angle_deg2,seed,rmse_with_m,rmse_without_m",
+        "0.5,0.01,0,0.1,1",
+        "0.5,0.01,1,0.2,3",
+        "2,0.05,0,0.3,4",
+        "2,0.05,1,0.5,6",
+    ]
+
+
+def test_write_drift_profile_schema(tmp_path):
+    sweep = {
+        "mode": "drift-profile",
+        "seeds": [3, 5],
+        "rows": [
+            {"bias_scale": 1.0, "final_drift_m": [2.0, 4.0]},
+            {"bias_scale": 0.5, "final_drift_m": [8.0, 12.5]},
+        ],
+    }
+    write_sweep(tmp_path, sweep)
+    summary, seeds = read_lines(tmp_path)
+    assert summary == ["bias_scale,median_drift_m", "1,3", "0.5,10.25"]
+    assert seeds == [
+        "bias_scale,seed,final_drift_m",
+        "1,3,2",
+        "1,5,4",
+        "0.5,3,8",
+        "0.5,5,12.5",
+    ]
+
+
+@pytest.mark.parametrize(
+    "runner, kwargs, needle",
+    [
+        (run_outage_sweep, dict(durations=[2.0, 4.0], speeds=[8.0]), "pair up"),
+        (run_outage_sweep, dict(durations=[2.0, 4.0], speeds=[8.0, 0.0]), "speeds must be > 0"),
+        (run_outage_sweep, dict(durations=[2.0, 0.0], speeds=[8.0, 8.0]), "durations must be > 0"),
+        (run_noise_sweep, dict(var_ranges=[0.5, -1.0]), "variances must be >= 0"),
+        (run_noise_sweep, dict(var_angles=[0.01, -0.01]), "variances must be >= 0"),
+        (run_drift_profile, dict(bias_scales=[1.0, -1.0]), "bias_scales must be >= 0"),
+    ],
+    ids=[
+        "unpaired",
+        "speed_zero",
+        "duration_zero",
+        "var_range_negative",
+        "var_angle_negative",
+        "bias_scale_negative",
+    ],
+)
+def test_sweep_arguments_are_checked_before_the_first_run(monkeypatch, runner, kwargs, needle):
+    runs = []
+    monkeypatch.setattr(evaluate, "run_pair", lambda *a, **k: runs.append(a))
+    monkeypatch.setattr(evaluate, "drift_profile", lambda *a, **k: runs.append(a))
+    with pytest.raises(ValueError, match=needle):
+        runner(seeds=(0, 1), **kwargs)
+    assert runs == []
 
 
 def test_sweeps_skip_nees_and_keep_their_rmse(monkeypatch):

@@ -353,9 +353,13 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_correct_matches_inject():
-    # the Python-float correction equals the array injection bit for bit
+    # the Python-float correction, with math.cos and np.sinc's own formula
+    # on math.sin, equals the array injection bit for bit: attitude
+    # corrections from zero and sub-1e-8 rad angles up to pi, about one
+    # axis or all three
     rng = np.random.default_rng(21)
-    for k in range(300):
+    angles = np.concatenate([[0.0, 1e-300, 1e-16], 10.0 ** rng.uniform(-16.0, math.log10(math.pi), 1000)])
+    for k, angle in enumerate(angles):
         fs = FilterState(
             t=0.0,
             p=rng.normal(size=3),
@@ -365,7 +369,7 @@ def test_correct_matches_inject():
             b_a=rng.normal(size=3),
         )
         dx = rng.normal(size=N_ERR) * 10.0 ** rng.uniform(-9.0, 0.0)
-        if k == 0:
-            dx[6:9] = 0.0
+        axis = np.eye(3)[k % 3] if k % 2 else rng.normal(size=3)
+        dx[6:9] = angle * axis / np.linalg.norm(axis)
         for got, ref in zip(_correct(fs, dx), _inject(fs, dx)):
-            assert np.array_equal(got, ref)
+            assert np.array_equal(got, ref), angle

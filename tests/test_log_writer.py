@@ -64,7 +64,7 @@ def setup_for(bs_ids):
     stations = [BaseStation(id=b, p=[10.0 * k, 0.0, 20.0]) for k, b in enumerate(bs_ids)]
     trajectory = {"kind": "circle", "center_en_m": [0.0, 0.0], "radius_m": 50.0, "speed_mps": 5.0}
     return RunSetup(
-        scenario=Scenario(name="log", base_stations=stations, walls=[], trajectory=trajectory),
+        scenario=Scenario(base_stations=stations, walls=[], trajectory=trajectory),
         duration_s=DURATION_S,
         rates=RATES,
     )

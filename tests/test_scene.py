@@ -424,13 +424,12 @@ def test_scenario_round_trip(tmp_path):
 def test_scenario_validation():
     with pytest.raises(GeometryError):
         Scenario(
-            name="dup",
             base_stations=[BaseStation(id="a", p=[0, 0, 0]), BaseStation(id="a", p=[1, 0, 0])],
             walls=[],
             trajectory={"kind": "circle"},
         )
     with pytest.raises(GeometryError):
-        Scenario(name="empty", base_stations=[], walls=[], trajectory={"kind": "circle"})
+        Scenario(base_stations=[], walls=[], trajectory={"kind": "circle"})
     with pytest.raises(GeometryError):
         ring_scenario(n_bs=0)
     with pytest.raises(GeometryError):
