@@ -327,8 +327,9 @@ def _run_sweep(cfg, mode, seed_override):
     """Run the sweep of mode from its config block: the block's keys, its
     optional blocks and the seeds, from "seeds" (a list) or "n_seeds" (a
     count), offset by --seed. The runner checks its arguments before its
-    first run, and a ValueError of its exits 2. Returns the sweep's writer
-    and the manifest's run info."""
+    first run, and a ValueError of its exits 2, named by the config key
+    when it names an argument. Returns the sweep's writer and the
+    manifest's run info."""
     where, runner, spec, blocks = _SWEEPS[mode]
     block = dict(_expect_mapping(cfg.pop(where, {}), where))
     _reject_unknown(cfg, "config")
@@ -348,6 +349,10 @@ def _run_sweep(cfg, mode, seed_override):
         sweep = runner(**kwargs)
     except (GeometryError, np.linalg.LinAlgError):
         raise
+    except evaluate.SweepArgumentError as exc:
+        key = next(key for key, (arg, *_) in spec.items() if arg == exc.arg)
+        entry = "" if exc.index is None else f"[{exc.index}]"
+        raise ConfigError(f"{where}.{key}{entry} {exc.problem}") from exc
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return lambda outdir: evaluate.write_sweep(outdir, sweep), {"seeds": sweep["seeds"]}
@@ -366,6 +371,13 @@ def _parse_args(argv):
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    # numpy's overflow, invalid-value and divide-by-zero warnings raise
+    # FloatingPointError instead, a numeric failure that writes nothing
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        return _main(args)
+
+
+def _main(args) -> int:
     try:
         config_path = Path(args.config)
         if not config_path.is_file():
@@ -415,6 +427,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (NumericError, FloatingPointError) as exc:
+        # a non-finite number in a table, or a numpy error while writing one
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     print(f"wrote results to {outdir}")
     return EXIT_OK
 

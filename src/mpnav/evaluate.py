@@ -9,11 +9,13 @@ timestamps, sorted JSON keys.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from .fusion import NumericError
 from .ins import drift_profile
 from .pipeline import Rates, RunSetup, run_pair
 from .scene import ring_scenario, trajectory_poses
@@ -69,6 +71,21 @@ def error_cdf(err_3d):
 # ---------------------------------------------------------------------------
 # experiment sweeps
 
+class SweepArgumentError(ValueError):
+    """A bad sweep argument: the runner's argument name, the index of the
+    bad entry in it (None for the argument as a whole) and the problem."""
+
+    def __init__(self, arg: str, index: int | None, problem: str):
+        self.arg, self.index, self.problem = arg, index, problem
+        super().__init__(f"{arg}{'' if index is None else f'[{index}]'} {problem}")
+
+
+def _check_each(arg: str, values, ok, problem: str):
+    for i, value in enumerate(values):
+        if not ok(value):
+            raise SweepArgumentError(arg, i, problem)
+
+
 _SWEEP_RATES = Rates(imu_hz=20.0, obs_hz=2.0, odo_hz=2.0)
 # Fixed-magnitude biases keep drift scale stable across seeds, which is
 # what a repeatable outage benchmark needs.
@@ -114,12 +131,10 @@ def run_outage_sweep(
     before the first run.
     """
     if len(durations) != len(speeds):
-        raise ValueError("durations and speeds must pair up")
-    if not all(dur > 0.0 for dur in durations):
-        raise ValueError("durations must be > 0")
+        raise SweepArgumentError("speeds", None, "must hold one speed per duration")
+    _check_each("durations", durations, lambda dur: dur > 0.0, "must be > 0")
     # the sweep reports error per distance traveled in each outage
-    if not all(spd > 0.0 for spd in speeds):
-        raise ValueError("speeds must be > 0")
+    _check_each("speeds", speeds, lambda spd: spd > 0.0, "must be > 0")
     windows = [(pre_s, pre_s + dur) for dur in durations]
     setups = [
         RunSetup(
@@ -164,6 +179,9 @@ def run_noise_sweep(
     run_outage_sweep, NEES is skipped and every argument is checked before
     the first run.
     """
+    # NoiseCfg refuses a negative variance too, but without naming the entry
+    _check_each("var_ranges", var_ranges, lambda v: v >= 0.0, "must be >= 0")
+    _check_each("var_angles", var_angles, lambda v: v >= 0.0, "must be >= 0")
     scenario = ring_scenario(speed_mps=speed_mps)
     outages = [OutageWindow(*outage)] if outage is not None else []
     grid = [(float(vr), float(va)) for vr in var_ranges for va in var_angles]
@@ -203,8 +221,7 @@ def run_drift_profile(
     """Free-inertial drift ensemble: final position error vs bias scale.
     Every argument is checked before the first run."""
     # a scaled bias std must stay a valid ImuErrorModel std
-    if not all(scale >= 0.0 for scale in bias_scales):
-        raise ValueError("bias_scales must be >= 0")
+    _check_each("bias_scales", bias_scales, lambda scale: scale >= 0.0, "must be >= 0")
     base = imu_err or _SWEEP_IMU_ERR
     models = [
         replace(
@@ -243,11 +260,17 @@ def _fmt(v) -> str:
 
 
 def write_csv(path, columns, rows):
+    """Write rows under the header columns. A non-finite number raises
+    NumericError, naming the file and the column, before the file is
+    written."""
     path = Path(path)
     lines = [",".join(columns)]
     for row in rows:
         if len(row) != len(columns):
             raise ValueError("row width does not match header")
+        for column, v in zip(columns, row):
+            if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+                raise NumericError(f"{path.name}: {column} is {v}")
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 

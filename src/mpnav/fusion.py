@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,14 +41,15 @@ class NumericError(RuntimeError):
     """Covariance corruption or another unrecoverable numeric failure."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class UkfParams:
     """Sigma-point scaling (prediction only) plus continuous-time process
     noise densities.
 
     q_vel and q_att should match the IMU white-noise densities squared
     ((m/s^2)^2/Hz and (rad/s)^2/Hz); the bias densities stay zero when biases
-    are modeled as run constants.
+    are modeled as run constants. Frozen, so that the prediction constants
+    derived from the fields on first use cannot go stale.
     """
 
     alpha: float = 0.5
@@ -84,6 +85,16 @@ class UkfParams:
         q[_SL["bg"]] = self.q_bias_gyro
         q[_SL["ba"]] = self.q_bias_accel
         return np.diag(q)
+
+    @cached_property
+    def _predict_constants(self):
+        """(n + lambda, wm, wc, Q) of a prediction step over the error
+        state, read-only; built once per parameter set, on first use."""
+        n_lam, wm, wc = _ut_weights(N_ERR, self.alpha, self.beta, self.kappa)
+        out = (n_lam, wm, wc, self.process_noise())
+        for a in out[1:]:
+            a.flags.writeable = False
+        return out
 
     @classmethod
     def from_imu_error(cls, imu_err) -> "UkfParams":
@@ -146,6 +157,29 @@ class UpdateInfo:
     accepted: bool
 
 
+def _ut_weights(n: int, alpha: float, beta: float, kappa: float):
+    """n + lambda and the (mean, cov) weights of the scaled unscented
+    transform over n dimensions."""
+    lam = alpha**2 * (n + kappa) - n
+    wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
+    wc = wm.copy()
+    wm[0] = lam / (n + lam)
+    wc[0] = wm[0] + 1.0 - alpha**2 + beta
+    return n + lam, wm, wc
+
+
+def _points(mean: np.ndarray, P, n_lam: float) -> np.ndarray:
+    """The 2n+1 sigma points: mean, then mean +- the columns of the
+    Cholesky factor of (n + lambda) P."""
+    n = mean.size
+    root = np.linalg.cholesky(n_lam * np.asarray(P, dtype=float))
+    pts = np.empty((2 * n + 1, n))
+    pts[0] = mean
+    pts[1 : n + 1] = mean + root.T
+    pts[n + 1 :] = mean - root.T
+    return pts
+
+
 def sigma_points(mean, P, alpha: float = 0.5, beta: float = 2.0, kappa: float = 0.0):
     """Scaled unscented transform: 2n+1 points and (mean, cov) weights.
 
@@ -153,19 +187,8 @@ def sigma_points(mean, P, alpha: float = 0.5, beta: float = 2.0, kappa: float = 
     which callers treat as covariance corruption.
     """
     mean = np.asarray(mean, dtype=float)
-    P = np.asarray(P, dtype=float)
-    n = mean.size
-    lam = alpha**2 * (n + kappa) - n
-    root = np.linalg.cholesky((n + lam) * P)
-    pts = np.empty((2 * n + 1, n))
-    pts[0] = mean
-    pts[1 : n + 1] = mean + root.T
-    pts[n + 1 :] = mean - root.T
-    wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
-    wc = wm.copy()
-    wm[0] = lam / (n + lam)
-    wc[0] = wm[0] + 1.0 - alpha**2 + beta
-    return pts, wm, wc
+    n_lam, wm, wc = _ut_weights(mean.size, alpha, beta, kappa)
+    return _points(mean, P, n_lam), wm, wc
 
 
 def _inject(fs: FilterState, dx: np.ndarray):
@@ -205,9 +228,10 @@ def predict(fs: FilterState, gyros, accels, dts, params: UkfParams) -> FilterSta
     gyros = np.atleast_2d(np.asarray(gyros, dtype=float))
     accels = np.atleast_2d(np.asarray(accels, dtype=float))
     dts = np.atleast_1d(np.asarray(dts, dtype=float))
-    if np.any(dts <= 0.0):
+    if (dts <= 0.0).any():
         raise ValueError("IMU intervals must be positive")
-    pts, wm, wc = sigma_points(np.zeros(N_ERR), fs.P, params.alpha, params.beta, params.kappa)
+    n_lam, wm, wc, Q = params._predict_constants
+    pts = _points(np.zeros(N_ERR), fs.P, n_lam)
     p, v, q, bg, ba = _inject(fs, pts)
     p, v, q = mechanize_arrays(p, v, q, bg, ba, gyros, accels, dts)
     p, v, q = p[-1], v[-1], q[-1]
@@ -217,15 +241,15 @@ def predict(fs: FilterState, gyros, accels, dts, params: UkfParams) -> FilterSta
     ba_mean = wm @ ba
     # attitude mean relative to the propagated center point
     dth = quat.to_rotvec(quat.multiply(quat.conjugate(q[0]), q))
-    q_mean = quat.normalize(quat.multiply(q[0], quat.from_rotvec(wm @ dth)))
+    q_mean = _compose(q[0], wm @ dth)
     err = np.empty((pts.shape[0], N_ERR))
     err[:, _SL["p"]] = p - p_mean
     err[:, _SL["v"]] = v - v_mean
     err[:, _SL["att"]] = quat.to_rotvec(quat.multiply(quat.conjugate(q_mean), q))
     err[:, _SL["bg"]] = bg - bg_mean
     err[:, _SL["ba"]] = ba - ba_mean
-    elapsed = float(np.sum(dts))
-    P = (wc * err.T) @ err + params.process_noise() * elapsed
+    elapsed = float(dts.sum())
+    P = (wc * err.T) @ err + Q * elapsed
     P, eigmin = _finalize_cov(P)
     return FilterState(
         t=fs.t + elapsed,
@@ -287,22 +311,28 @@ def _kf_update(fs: FilterState, nu, PHt, S, gate):
     return out, UpdateInfo(nis=nis, accepted=True)
 
 
-def _correct(fs: FilterState, dx: np.ndarray):
-    """_inject for one correction dx (15,): the same products and sums on
-    Python floats, which skips numpy's per-call cost on 4-vectors. The sinc
-    is np.sinc's own formula, sin(y)/y with y = pi*x, 1 at 0."""
-    rx, ry, rz = dx[_SL["att"]].tolist()
+def _compose(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """normalize(multiply(q, from_rotvec(r))) for one quaternion q (4,) and
+    one rotation vector r (3,): the same products and sums on Python
+    floats, which skips numpy's per-call cost on 4-vectors. The sinc is
+    np.sinc's own formula, sin(y)/y with y = pi*x, 1 at 0."""
+    rx, ry, rz = r.tolist()
     half = 0.5 * math.sqrt(rx * rx + ry * ry + rz * rz)
     y = math.pi * (half / math.pi)
     k = 0.5 * (math.sin(y) / y if y else 1.0)
     bw, bx, by, bz = math.cos(half), k * rx, k * ry, k * rz
-    aw, ax, ay, az = fs.q_bn.tolist()
+    aw, ax, ay, az = q.tolist()
     w = aw * bw - ax * bx - ay * by - az * bz
     x = aw * bx + ax * bw + ay * bz - az * by
     y = aw * by - ax * bz + ay * bw + az * bx
     z = aw * bz + ax * by - ay * bx + az * bw
     n = math.sqrt(w * w + x * x + y * y + z * z)
-    q = np.array([w, x, y, z]) / n
+    return np.array([w, x, y, z]) / n
+
+
+def _correct(fs: FilterState, dx: np.ndarray):
+    """_inject for one correction dx (15,), its attitude through _compose."""
+    q = _compose(fs.q_bn, dx[_SL["att"]])
     p = fs.p + dx[_SL["p"]]
     v = fs.v + dx[_SL["v"]]
     return p, v, q, fs.b_g + dx[_SL["bg"]], fs.b_a + dx[_SL["ba"]]
@@ -335,7 +365,9 @@ def update_position_yaw(fs: FilterState, fix, R, params: UkfParams):
     R = np.asarray(R, dtype=float).reshape(4, 4)
     H = np.zeros((4, N_ERR))
     H[:3] = np.eye(3, N_ERR)
-    H[3, _SL["att"]] = quat.to_matrix(fs.q_bn)[2]
+    # R(q)[2], the row quat.to_matrix writes, on Python floats
+    w, x, y, z = fs.q_bn.tolist()
+    H[3, _SL["att"]] = 2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)
     nu = np.concatenate([np.asarray(fix.p, dtype=float) - fs.p, [fix.yaw]])
     gate = _gate_for_dim(params.nis_gate, 4)
     PHt = fs.P @ H.T

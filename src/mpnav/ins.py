@@ -34,18 +34,21 @@ def mechanize_arrays(p, v, q, b_g, b_a, gyro, accel, dt):
     gyro = np.asarray(gyro, dtype=float)
     accel = np.asarray(accel, dtype=float)
     dt = np.asarray(dt, dtype=float)
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
     # per-sample inputs: the sample axis first, then the state's leading axes
     lead = (slice(None),) + (None,) * (np.ndim(q) - 1)
     dq = quat.from_rotvec((gyro[lead] - b_g) * dt[lead][..., None])
     qs = quat.chain(q, dq)
     a_nav = quat.rotate(qs, accel[lead] - b_a) + GRAVITY
     dt3 = dt[lead][..., None]
-    v = np.broadcast_to(v, a_nav.shape[1:])
-    vs = np.cumsum(np.concatenate([v[None], a_nav * dt3]), axis=0)
-    dp = 0.5 * (vs[:-1] + vs[1:]) * dt3
-    ps = np.cumsum(np.concatenate([np.broadcast_to(p, dp.shape[1:])[None], dp]), axis=0)
+    # running sums from the initial state, written as row 0 of each buffer
+    vs = np.empty((len(dt) + 1,) + a_nav.shape[1:])
+    vs[0] = v
+    np.multiply(a_nav, dt3, out=vs[1:])
+    vs = vs.cumsum(axis=0)
+    ps = np.empty_like(vs)
+    ps[0] = p
+    ps[1:] = 0.5 * (vs[:-1] + vs[1:]) * dt3
+    ps = ps.cumsum(axis=0)
     return ps[1:], vs[1:], qs
 
 

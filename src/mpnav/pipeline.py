@@ -106,6 +106,14 @@ class RunSetup:
             raise ValueError("run too short for one observation epoch")
         if round(self.duration_s * self.rates.imu_hz) < 2:
             raise ValueError("run too short for two IMU samples")
+        # a window that blocks no epoch would run as if it were not there
+        epoch_t = _epoch_indices(self)[0] / self.rates.imu_hz
+        for w in self.outages:
+            if not w.contains(epoch_t).any():
+                raise ValueError(
+                    f"outage window [{w.t_start:g}, {w.t_end:g}] s holds no epoch of the "
+                    f"{self.duration_s:g} s run"
+                )
 
 
 @dataclass
@@ -586,7 +594,9 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
     if not len(odo):
         raise ValueError("log has no odometer records")
     odo_t = odo.values[:, 0]
-    back = np.flatnonzero(np.diff(odo_t) < 0.0)
+    # compared, not differenced: the difference of two far-apart finite
+    # times can overflow
+    back = np.flatnonzero(odo_t[1:] < odo_t[:-1])
     if back.size:
         k = int(back[0]) + 1
         t0, t1 = odo_t[k - 1 : k + 1].tolist()

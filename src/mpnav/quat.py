@@ -52,15 +52,21 @@ def chain(q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """Running products q (x) dq[0] (x) dq[1] ..., renormalized after each
     factor; returns every partial product, shape (m, ..., 4).
 
-    Equal bit for bit to repeating q = normalize(multiply(q, dq[k])), with
-    every step's signed factors taken at once.
+    Equal bit for bit to repeating q = normalize(multiply(q, dq[k])): every
+    step's signed factors are taken at once, and each step's product is one
+    stacked row-times-matrix matmul. The factor matrices are views with a
+    column stride of two elements, so that no matrix axis has unit stride:
+    numpy then multiplies in its own loop, which sums a's w, x, y, z terms
+    in that order as multiply does, and never in BLAS, whose kernels fuse
+    or regroup the sums.
     """
     dq = np.asarray(dq, dtype=float)
-    factors = dq[..., _PERM] * _SIGN
+    factors = np.empty(dq.shape[:-1] + (4, 4, 2))[..., 0]
+    np.multiply(dq[..., _PERM], _SIGN, out=factors)
     q = np.asarray(q, dtype=float)
     out = np.empty(dq.shape[:1] + np.broadcast_shapes(q.shape, dq.shape[1:]))
     for k, f in enumerate(factors):
-        q = out[k] = normalize(_sum_rows(q[..., :, None] * f))
+        q = out[k] = normalize(np.matmul(q[..., None, :], f)[..., 0, :])
     return out
 
 
@@ -92,12 +98,19 @@ def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+_EPS = 2.220446049250313e-16  # np.finfo(float).eps, which np.sinc puts in for 0
+
+
 def from_rotvec(r: np.ndarray) -> np.ndarray:
     """Exponential map: rotation vector (axis * angle, rad) to quaternion."""
     r = np.asarray(r, dtype=float)
     half = 0.5 * np.sqrt(r[..., 0] ** 2 + r[..., 1] ** 2 + r[..., 2] ** 2)
-    # sin(half)/(2*half) via sinc, stable through zero
-    k = 0.5 * np.sinc(half / np.pi)
+    # sin(half)/(2*half) as 0.5 * np.sinc(half / pi), written out with
+    # np.sinc's own formula (sin(y)/y, y = pi*x, eps where y is 0) to skip
+    # its call overhead; stable through zero
+    y = np.pi * (half / np.pi)
+    y = np.where(y, y, _EPS)
+    k = 0.5 * (np.sin(y) / y)
     out = np.empty(r.shape[:-1] + (4,))
     out[..., 0] = np.cos(half)
     out[..., 1:] = k[..., None] * r
@@ -108,7 +121,9 @@ def to_rotvec(q: np.ndarray) -> np.ndarray:
     """Logarithm map, shortest arc (angle in [0, pi])."""
     q = normalize(q)
     q = np.where(q[..., :1] < 0.0, -q, q)
-    n = np.linalg.norm(q[..., 1:], axis=-1, keepdims=True)
+    # the sum np.linalg.norm(q[..., 1:], axis=-1) takes, as in normalize
+    u = q[..., 1:]
+    n = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True))
     angle = 2.0 * np.arctan2(n, q[..., :1])
     small = n <= 1e-12
     scale = np.where(small, 2.0, angle / np.where(small, 1.0, n))

@@ -14,7 +14,9 @@ mpnav.pipeline.synth_measurements), sbr_locus_residual (one path, behind
 mpnav.fixes.sbr_locus_residuals), sbr_fix_svd (the dense-SVD reflection
 solver behind mpnav.fixes.sbr_fix),
 mechanize_per_sample (behind
-mpnav.ins.mechanize_arrays), trajectory_poses_per_sample (one Pose per
+mpnav.ins.mechanize_arrays), predict_reference (the prediction step with
+its weights, noise matrix and attitude mean rebuilt on numpy every call,
+behind mpnav.fusion.predict), trajectory_poses_per_sample (one Pose per
 sample, behind mpnav.scene.trajectory_poses), synth_imu_per_sample and
 synth_odo_per_sample (one ImuSample or OdoSample per sample, behind
 mpnav.synth.synth_imu and synth_odo), apply_noise_per_record (behind
@@ -37,9 +39,9 @@ from operator import attrgetter
 
 import numpy as np
 
-from mpnav import quat
+from mpnav import fusion, quat
 from mpnav.fixes import Fix, _angle_std_rad, _unit_jacobian
-from mpnav.ins import GRAVITY
+from mpnav.ins import GRAVITY, mechanize_arrays
 from mpnav.scene import (
     _PLANE_TOL,
     SPEED_OF_LIGHT,
@@ -709,6 +711,48 @@ def mechanize_per_sample(p, v, q, b_g, b_a, gyros, accels, dts):
         p, v, q = mechanize_step(p, v, q, b_g, b_a, gyros[k], accels[k], dts[k])
         out.append((p, v, q))
     return tuple(np.stack(x) for x in zip(*out))
+
+
+def predict_reference(fs, gyros, accels, dts, params):
+    """Reference for mpnav.fusion.predict: sigma points and weights from
+    sigma_points, process noise from process_noise() and the attitude mean
+    composed on numpy arrays, every call."""
+    gyros = np.atleast_2d(np.asarray(gyros, dtype=float))
+    accels = np.atleast_2d(np.asarray(accels, dtype=float))
+    dts = np.atleast_1d(np.asarray(dts, dtype=float))
+    if np.any(dts <= 0.0):
+        raise ValueError("IMU intervals must be positive")
+    n_err = fusion.N_ERR
+    pts, wm, wc = fusion.sigma_points(np.zeros(n_err), fs.P, params.alpha, params.beta, params.kappa)
+    p, v, q, bg, ba = fusion._inject(fs, pts)
+    p, v, q = mechanize_arrays(p, v, q, bg, ba, gyros, accels, dts)
+    p, v, q = p[-1], v[-1], q[-1]
+    p_mean = wm @ p
+    v_mean = wm @ v
+    bg_mean = wm @ bg
+    ba_mean = wm @ ba
+    # attitude mean relative to the propagated center point
+    dth = quat.to_rotvec(quat.multiply(quat.conjugate(q[0]), q))
+    q_mean = quat.normalize(quat.multiply(q[0], quat.from_rotvec(wm @ dth)))
+    err = np.empty((pts.shape[0], n_err))
+    err[:, 0:3] = p - p_mean
+    err[:, 3:6] = v - v_mean
+    err[:, 6:9] = quat.to_rotvec(quat.multiply(quat.conjugate(q_mean), q))
+    err[:, 9:12] = bg - bg_mean
+    err[:, 12:15] = ba - ba_mean
+    elapsed = float(np.sum(dts))
+    P = (wc * err.T) @ err + params.process_noise() * elapsed
+    P, eigmin = fusion._finalize_cov(P)
+    return fusion.FilterState(
+        t=fs.t + elapsed,
+        p=p_mean,
+        v=v_mean,
+        q_bn=q_mean,
+        b_g=bg_mean,
+        b_a=ba_mean,
+        P=P,
+        min_eig=eigmin,
+    )
 
 
 def _wrap_az(az: float) -> float:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from mpnav import evaluate
 from mpnav.cli import EXIT_CONFIG, EXIT_GEOMETRY, EXIT_NUMERIC, EXIT_OK, main
 
 MINI_SCENARIO = {
@@ -957,5 +958,77 @@ def test_negative_drift_bias_scale_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"mode": "drift-profile", "drift_profile": block})
     out = tmp_path / "out"
     assert main([str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
-    assert "config error: drift_profile: bias_scales must be >= 0" in capsys.readouterr().err
+    assert "config error: drift_profile.bias_scales[1] must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(RING_3S, outages=[[1.0, 2.0], [100, 200]]),
+        {
+            "mode": "noise-sweep",
+            "noise_sweep": {
+                "var_ranges_m2": [0.5],
+                "var_angles_deg2": [0.01],
+                "seeds": [0],
+                "duration_s": 5.0,
+                "outage": [100, 200],
+            },
+        },
+    ],
+    ids=["single", "noise_sweep"],
+)
+def test_outage_window_without_an_epoch_exits_2(tmp_path, capsys, cfg):
+    # a window past the end of the run would block nothing
+    out = tmp_path / "out"
+    assert main([str(write_config(tmp_path, cfg)), "--output-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "outage window [100, 200] s holds no epoch" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, block, message",
+    [
+        ("outage-sweep", {"durations_s": [2.0, 4.0], "speeds_mps": [8.0]}, "outage_sweep.speeds_mps must hold one speed per duration"),
+        ("outage-sweep", {"durations_s": [2.0, 0.0], "speeds_mps": [8.0, 8.0]}, "outage_sweep.durations_s[1] must be > 0"),
+        ("outage-sweep", {"durations_s": [2.0], "speeds_mps": [0]}, "outage_sweep.speeds_mps[0] must be > 0"),
+        ("noise-sweep", {"var_ranges_m2": [-1.0], "var_angles_deg2": [0.01]}, "noise_sweep.var_ranges_m2[0] must be >= 0"),
+        ("noise-sweep", {"var_ranges_m2": [0.5], "var_angles_deg2": [0.01, -0.01]}, "noise_sweep.var_angles_deg2[1] must be >= 0"),
+    ],
+    ids=["unpaired", "duration_zero", "speed_zero", "var_range_negative", "var_angle_negative"],
+)
+def test_sweep_argument_error_names_the_config_key(tmp_path, capsys, mode, block, message):
+    cfg = {"mode": mode, mode.replace("-", "_"): dict(block, seeds=[0])}
+    out = tmp_path / "out"
+    assert main([str(write_config(tmp_path, cfg)), "--output-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_overflowing_drift_profile_exits_4(tmp_path, capsys):
+    # the scaled biases overflow the mechanization: numpy's warning becomes
+    # a numeric failure, and nothing is written
+    block = {"bias_scales": [1e308], "seeds": [0], "duration_s": 2.0, "rate_hz": 20.0}
+    cfg = write_config(tmp_path, {"mode": "drift-profile", "drift_profile": block})
+    out = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:")
+    assert "Warning" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_non_finite_table_exits_4(tmp_path, capsys, monkeypatch):
+    # a NaN that raises no floating-point error on its way is still refused
+    # before any table is written
+    monkeypatch.setattr(evaluate, "rmse_3d", lambda *args: math.nan)
+    block = {"var_ranges_m2": [0.5], "var_angles_deg2": [0.01], "seeds": [0], "duration_s": 2.0}
+    cfg = write_config(tmp_path, {"mode": "noise-sweep", "noise_sweep": block})
+    out = tmp_path / "out"
+    assert main([str(cfg), "--output-dir", str(out)]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric failure: summary.csv: rmse_with_med_m is nan\n"
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]

@@ -214,12 +214,12 @@ def test_write_drift_profile_schema(tmp_path):
 @pytest.mark.parametrize(
     "runner, kwargs, needle",
     [
-        (run_outage_sweep, dict(durations=[2.0, 4.0], speeds=[8.0]), "pair up"),
-        (run_outage_sweep, dict(durations=[2.0, 4.0], speeds=[8.0, 0.0]), "speeds must be > 0"),
-        (run_outage_sweep, dict(durations=[2.0, 0.0], speeds=[8.0, 8.0]), "durations must be > 0"),
-        (run_noise_sweep, dict(var_ranges=[0.5, -1.0]), "variances must be >= 0"),
-        (run_noise_sweep, dict(var_angles=[0.01, -0.01]), "variances must be >= 0"),
-        (run_drift_profile, dict(bias_scales=[1.0, -1.0]), "bias_scales must be >= 0"),
+        (run_outage_sweep, dict(durations=[2.0, 4.0], speeds=[8.0]), "^speeds must hold one speed per duration$"),
+        (run_outage_sweep, dict(durations=[2.0, 4.0], speeds=[8.0, 0.0]), r"^speeds\[1\] must be > 0$"),
+        (run_outage_sweep, dict(durations=[2.0, 0.0], speeds=[8.0, 8.0]), r"^durations\[1\] must be > 0$"),
+        (run_noise_sweep, dict(var_ranges=[0.5, -1.0]), r"^var_ranges\[1\] must be >= 0$"),
+        (run_noise_sweep, dict(var_angles=[0.01, -0.01]), r"^var_angles\[1\] must be >= 0$"),
+        (run_drift_profile, dict(bias_scales=[1.0, -1.0]), r"^bias_scales\[1\] must be >= 0$"),
     ],
     ids=[
         "unpaired",
@@ -234,7 +234,7 @@ def test_sweep_arguments_are_checked_before_the_first_run(monkeypatch, runner, k
     runs = []
     monkeypatch.setattr(evaluate, "run_pair", lambda *a, **k: runs.append(a))
     monkeypatch.setattr(evaluate, "drift_profile", lambda *a, **k: runs.append(a))
-    with pytest.raises(ValueError, match=needle):
+    with pytest.raises(evaluate.SweepArgumentError, match=needle):
         runner(seeds=(0, 1), **kwargs)
     assert runs == []
 

@@ -1,11 +1,12 @@
 """Error-state UKF: sigma points, prediction, and gated position updates."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import identity, mechanize_per_sample
+from helpers import identity, mechanize_per_sample, predict_reference
 from scipy.stats import chi2
 
 from mpnav import fusion, quat
@@ -14,6 +15,7 @@ from mpnav.fusion import (
     FilterState,
     NumericError,
     UkfParams,
+    _compose,
     _correct,
     _finalize_cov,
     _gate_for_dim,
@@ -116,6 +118,63 @@ def test_predict_matches_per_sample_reference(monkeypatch):
         assert got.t == ref.t
         for name in ("p", "v", "q_bn", "b_g", "b_a", "P"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+def test_predict_matches_numpy_reference():
+    # cached weights and noise matrix, the attitude mean on Python floats
+    # and the other array rewrites leave every bit of the prediction as the
+    # reference computes it
+    rng = np.random.default_rng(22)
+    params = UkfParams(alpha=0.7, kappa=1.0, q_pos=1e-4, q_vel=2e-6, q_att=3e-8, q_bias_gyro=1e-12)
+    for m in (1, 10, 37):
+        a = rng.normal(size=(N_ERR, N_ERR))
+        fs = FilterState(
+            t=float(m),
+            p=rng.normal(0.0, 100.0, 3),
+            v=rng.normal(0.0, 8.0, 3),
+            q_bn=quat.normalize(rng.normal(size=4)),
+            b_g=rng.normal(0.0, 1e-4, 3),
+            b_a=rng.normal(0.0, 1e-3, 3),
+            # distinct bias sigmas per axis, correlated with the rest
+            P=1e-6 * a @ a.T
+            + np.diag([0.25] * 3 + [0.01] * 3 + [2.5e-5] * 3 + [1e-8, 4e-8, 9e-8] + [1e-6, 4e-6, 9e-6]),
+        )
+        gyros = rng.normal(0.0, 0.2, (m, 3))
+        accels = rng.normal(0.0, 1.0, (m, 3)) + UP_ACCEL
+        dts = rng.uniform(0.005, 0.05, m)
+        got = predict(fs, gyros, accels, dts, params)
+        ref = predict_reference(fs, gyros, accels, dts, params)
+        assert got.t == ref.t
+        assert got.min_eig == ref.min_eig
+        for name in ("p", "v", "q_bn", "b_g", "b_a", "P"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), (m, name)
+
+
+def test_predict_constants_follow_the_parameter_set():
+    base = UkfParams()
+    n_lam, wm, wc, Q = base._predict_constants
+    # built once, read-only, and equal to what sigma_points and
+    # process_noise build on every call
+    assert base._predict_constants is base._predict_constants
+    _, wm_ref, wc_ref = sigma_points(np.zeros(N_ERR), np.eye(N_ERR), base.alpha, base.beta, base.kappa)
+    assert wm.tobytes() == wm_ref.tobytes()
+    assert wc.tobytes() == wc_ref.tobytes()
+    assert Q.tobytes() == base.process_noise().tobytes()
+    for a in (wm, wc, Q):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        base.alpha = 0.3
+    # another alpha moves the spread and the weights, not the noise
+    n_lam2, wm2, wc2, Q2 = UkfParams(alpha=0.3)._predict_constants
+    assert n_lam2 != n_lam
+    assert not np.array_equal(wm2, wm) and not np.array_equal(wc2, wc)
+    assert np.array_equal(Q2, Q)
+    # another q_vel moves the noise, not the weights
+    n_lam3, wm3, wc3, Q3 = UkfParams(q_vel=2e-6)._predict_constants
+    assert n_lam3 == n_lam and np.array_equal(wm3, wm) and np.array_equal(wc3, wc)
+    assert not np.array_equal(Q3, Q)
+    assert np.diag(Q3)[3:6].tolist() == [2e-6] * 3
 
 
 def test_predict_biases_spread_velocity():
@@ -373,3 +432,17 @@ def test_correct_matches_inject():
         dx[6:9] = angle * axis / np.linalg.norm(axis)
         for got, ref in zip(_correct(fs, dx), _inject(fs, dx)):
             assert np.array_equal(got, ref), angle
+
+
+def test_compose_matches_array_product():
+    # the Python-float composition equals normalize(multiply(q,
+    # from_rotvec(r))) on numpy byte for byte: r = 0, sub-1e-8 rad and up
+    # to pi, about one axis or all three
+    rng = np.random.default_rng(23)
+    angles = np.concatenate([[0.0, 1e-300, 1e-16, 1e-9], 10.0 ** rng.uniform(-16.0, math.log10(math.pi), 9996)])
+    for k, angle in enumerate(angles):
+        q = quat.normalize(rng.normal(size=4))
+        axis = np.eye(3)[k % 3] if k % 2 else rng.normal(size=3)
+        r = angle * axis / np.linalg.norm(axis)
+        ref = quat.normalize(quat.multiply(q, quat.from_rotvec(r)))
+        assert _compose(q, r).tobytes() == ref.tobytes(), angle

@@ -240,7 +240,7 @@ def test_synthesis_memory_is_its_outputs():
     # hold a sixth of the epochs.
     for double in (False, True):
         setup = replace(sweep_case_400s(), include_double_bounce=double)
-        synth_measurements(replace(setup, duration_s=5.0))  # first-call caches
+        synth_measurements(replace(setup, duration_s=5.0, outages=[]))  # first-call caches
         tracemalloc.start()
         try:
             ms = synth_measurements(setup)
@@ -527,7 +527,10 @@ def test_filter_epochs_are_counted_at_run_filter(monkeypatch, tmp_path):
     monkeypatch.setattr(pipeline, "RunResult", recording)
     root = Path(__file__).resolve().parents[1]
     ring = json.loads((root / "configs" / "single_ring.json").read_text())
+    # cut to 2 s, and so without the preset's 20-40 s outage, which the cut
+    # run never reaches
     ring["duration_s"] = 2
+    ring["outages"] = []
     (tmp_path / "ring.json").write_text(json.dumps(ring))
     replay = dict(ring, with_sbr=False, measurement_log="ring/measurements.jsonl")
     (tmp_path / "replay.json").write_text(json.dumps(replay))
@@ -557,7 +560,10 @@ def test_traced_sbr_path_count_is_the_fix_n_paths(monkeypatch, tmp_path):
 
     monkeypatch.setattr(pipeline, "sbr_fix", recording)
     ring = json.loads((ROOT / "configs" / "single_ring.json").read_text())
+    # cut to 2 s, and so without the preset's 20-40 s outage, which the cut
+    # run never reaches
     ring["duration_s"] = 2
+    ring["outages"] = []
     (tmp_path / "ring.json").write_text(json.dumps(ring))
     args = [str(tmp_path / "ring.json"), "--output-dir", str(tmp_path / "ring")]
     assert mpnav.cli.main(args) == mpnav.cli.EXIT_OK

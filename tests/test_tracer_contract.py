@@ -29,7 +29,10 @@ def load_tracer():
 def test_traced_layers_and_metrics_complete(tmp_path):
     tracer_mod = load_tracer()
     ring = json.loads((ROOT / "configs" / "single_ring.json").read_text())
+    # cut to 2 s, and so without the preset's 20-40 s outage, which the cut
+    # run never reaches
     ring["duration_s"] = 2
+    ring["outages"] = []
     (tmp_path / "ring.json").write_text(json.dumps(ring))
     replay = dict(ring, with_sbr=False, measurement_log="ring/measurements.jsonl")
     (tmp_path / "replay.json").write_text(json.dumps(replay))
