@@ -276,15 +276,11 @@ def write_csv(path, columns, rows):
 
 
 def write_manifest(path, config_echo: dict, extra: dict | None = None):
-    import numpy
-    import scipy
-
     from . import __version__
 
     body = {
         "package_version": __version__,
-        "numpy_version": numpy.__version__,
-        "scipy_version": scipy.__version__,
+        "numpy_version": np.__version__,
         "config": config_echo,
     }
     if extra:

@@ -43,23 +43,13 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class UkfParams:
-    """Sigma-point scaling (prediction only) plus continuous-time process
-    noise densities.
-
-    q_vel and q_att should match the IMU white-noise densities squared
-    ((m/s^2)^2/Hz and (rad/s)^2/Hz); the bias densities stay zero when biases
-    are modeled as run constants. Frozen, so that the prediction constants
-    derived from the fields on first use cannot go stale.
-    """
+    """Sigma-point scaling of the prediction step and the NIS gate of the
+    updates. Frozen, so that the prediction constants derived from the
+    fields on first use cannot go stale."""
 
     alpha: float = 0.5
     beta: float = 2.0
     kappa: float = 0.0
-    q_pos: float = 0.0
-    q_vel: float = 1e-6
-    q_att: float = 1e-8
-    q_bias_gyro: float = 0.0
-    q_bias_accel: float = 0.0
     nis_gate: float = NIS_GATE_999_DOF3
 
     def __post_init__(self):
@@ -73,42 +63,34 @@ class UkfParams:
             raise ValueError(f"kappa must be > -{N_ERR}")
         if not self.nis_gate > 0.0:
             raise ValueError("nis_gate must be > 0")
-        for name in ("q_pos", "q_vel", "q_att", "q_bias_gyro", "q_bias_accel"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-
-    def process_noise(self) -> np.ndarray:
-        q = np.zeros(N_ERR)
-        q[_SL["p"]] = self.q_pos
-        q[_SL["v"]] = self.q_vel
-        q[_SL["att"]] = self.q_att
-        q[_SL["bg"]] = self.q_bias_gyro
-        q[_SL["ba"]] = self.q_bias_accel
-        return np.diag(q)
 
     @cached_property
     def _predict_constants(self):
-        """(n + lambda, wm, wc, Q) of a prediction step over the error
-        state, read-only; built once per parameter set, on first use."""
+        """(n + lambda, wm, wc) of a prediction step over the error state,
+        the weights read-only; built once per parameter set, on first use."""
         n_lam, wm, wc = _ut_weights(N_ERR, self.alpha, self.beta, self.kappa)
-        out = (n_lam, wm, wc, self.process_noise())
-        for a in out[1:]:
-            a.flags.writeable = False
-        return out
+        wm.flags.writeable = wc.flags.writeable = False
+        return n_lam, wm, wc
 
-    @classmethod
-    def from_imu_error(cls, imu_err) -> "UkfParams":
-        return cls(
-            q_vel=imu_err.accel_noise_density**2,
-            q_att=imu_err.gyro_noise_density**2,
-        )
+
+def process_noise(accel_noise_density: float, gyro_noise_density: float) -> np.ndarray:
+    """Continuous-time process noise of the error state from the IMU's
+    white-noise densities: their squares ((m/s^2)^2/Hz, (rad/s)^2/Hz) on
+    velocity and attitude, zero on position (integrated from velocity) and
+    on the biases (run constants)."""
+    q = np.zeros(N_ERR)
+    q[_SL["v"]] = accel_noise_density**2
+    q[_SL["att"]] = gyro_noise_density**2
+    return np.diag(q)
 
 
 @dataclass
 class FilterState:
     """Nominal state plus error-state covariance (15x15, ordering
-    [dp, dv, dtheta, db_g, db_a]). min_eig is the smallest eigenvalue of P
-    when the step that made P computed it, else None."""
+    [dp, dv, dtheta, db_g, db_a]), as float arrays: p, v, b_g, b_a (3,),
+    q_bn (4,). min_eig is the smallest eigenvalue of P when the step that
+    made P computed it, else None. Every step returns a new state; none
+    changes one in place."""
 
     t: float
     p: np.ndarray
@@ -119,35 +101,15 @@ class FilterState:
     P: np.ndarray = field(default_factory=lambda: np.eye(N_ERR))
     min_eig: float | None = None
 
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float).reshape(3)
-        self.v = np.asarray(self.v, dtype=float).reshape(3)
-        self.q_bn = np.asarray(self.q_bn, dtype=float).reshape(4)
-        self.b_g = np.asarray(self.b_g, dtype=float).reshape(3)
-        self.b_a = np.asarray(self.b_a, dtype=float).reshape(3)
-        self.P = np.asarray(self.P, dtype=float).reshape(N_ERR, N_ERR)
-
-    def copy(self) -> "FilterState":
-        return FilterState(
-            t=self.t,
-            p=self.p.copy(),
-            v=self.v.copy(),
-            q_bn=self.q_bn.copy(),
-            b_g=self.b_g.copy(),
-            b_a=self.b_a.copy(),
-            P=self.P.copy(),
-            min_eig=self.min_eig,
-        )
-
     def error_vector(self, p, v, q_bn, b_g, b_a) -> np.ndarray:
         """delta = true (-) estimate against a reference truth; pairs with P
         for consistency statistics."""
         e = np.empty(N_ERR)
-        e[_SL["p"]] = np.asarray(p, dtype=float) - self.p
-        e[_SL["v"]] = np.asarray(v, dtype=float) - self.v
+        e[_SL["p"]] = p - self.p
+        e[_SL["v"]] = v - self.v
         e[_SL["att"]] = quat.to_rotvec(quat.multiply(quat.conjugate(self.q_bn), q_bn))
-        e[_SL["bg"]] = np.asarray(b_g, dtype=float) - self.b_g
-        e[_SL["ba"]] = np.asarray(b_a, dtype=float) - self.b_a
+        e[_SL["bg"]] = b_g - self.b_g
+        e[_SL["ba"]] = b_a - self.b_a
         return e
 
 
@@ -170,9 +132,10 @@ def _ut_weights(n: int, alpha: float, beta: float, kappa: float):
 
 def _points(mean: np.ndarray, P, n_lam: float) -> np.ndarray:
     """The 2n+1 sigma points: mean, then mean +- the columns of the
-    Cholesky factor of (n + lambda) P."""
+    Cholesky factor of (n + lambda) P. Raises numpy.linalg.LinAlgError when
+    P has lost positive definiteness."""
     n = mean.size
-    root = np.linalg.cholesky(n_lam * np.asarray(P, dtype=float))
+    root = np.linalg.cholesky(n_lam * P)
     pts = np.empty((2 * n + 1, n))
     pts[0] = mean
     pts[1 : n + 1] = mean + root.T
@@ -180,21 +143,9 @@ def _points(mean: np.ndarray, P, n_lam: float) -> np.ndarray:
     return pts
 
 
-def sigma_points(mean, P, alpha: float = 0.5, beta: float = 2.0, kappa: float = 0.0):
-    """Scaled unscented transform: 2n+1 points and (mean, cov) weights.
-
-    Raises numpy.linalg.LinAlgError when P has lost positive definiteness,
-    which callers treat as covariance corruption.
-    """
-    mean = np.asarray(mean, dtype=float)
-    n_lam, wm, wc = _ut_weights(mean.size, alpha, beta, kappa)
-    return _points(mean, P, n_lam), wm, wc
-
-
 def _inject(fs: FilterState, dx: np.ndarray):
     """Apply error-state points/corrections to the nominal state; dx may be
     a single 15-vector or a stack (m, 15)."""
-    dx = np.asarray(dx, dtype=float)
     p = fs.p + dx[..., _SL["p"]]
     v = fs.v + dx[..., _SL["v"]]
     q = quat.normalize(quat.multiply(fs.q_bn, quat.from_rotvec(dx[..., _SL["att"]])))
@@ -217,20 +168,17 @@ def _finalize_cov(P: np.ndarray):
     return P, eigmin
 
 
-def predict(fs: FilterState, gyros, accels, dts, params: UkfParams) -> FilterState:
+def predict(fs: FilterState, gyros, accels, dts, params: UkfParams, Q) -> FilterState:
     """Propagate through the mechanization over a batch of IMU samples.
 
     gyros/accels: (m, 3) arrays, dts: (m,) per-sample intervals covering
     (fs.t, fs.t + sum(dts)]. Each sigma point is mechanized with its own bias
-    subvector, the whole interval in one call; process noise enters as
-    Q * elapsed time.
+    subvector, the whole interval in one call; the process noise density Q
+    (15x15, from process_noise) enters as Q * elapsed time.
     """
-    gyros = np.atleast_2d(np.asarray(gyros, dtype=float))
-    accels = np.atleast_2d(np.asarray(accels, dtype=float))
-    dts = np.atleast_1d(np.asarray(dts, dtype=float))
     if (dts <= 0.0).any():
         raise ValueError("IMU intervals must be positive")
-    n_lam, wm, wc, Q = params._predict_constants
+    n_lam, wm, wc = params._predict_constants
     pts = _points(np.zeros(N_ERR), fs.P, n_lam)
     p, v, q, bg, ba = _inject(fs, pts)
     p, v, q = mechanize_arrays(p, v, q, bg, ba, gyros, accels, dts)
@@ -270,18 +218,14 @@ def _chi2_sf_dof3(g: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def _gate_for_dim(gate_dof3: float, dim: int) -> float:
-    """Re-express the 3-dof gate threshold at another measurement dimension,
-    holding the confidence level fixed. Only dim 3 and 4 occur.
+def _gate_dof4(gate_dof3: float) -> float:
+    """The 3-dof gate threshold re-expressed at four degrees of freedom,
+    holding the confidence level fixed.
 
     At four degrees of freedom the tail is exp(-y/2) (1 + y/2), so the
     threshold y solves y = 2 (log1p(y/2) - log(tail)); the fixed-point
     iteration contracts and stops when y repeats.
     """
-    if dim == 3:
-        return gate_dof3
-    if dim != 4:
-        raise ValueError(f"no gate for measurement dimension {dim}")
     log_tail = math.log(_chi2_sf_dof3(gate_dof3))
     y = gate_dof3
     for _ in range(1000):
@@ -295,7 +239,8 @@ def _gate_for_dim(gate_dof3: float, dim: int) -> float:
 def _kf_update(fs: FilterState, nu, PHt, S, gate):
     """Closed-form Kalman step for a measurement linear in the error state
     with Jacobian H: innovation nu, PHt = P H^T, innovation covariance
-    S = H P H^T + R; gated on the NIS."""
+    S = H P H^T + R; gated on the NIS. A rejected step returns fs itself:
+    no code changes a state in place."""
     try:
         x = np.linalg.solve(S, np.column_stack([nu, PHt.T]))
     except np.linalg.LinAlgError as exc:
@@ -303,7 +248,7 @@ def _kf_update(fs: FilterState, nu, PHt, S, gate):
     K = x[:, 1:].T
     nis = float(nu @ x[:, 0])
     if nis > gate:
-        return fs.copy(), UpdateInfo(nis=nis, accepted=False)
+        return fs, UpdateInfo(nis=nis, accepted=False)
     dx = K @ nu
     P, eigmin = _finalize_cov(fs.P - K @ S @ K.T)
     p, v, q, bg, ba = _correct(fs, dx)
@@ -338,17 +283,16 @@ def _correct(fs: FilterState, dx: np.ndarray):
     return p, v, q, fs.b_g + dx[_SL["bg"]], fs.b_a + dx[_SL["ba"]]
 
 
-def update_position(fs: FilterState, fix, R, params: UkfParams):
+def update_position(fs: FilterState, p, R, params: UkfParams):
     """Position-fix measurement update with NIS gating.
 
-    fix: the fix (anything with a position p) or its position (3,). The
-    fix observes dp directly (H = [I 0], so P H^T is the first three
-    columns of P). Returns (state, UpdateInfo); the state is unchanged when
-    the normalized innovation squared exceeds the gate, which protects the
-    filter from admission-gate leakage.
+    p: the fix's position (3,), R its covariance (3, 3). The fix observes
+    dp directly (H = [I 0], so P H^T is the first three columns of P).
+    Returns (state, UpdateInfo); the state is fs itself when the normalized
+    innovation squared exceeds the gate, which protects the filter from
+    admission-gate leakage.
     """
-    R = np.asarray(R, dtype=float).reshape(3, 3)
-    nu = np.asarray(getattr(fix, "p", fix), dtype=float) - fs.p
+    nu = p - fs.p
     PHt = fs.P[:, :3]
     return _kf_update(fs, nu, PHt, PHt[:3] + R, params.nis_gate)
 
@@ -362,13 +306,12 @@ def update_position_yaw(fs: FilterState, fix, R, params: UkfParams):
     R(q) applied to the body-side error angles. R is 4x4 with the position
     block first.
     """
-    R = np.asarray(R, dtype=float).reshape(4, 4)
     H = np.zeros((4, N_ERR))
     H[:3] = np.eye(3, N_ERR)
     # R(q)[2], the row quat.to_matrix writes, on Python floats
     w, x, y, z = fs.q_bn.tolist()
     H[3, _SL["att"]] = 2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)
-    nu = np.concatenate([np.asarray(fix.p, dtype=float) - fs.p, [fix.yaw]])
-    gate = _gate_for_dim(params.nis_gate, 4)
+    nu = np.concatenate([fix.p - fs.p, [fix.yaw]])
+    gate = _gate_dof4(params.nis_gate)
     PHt = fs.P @ H.T
     return _kf_update(fs, nu, PHt, H @ PHt + R, gate)

@@ -15,7 +15,14 @@ import numpy as np
 
 from . import quat
 from .fixes import los_fix, sbr_fix, sbr_locus_residuals
-from .fusion import FilterState, UkfParams, predict, update_position, update_position_yaw
+from .fusion import (
+    FilterState,
+    UkfParams,
+    predict,
+    process_noise,
+    update_position,
+    update_position_yaw,
+)
 from .gates import GateConfig, classify_los, motion_gate, oori_check
 from .scene import (
     SPEED_OF_LIGHT,
@@ -89,7 +96,7 @@ class RunSetup:
     noise: NoiseCfg = field(default_factory=NoiseCfg)
     imu_err: ImuErrorModel = field(default_factory=ImuErrorModel)
     gate_cfg: GateConfig = field(default_factory=GateConfig)
-    ukf: UkfParams = None
+    ukf: UkfParams = field(default_factory=UkfParams)
     init_err: InitErrors = field(default_factory=InitErrors)
     outages: list = field(default_factory=list)
     odo_noise_std: float = 0.05
@@ -98,8 +105,6 @@ class RunSetup:
     compute_nees: bool = True
 
     def __post_init__(self):
-        if self.ukf is None:
-            self.ukf = UkfParams.from_imu_error(self.imu_err)
         if self.duration_s <= 0:
             raise ValueError("duration_s must be > 0")
         if round(self.duration_s * self.rates.obs_hz) < 1:
@@ -411,7 +416,8 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
     if setup.compute_nees and truth_bg is not None:
         att_ep = truth.att[ms.epoch_idx]
         q_truth_ep = quat.from_euler(att_ep[:, 0], att_ep[:, 1], att_ep[:, 2])
-    last_accept_p = fs.p.copy()
+    Q = process_noise(setup.imu_err.accel_noise_density, setup.imu_err.gyro_noise_density)
+    last_accept_p = fs.p
     travel_budget = 0.0
     prev_idx = 0
 
@@ -422,6 +428,7 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
             ms.accel[prev_idx:idx],
             dts[prev_idx:idx],
             setup.ukf,
+            Q,
         )
         prev_idx = idx
 
@@ -490,10 +497,9 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
                         r_mat[:3, :3] = fix.cov + r_floor
                         r_mat[3, 3] = fix.yaw_var + 1e-8
                         r_mat[:3, 3] = r_mat[3, :3] = fix.yaw_pos_cov
-                        update = update_position_yaw
+                        fs, info = update_position_yaw(fs, fix, r_mat, setup.ukf)
                     else:
-                        r_mat, update = fix.cov + r_floor, update_position
-                    fs, info = update(fs, fix, r_mat, setup.ukf)
+                        fs, info = update_position(fs, fix.p, fix.cov + r_floor, setup.ukf)
                     if info.accepted:
                         accepted_any = True
                         counters["sbr_updates"] += 1
@@ -501,7 +507,7 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
                         counters["sbr_nis_skipped"] += 1
 
         if accepted_any:
-            last_accept_p = fs.p.copy()
+            last_accept_p = fs.p
             travel_budget = 0.0
 
         out_est[e_i] = fs.p
@@ -547,8 +553,9 @@ def run_pair(setup: RunSetup):
 
 def _radio_columns(cols, epoch_of_t, station, n_epochs, sbr=False):
     """RadioRecords of one kind from the log reader's columns, rows ordered
-    by epoch and, within an epoch, by file order; rows whose time is on no
-    epoch are left out. station maps station ids to scenario indices."""
+    by epoch and, within an epoch, by file order; rows whose time epoch_of_t
+    maps to no epoch are left out. station maps station ids to scenario
+    indices."""
     lookup = np.array([station.get(i, -1) for i in cols.ids], dtype=int)
     epochs = np.array(
         [epoch_of_t.get(round(t, 6), -1) for t in cols.values[:, 0].tolist()], dtype=int
@@ -571,7 +578,8 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
     """Rebuild a MeasurementSet from the log reader's columns
     (synth.read_measurement_log); the truth trajectory still comes from the
     scenario (the log carries no truth), and bias truth is unknown, so
-    consistency statistics are unavailable on ingested runs.
+    consistency statistics are unavailable on ingested runs. LoS records at
+    an epoch inside setup.outages are dropped, as synthesis drops them.
 
     Raises ValueError when the log cannot feed the filter: an IMU sample
     count other than the scenario's, an IMU time other than the scenario's
@@ -617,6 +625,8 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
         raise ValueError(f"log names base stations not in the scenario: {sorted(unknown)}")
     epoch_t = times[epoch_idx]
     epoch_of_t = {round(t, 6): e for e, t in enumerate(epoch_t.tolist())}
+    blocked = outage_mask(epoch_t, setup.outages).tolist()
+    los_epoch_of_t = {t: e for t, e in epoch_of_t.items() if not blocked[e]}
     n_epochs = len(epoch_idx)
     return MeasurementSet(
         truth=truth,
@@ -629,7 +639,7 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
         accel=imu.values[:, 4:7].copy(),
         odo_t=odo_t.copy(),
         odo_v=odo.values[:, 1].copy(),
-        los=_radio_columns(los, epoch_of_t, station, n_epochs),
+        los=_radio_columns(los, los_epoch_of_t, station, n_epochs),
         sbr=_radio_columns(sbr, epoch_of_t, station, n_epochs, sbr=True),
         truth_biases=None,
     )

@@ -713,17 +713,18 @@ def mechanize_per_sample(p, v, q, b_g, b_a, gyros, accels, dts):
     return tuple(np.stack(x) for x in zip(*out))
 
 
-def predict_reference(fs, gyros, accels, dts, params):
-    """Reference for mpnav.fusion.predict: sigma points and weights from
-    sigma_points, process noise from process_noise() and the attitude mean
-    composed on numpy arrays, every call."""
+def predict_reference(fs, gyros, accels, dts, params, Q):
+    """Reference for mpnav.fusion.predict: weights from _ut_weights and
+    sigma points from _points, built on every call, and the attitude mean
+    composed on numpy arrays."""
     gyros = np.atleast_2d(np.asarray(gyros, dtype=float))
     accels = np.atleast_2d(np.asarray(accels, dtype=float))
     dts = np.atleast_1d(np.asarray(dts, dtype=float))
     if np.any(dts <= 0.0):
         raise ValueError("IMU intervals must be positive")
     n_err = fusion.N_ERR
-    pts, wm, wc = fusion.sigma_points(np.zeros(n_err), fs.P, params.alpha, params.beta, params.kappa)
+    n_lam, wm, wc = fusion._ut_weights(n_err, params.alpha, params.beta, params.kappa)
+    pts = fusion._points(np.zeros(n_err), fs.P, n_lam)
     p, v, q, bg, ba = fusion._inject(fs, pts)
     p, v, q = mechanize_arrays(p, v, q, bg, ba, gyros, accels, dts)
     p, v, q = p[-1], v[-1], q[-1]
@@ -741,7 +742,7 @@ def predict_reference(fs, gyros, accels, dts, params):
     err[:, 9:12] = bg - bg_mean
     err[:, 12:15] = ba - ba_mean
     elapsed = float(np.sum(dts))
-    P = (wc * err.T) @ err + params.process_noise() * elapsed
+    P = (wc * err.T) @ err + Q * elapsed
     P, eigmin = fusion._finalize_cov(P)
     return fusion.FilterState(
         t=fs.t + elapsed,
@@ -1409,12 +1410,13 @@ def run_filter_per_record(ms, epochs, setup):
     per-epoch record lists (epochs as from epoch_records), one LoS record
     at a time. Returns (p_est, counters)."""
     from mpnav.fixes import los_fix, sbr_fix
-    from mpnav.fusion import predict, update_position, update_position_yaw
+    from mpnav.fusion import predict, process_noise, update_position, update_position_yaw
     from mpnav.gates import classify_los, motion_gate
     from mpnav.pipeline import R_FLOOR_M2, _init_filter, _rng_streams
 
     bs_by_id = {bs.id: bs for bs in setup.scenario.base_stations}
     fs = _init_filter(setup, ms.truth, _rng_streams(setup.seed)["init"])
+    Q = process_noise(setup.imu_err.accel_noise_density, setup.imu_err.gyro_noise_density)
     dts = np.diff(ms.truth.t)
     odo_t, odo_v = ms.odo_t, ms.odo_v
     dt_obs = 1.0 / setup.rates.obs_hz
@@ -1449,6 +1451,7 @@ def run_filter_per_record(ms, epochs, setup):
             ms.accel[prev_idx:idx],
             dts[prev_idx:idx],
             setup.ukf,
+            Q,
         )
         prev_idx = idx
         j = min(int(np.searchsorted(odo_t, t - 1e-9)), len(odo_v) - 1)
@@ -1470,7 +1473,7 @@ def run_filter_per_record(ms, epochs, setup):
                 continue
             counters["los_admitted"] += 1
             r_mat = fix.cov + R_FLOOR_M2 * np.eye(3)
-            fs, info = update_position(fs, fix, r_mat, setup.ukf)
+            fs, info = update_position(fs, fix.p, r_mat, setup.ukf)
             if info.accepted:
                 accepted_any = True
             else:
@@ -1505,7 +1508,7 @@ def run_filter_per_record(ms, epochs, setup):
                         fs, info = update_position_yaw(fs, fix, r4, setup.ukf)
                     else:
                         r_mat = fix.cov + R_FLOOR_M2 * np.eye(3)
-                        fs, info = update_position(fs, fix, r_mat, setup.ukf)
+                        fs, info = update_position(fs, fix.p, r_mat, setup.ukf)
                     if info.accepted:
                         accepted_any = True
                         counters["sbr_updates"] += 1

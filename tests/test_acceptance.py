@@ -257,8 +257,7 @@ def test_criterion_6_filter_consistency():
     for fs in finals[:100]:
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
-        spoof = SimpleNamespace(p=fs.p + 100.0 * u)
-        _, info = update_position(fs, spoof, np.eye(3), setup.ukf)
+        _, info = update_position(fs, fs.p + 100.0 * u, np.eye(3), setup.ukf)
         rejected += int(not info.accepted)
 
     ok = (

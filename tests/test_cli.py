@@ -489,6 +489,28 @@ def test_measurement_log_ingestion_reproduces_run(tmp_path):
     assert not (out2 / "measurements.jsonl").exists()
 
 
+@pytest.mark.parametrize("with_sbr", [True, False])
+def test_log_replay_applies_the_outages(tmp_path, with_sbr):
+    # a log of a run without outages, replayed with a window, equals the
+    # run synthesized with that window: its LoS records are dropped the same
+    ring = dict(RING_3S, duration_s=4, with_sbr=with_sbr)
+    window = {"outages": [[1.0, 3.0]]}
+    runs = {
+        "log": ring,
+        "synth": dict(ring, **window),
+        "replay": dict(ring, **window, measurement_log="log/measurements.jsonl"),
+    }
+    for name, cfg in runs.items():
+        assert main([str(write_config(tmp_path, cfg, f"{name}.json")), "--output-dir", str(tmp_path / name)]) == EXIT_OK
+    synth, replay = tree_bytes(tmp_path / "synth"), tree_bytes(tmp_path / "replay")
+    for files in (synth, replay):
+        files.pop("manifest.json")
+    synth.pop("measurements.jsonl")
+    assert replay == synth
+    counts = read_summary(tmp_path / "replay")
+    assert int(counts["los_total"]) < int(read_summary(tmp_path / "log")["los_total"])
+
+
 def test_without_sbr_label(tmp_path):
     cfg = write_config(tmp_path, mini_config(with_sbr=False))
     out = tmp_path / "out"
@@ -637,8 +659,6 @@ RING_3S = {
     [
         ("ukf", "nis_gate", -1.0),
         ("ukf", "nis_gate", float("nan")),
-        ("ukf", "q_vel", -1.0),
-        ("ukf", "q_att", float("inf")),
         ("ukf", "kappa", -20.0),
         ("imu_error", "bias_mode", "weird"),
         ("imu_error", "gyro_bias_std_rps", -1e-3),
@@ -656,8 +676,6 @@ RING_3S = {
     ids=[
         "nis_gate_negative",
         "nis_gate_nan",
-        "q_vel_negative",
-        "q_att_infinite",
         "kappa_below_minus_15",
         "bias_mode_unknown",
         "gyro_bias_std_negative",
@@ -682,6 +700,18 @@ def test_bad_filter_or_imu_parameter_exits_2(tmp_path, capsys, block, key, value
     assert err.startswith(f"config error: {block}:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_ukf_block_leaves_the_process_noise_to_imu_error(tmp_path):
+    # the filter's process noise comes from imu_error alone: a ukf block at
+    # its default alpha writes what the run without it writes
+    noisy = dict(RING_3S, imu_error={"accel_noise_density": 0.01})
+    for name, cfg in {"bare": noisy, "ukf": dict(noisy, ukf={"alpha": 0.5})}.items():
+        assert main([str(write_config(tmp_path, cfg, f"{name}.json")), "--output-dir", str(tmp_path / name)]) == EXIT_OK
+    got, ref = tree_bytes(tmp_path / "ukf"), tree_bytes(tmp_path / "bare")
+    for files in (got, ref):
+        files.pop("manifest.json")
+    assert got == ref
 
 
 @pytest.mark.parametrize(
@@ -773,18 +803,7 @@ DEFAULT_KEYS = {
         "motion_margin_m": 2.0,
     },
     "init_errors": {"pos_std_m": 0.5, "vel_std_mps": 0.1, "att_std_rad": 0.005},
-    # the filter's default takes q_vel and q_att from the IMU noise densities
-    "ukf": {
-        "alpha": 0.5,
-        "beta": 2.0,
-        "kappa": 0.0,
-        "q_pos": 0.0,
-        "q_vel": 1e-6,
-        "q_att": 1e-8,
-        "q_bias_gyro": 0.0,
-        "q_bias_accel": 0.0,
-        "nis_gate": 16.26623619623813,
-    },
+    "ukf": {"alpha": 0.5, "beta": 2.0, "kappa": 0.0, "nis_gate": 16.26623619623813},
 }
 
 
@@ -848,17 +867,7 @@ OFF_DEFAULT_KEYS = {
         "motion_margin_m": 0.0,
     },
     "init_errors": {"pos_std_m": 1.0, "vel_std_mps": 0.2, "att_std_rad": 0.01},
-    "ukf": {
-        "alpha": 0.4,
-        "beta": 3.0,
-        "kappa": 1.0,
-        "q_pos": 1e-4,
-        "q_vel": 1e-5,
-        "q_att": 1e-7,
-        "q_bias_gyro": 1e-12,
-        "q_bias_accel": 1e-10,
-        "nis_gate": 1.0,
-    },
+    "ukf": {"alpha": 0.4, "beta": 3.0, "kappa": 1.0, "nis_gate": 1.0},
 }
 
 
@@ -909,8 +918,9 @@ def test_every_key_off_its_default_changes_some_output(tmp_path):
         dict(RING_3S, trapezoid=False),
         dict(RING_3S, scenario={"preset": "ring", "params": {"reflection_loss_db": 20.0}}),
         dict(RING_3S, outages=[{"t_start_s": 1.0, "t_end_s": 2.0}]),
+        *(dict(RING_3S, ukf={key: 0.0}) for key in ("q_pos", "q_vel", "q_att", "q_bias_gyro", "q_bias_accel")),
     ],
-    ids=["trapezoid", "ring_reflection_loss", "outage_object"],
+    ids=["trapezoid", "ring_reflection_loss", "outage_object", "q_pos", "q_vel", "q_att", "q_bias_gyro", "q_bias_accel"],
 )
 def test_removed_setting_exits_2(tmp_path, capsys, cfg):
     out = tmp_path / "out"

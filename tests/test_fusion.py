@@ -1,4 +1,5 @@
-"""Error-state UKF: sigma points, prediction, and gated position updates."""
+"""Error-state UKF: sigma points, process noise, prediction, and gated
+position updates."""
 
 import dataclasses
 import math
@@ -18,16 +19,19 @@ from mpnav.fusion import (
     _compose,
     _correct,
     _finalize_cov,
-    _gate_for_dim,
+    _gate_dof4,
     _inject,
+    _points,
+    _ut_weights,
     predict,
-    sigma_points,
+    process_noise,
     update_position,
     update_position_yaw,
 )
 from mpnav.ins import GRAVITY, mechanize_arrays
 
 UP_ACCEL = np.array([0.0, 0.0, -GRAVITY[2]])
+NO_NOISE = process_noise(0.0, 0.0)
 
 
 def level_state(P=None, t=0.0):
@@ -49,7 +53,9 @@ def stationary_imu(n, dt=0.01):
 
 def test_sigma_points_scalar_example():
     # n=1, alpha=1, kappa=0: lambda=0, points at mean +- sqrt(P)
-    pts, wm, wc = sigma_points(np.zeros(1), np.eye(1), alpha=1.0, beta=2.0, kappa=0.0)
+    n_lam, wm, wc = _ut_weights(1, alpha=1.0, beta=2.0, kappa=0.0)
+    pts = _points(np.zeros(1), np.eye(1), n_lam)
+    assert n_lam == 1.0
     assert pts.flatten() == pytest.approx([0.0, 1.0, -1.0])
     assert wm == pytest.approx([0.0, 0.5, 0.5])
     assert wc == pytest.approx([2.0, 0.5, 0.5])
@@ -61,7 +67,8 @@ def test_sigma_points_recover_moments():
         a = rng.normal(size=(n, n))
         P = a @ a.T + n * np.eye(n)
         mean = rng.normal(size=n)
-        pts, wm, wc = sigma_points(mean, P)
+        n_lam, wm, wc = _ut_weights(n, alpha=0.5, beta=2.0, kappa=0.0)
+        pts = _points(mean, P, n_lam)
         assert wm.sum() == pytest.approx(1.0, abs=1e-12)
         assert wm @ pts == pytest.approx(mean, abs=1e-10)
         d = pts - mean
@@ -72,18 +79,17 @@ def test_sigma_points_indefinite_raises():
     P = np.eye(3)
     P[2, 2] = -1.0
     with pytest.raises(np.linalg.LinAlgError):
-        sigma_points(np.zeros(3), P)
+        _points(np.zeros(3), P, _ut_weights(3, alpha=0.5, beta=2.0, kappa=0.0)[0])
 
 
 def test_predict_tracks_mechanization():
     # tiny covariance: the sigma-point mean must match plain dead reckoning
     fs = level_state(P=1e-16 * np.eye(N_ERR))
-    params = UkfParams(q_vel=0.0, q_att=0.0)
     n = 50
     gyros = np.tile([0.0, 0.0, 0.2], (n, 1))
     accels = np.tile(UP_ACCEL, (n, 1))
     dts = np.full(n, 0.01)
-    out = predict(fs, gyros, accels, dts, params)
+    out = predict(fs, gyros, accels, dts, UkfParams(), NO_NOISE)
     p, v, _ = mechanize_arrays(fs.p, fs.v, fs.q_bn, np.zeros(3), np.zeros(3), gyros, accels, dts)
     assert out.t == pytest.approx(0.5)
     assert out.p == pytest.approx(p[-1], abs=1e-9)
@@ -98,34 +104,36 @@ def test_predict_matches_per_sample_reference(monkeypatch):
     rng = np.random.default_rng(21)
     fs = FilterState(
         t=3.0,
-        p=[10.0, -4.0, 1.5],
-        v=[7.5, 2.0, 0.1],
+        p=np.array([10.0, -4.0, 1.5]),
+        v=np.array([7.5, 2.0, 0.1]),
         q_bn=quat.from_euler(0.02, -0.01, 1.1),
-        b_g=[1e-4, -2e-4, 5e-5],
-        b_a=[1e-3, 2e-3, -1e-3],
+        b_g=np.array([1e-4, -2e-4, 5e-5]),
+        b_a=np.array([1e-3, 2e-3, -1e-3]),
         # distinct bias sigmas per axis, so every sigma point has its own biases
         P=np.diag([0.25] * 3 + [0.01] * 3 + [2.5e-5] * 3 + [1e-8, 4e-8, 9e-8] + [1e-6, 4e-6, 9e-6]),
     )
-    params = UkfParams(q_vel=1e-6, q_att=1e-8)
+    params = UkfParams()
+    Q = process_noise(1e-3, 1e-4)
     for m in (1, 10):
         gyros = rng.normal(0.0, 0.2, (m, 3))
         accels = rng.normal(0.0, 1.0, (m, 3)) + UP_ACCEL
         dts = np.full(m, 0.05)
-        got = predict(fs, gyros, accels, dts, params)
+        got = predict(fs, gyros, accels, dts, params, Q)
         with monkeypatch.context() as mp:
             mp.setattr(fusion, "mechanize_arrays", mechanize_per_sample)
-            ref = predict(fs, gyros, accels, dts, params)
+            ref = predict(fs, gyros, accels, dts, params, Q)
         assert got.t == ref.t
         for name in ("p", "v", "q_bn", "b_g", "b_a", "P"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
 def test_predict_matches_numpy_reference():
-    # cached weights and noise matrix, the attitude mean on Python floats
-    # and the other array rewrites leave every bit of the prediction as the
-    # reference computes it
+    # cached weights, the attitude mean on Python floats and the other
+    # array rewrites leave every bit of the prediction as the reference
+    # computes it; Q has a density on every block but the accel bias
     rng = np.random.default_rng(22)
-    params = UkfParams(alpha=0.7, kappa=1.0, q_pos=1e-4, q_vel=2e-6, q_att=3e-8, q_bias_gyro=1e-12)
+    params = UkfParams(alpha=0.7, kappa=1.0)
+    Q = np.diag([1e-4] * 3 + [2e-6] * 3 + [3e-8] * 3 + [1e-12] * 3 + [0.0] * 3)
     for m in (1, 10, 37):
         a = rng.normal(size=(N_ERR, N_ERR))
         fs = FilterState(
@@ -142,8 +150,8 @@ def test_predict_matches_numpy_reference():
         gyros = rng.normal(0.0, 0.2, (m, 3))
         accels = rng.normal(0.0, 1.0, (m, 3)) + UP_ACCEL
         dts = rng.uniform(0.005, 0.05, m)
-        got = predict(fs, gyros, accels, dts, params)
-        ref = predict_reference(fs, gyros, accels, dts, params)
+        got = predict(fs, gyros, accels, dts, params, Q)
+        ref = predict_reference(fs, gyros, accels, dts, params, Q)
         assert got.t == ref.t
         assert got.min_eig == ref.min_eig
         for name in ("p", "v", "q_bn", "b_g", "b_a", "P"):
@@ -152,29 +160,23 @@ def test_predict_matches_numpy_reference():
 
 def test_predict_constants_follow_the_parameter_set():
     base = UkfParams()
-    n_lam, wm, wc, Q = base._predict_constants
-    # built once, read-only, and equal to what sigma_points and
-    # process_noise build on every call
+    n_lam, wm, wc = base._predict_constants
+    # built once, read-only, and equal to what _ut_weights builds on every
+    # call
     assert base._predict_constants is base._predict_constants
-    _, wm_ref, wc_ref = sigma_points(np.zeros(N_ERR), np.eye(N_ERR), base.alpha, base.beta, base.kappa)
+    n_lam_ref, wm_ref, wc_ref = _ut_weights(N_ERR, base.alpha, base.beta, base.kappa)
+    assert n_lam == n_lam_ref
     assert wm.tobytes() == wm_ref.tobytes()
     assert wc.tobytes() == wc_ref.tobytes()
-    assert Q.tobytes() == base.process_noise().tobytes()
-    for a in (wm, wc, Q):
+    for a in (wm, wc):
         with pytest.raises(ValueError):
             a[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         base.alpha = 0.3
-    # another alpha moves the spread and the weights, not the noise
-    n_lam2, wm2, wc2, Q2 = UkfParams(alpha=0.3)._predict_constants
+    # another alpha moves the spread and the weights
+    n_lam2, wm2, wc2 = UkfParams(alpha=0.3)._predict_constants
     assert n_lam2 != n_lam
     assert not np.array_equal(wm2, wm) and not np.array_equal(wc2, wc)
-    assert np.array_equal(Q2, Q)
-    # another q_vel moves the noise, not the weights
-    n_lam3, wm3, wc3, Q3 = UkfParams(q_vel=2e-6)._predict_constants
-    assert n_lam3 == n_lam and np.array_equal(wm3, wm) and np.array_equal(wc3, wc)
-    assert not np.array_equal(Q3, Q)
-    assert np.diag(Q3)[3:6].tolist() == [2e-6] * 3
 
 
 def test_predict_biases_spread_velocity():
@@ -182,10 +184,9 @@ def test_predict_biases_spread_velocity():
     P0 = 1e-12 * np.eye(N_ERR)
     P0_b = P0.copy()
     P0_b[12:15, 12:15] = 1e-4 * np.eye(3)
-    params = UkfParams(q_vel=0.0, q_att=0.0)
     g, a, dts = stationary_imu(100)
-    tight = predict(level_state(P=P0), g, a, dts, params)
-    loose = predict(level_state(P=P0_b), g, a, dts, params)
+    tight = predict(level_state(P=P0), g, a, dts, UkfParams(), NO_NOISE)
+    loose = predict(level_state(P=P0_b), g, a, dts, UkfParams(), NO_NOISE)
     var_tight = np.trace(tight.P[3:6, 3:6])
     var_loose = np.trace(loose.P[3:6, 3:6])
     assert var_loose > 100.0 * var_tight
@@ -195,14 +196,14 @@ def test_predict_biases_spread_velocity():
 
 def test_predict_process_noise_grows_trace():
     g, a, dts = stationary_imu(100)
-    quiet = UkfParams(q_vel=1e-9, q_att=1e-9)
-    noisy = UkfParams(q_vel=1e-3, q_att=1e-5)
+    quiet = process_noise(math.sqrt(1e-9), math.sqrt(1e-9))
+    noisy = process_noise(math.sqrt(1e-3), math.sqrt(1e-5))
     # keep attitude/bias blocks negligible so they cannot leak into velocity
     P0 = 1e-16 * np.eye(N_ERR)
     P0[:6, :6] = 1e-8 * np.eye(6)
     fs = level_state(P=P0)
-    out_q = predict(fs, g, a, dts, quiet)
-    out_n = predict(fs, g, a, dts, noisy)
+    out_q = predict(fs, g, a, dts, UkfParams(), quiet)
+    out_n = predict(fs, g, a, dts, UkfParams(), noisy)
     assert np.trace(out_n.P) > np.trace(out_q.P)
     # Q enters as density * elapsed
     assert out_n.P[3, 3] == pytest.approx(1e-8 + 1e-3 * 1.0, rel=1e-3)
@@ -212,13 +213,9 @@ def test_predict_rejects_bad_intervals():
     fs = level_state()
     params = UkfParams()
     with pytest.raises(ValueError):
-        predict(fs, np.zeros((2, 3)), np.tile(UP_ACCEL, (2, 1)), [0.01, 0.0], params)
+        predict(fs, np.zeros((2, 3)), np.tile(UP_ACCEL, (2, 1)), np.array([0.01, 0.0]), params, NO_NOISE)
     with pytest.raises(ValueError):
-        predict(fs, np.zeros((1, 3)), [UP_ACCEL], [-0.01], params)
-
-
-def pos_fix(p, cov=None):
-    return SimpleNamespace(p=np.asarray(p, dtype=float), cov=cov)
+        predict(fs, np.zeros((1, 3)), UP_ACCEL[None], np.array([-0.01]), params, NO_NOISE)
 
 
 def test_update_position_limit_cases():
@@ -226,11 +223,11 @@ def test_update_position_limit_cases():
     P0 = np.diag([4.0, 4.0, 4.0, 0.25, 0.25, 0.25] + [1e-4] * 9)
     z = np.array([1.0, -2.0, 0.5])
     # near-exact measurement pins the state to it
-    fs, info = update_position(level_state(P=P0), pos_fix(z), 1e-12 * np.eye(3), params)
+    fs, info = update_position(level_state(P=P0), z, 1e-12 * np.eye(3), params)
     assert info.accepted
     assert fs.p == pytest.approx(z, abs=1e-6)
     # near-useless measurement leaves the prior alone
-    fs2, _ = update_position(level_state(P=P0), pos_fix(z), 1e12 * np.eye(3), params)
+    fs2, _ = update_position(level_state(P=P0), z, 1e12 * np.eye(3), params)
     assert fs2.p == pytest.approx(np.zeros(3), abs=1e-6)
     assert np.allclose(fs2.P, P0, atol=1e-6)
 
@@ -244,7 +241,7 @@ def test_update_position_matches_linear_kf():
     fs0 = level_state(P=P0)
     z = np.array([0.8, -0.3, 0.2])
     R = np.diag([0.5, 0.7, 0.9])
-    fs, info = update_position(fs0, pos_fix(z), R, UkfParams())
+    fs, info = update_position(fs0, z, R, UkfParams())
     H = np.zeros((3, N_ERR))
     H[:, :3] = np.eye(3)
     S = H @ P0 @ H.T + R
@@ -261,7 +258,7 @@ def test_update_position_matches_linear_kf():
     # position + yaw: the yaw row is the third row of R(q) on the attitude
     # block, and its innovation is the fix's yaw offset itself
     q0 = quat.from_euler(0.1, -0.2, 0.7)
-    fs0 = FilterState(t=0.0, p=[1.0, 2.0, 0.5], v=np.zeros(3), q_bn=q0, P=P0)
+    fs0 = FilterState(t=0.0, p=np.array([1.0, 2.0, 0.5]), v=np.zeros(3), q_bn=q0, P=P0)
     fix = SimpleNamespace(p=np.array([1.5, 1.8, 0.4]), yaw=0.3)
     R4 = np.diag([0.5, 0.7, 0.9, 0.05])
     R4[:3, 3] = R4[3, :3] = [0.01, -0.02, 0.005]
@@ -287,7 +284,7 @@ def test_update_position_tightens_every_axis():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(N_ERR, N_ERR))
     P0 = a @ a.T + N_ERR * np.eye(N_ERR)
-    fs, info = update_position(level_state(P=P0), pos_fix([0.1, 0.0, -0.1]), np.eye(3), UkfParams())
+    fs, info = update_position(level_state(P=P0), np.array([0.1, 0.0, -0.1]), np.eye(3), UkfParams())
     assert info.accepted
     assert np.all(np.diag(fs.P)[:3] <= np.diag(P0)[:3] + 1e-12)
 
@@ -295,13 +292,11 @@ def test_update_position_tightens_every_axis():
 def test_update_position_nis_gate_blocks_outlier():
     params = UkfParams()
     fs0 = level_state(P=np.diag([1.0] * 3 + [1e-2] * 12))
-    far = pos_fix([100.0, 0.0, 0.0])
-    fs, info = update_position(fs0, far, 0.25 * np.eye(3), params)
+    fs, info = update_position(fs0, np.array([100.0, 0.0, 0.0]), 0.25 * np.eye(3), params)
     assert not info.accepted
     assert info.nis > params.nis_gate
-    assert np.array_equal(fs.p, fs0.p)
-    assert np.array_equal(fs.P, fs0.P)
-    assert np.array_equal(fs.q_bn, fs0.q_bn)
+    # a rejected update hands back the state it was given
+    assert fs is fs0
 
 
 def test_update_position_yaw_corrects_heading():
@@ -321,10 +316,9 @@ def test_update_position_yaw_corrects_heading():
     assert fs.P[8, 8] < 0.05 * P0[8, 8]
 
 
-def test_gate_for_dim_holds_confidence():
+def test_gate_dof4_holds_confidence():
     g3 = float(chi2.ppf(0.999, 3))
-    assert _gate_for_dim(g3, 3) == g3
-    g4 = _gate_for_dim(g3, 4)
+    g4 = _gate_dof4(g3)
     assert chi2.cdf(g4, 4) == pytest.approx(chi2.cdf(g3, 3), abs=1e-12)
     assert g4 > g3
 
@@ -347,14 +341,22 @@ def test_finalize_cov_repairs_and_rejects():
         _finalize_cov(np.diag([1.0, 1.0, -1e-4]))
 
 
-def test_ukf_params_validation_and_q():
+def test_ukf_params_validation():
     with pytest.raises(ValueError):
         UkfParams(alpha=0.0)
     with pytest.raises(ValueError):
         UkfParams(alpha=1.5)
-    q = UkfParams(q_pos=1.0, q_vel=2.0, q_att=3.0, q_bias_gyro=4.0, q_bias_accel=5.0)
-    d = np.diag(q.process_noise())
-    assert d == pytest.approx([1.0] * 3 + [2.0] * 3 + [3.0] * 3 + [4.0] * 3 + [5.0] * 3)
+    assert [f.name for f in dataclasses.fields(UkfParams)] == ["alpha", "beta", "kappa", "nis_gate"]
+
+
+def test_process_noise_from_imu_densities():
+    # accel density squared on velocity, gyro density squared on attitude,
+    # zero on position, the biases and every off-diagonal entry
+    Q = process_noise(2e-3, 3e-4)
+    want = np.zeros((N_ERR, N_ERR))
+    want[3:6, 3:6] = (2e-3**2) * np.eye(3)
+    want[6:9, 6:9] = (3e-4**2) * np.eye(3)
+    assert Q.tobytes() == want.tobytes()
 
 
 def test_error_vector_pairs_with_injection():
@@ -383,15 +385,12 @@ def test_gate_constants_match_scipy():
 
     assert NIS_GATE_999_DOF3 == float(chi2.ppf(0.999, 3))
     default = float(chi2.ppf(chi2.cdf(NIS_GATE_999_DOF3, 3), 4))
-    assert _gate_for_dim(NIS_GATE_999_DOF3, 4) == default
-    assert _gate_for_dim(7.5, 3) == 7.5
+    assert _gate_dof4(NIS_GATE_999_DOF3) == default
     for g in np.geomspace(0.1, 100.0, 60):
         # isf(sf) keeps its precision where the tail is tiny (ppf(cdf)
         # rounds cdf to 1 and overflows above g = 78)
         ref = float(chi2.isf(chi2.sf(g, 3), 4))
-        assert _gate_for_dim(float(g), 4) == pytest.approx(ref, rel=1e-12, abs=0.0)
-    with pytest.raises(ValueError):
-        _gate_for_dim(NIS_GATE_999_DOF3, 6)
+        assert _gate_dof4(float(g)) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_import_leaves_scipy_stats_unloaded():

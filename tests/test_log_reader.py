@@ -132,7 +132,7 @@ def test_ingest_rejects_the_offending_record(short_ring_columns):
     assert min(len(cols) for cols in short_ring_columns.values()) > 1
     measurement_set_from_records(short_ring_columns, SHORT_RING)
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(fault=ingest_faults(short_ring_columns))
     def check(fault):
         kind, k, col, value, message = fault
@@ -218,7 +218,11 @@ def corruptions(draw):
 
 
 @settings(
-    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(bad=corruptions())
 def test_corrupted_line_raises_the_reference_error(tmp_path, bad):

@@ -77,7 +77,11 @@ def same_bits(a, b):
 
 
 @settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(log=logs())
 def test_template_writer_matches_json_dumps_and_round_trips(tmp_path, log):
