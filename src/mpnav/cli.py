@@ -418,7 +418,9 @@ def _main(args) -> int:
     except GeometryError as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
-    except (NumericError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (
+        NumericError, np.linalg.LinAlgError, FloatingPointError, OverflowError, MemoryError
+    ) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -126,9 +126,8 @@ def run_outage_sweep(
     """Paired runs with an artificial radio outage per case.
 
     Each case gets its own loop speed; the outage starts after a settling
-    margin and metrics are evaluated inside the outage window only. The
-    sweep reads no NEES, so its runs skip it. Every argument is checked
-    before the first run.
+    margin and metrics are evaluated inside the outage window only. Every
+    argument is checked before the first run.
     """
     if len(durations) != len(speeds):
         raise SweepArgumentError("speeds", None, "must hold one speed per duration")
@@ -144,7 +143,6 @@ def run_outage_sweep(
             noise=noise or NoiseCfg(),
             imu_err=imu_err or _SWEEP_IMU_ERR,
             outages=[OutageWindow(t0, t1)],
-            compute_nees=False,
         )
         for spd, (t0, t1) in zip(speeds, windows)
     ]
@@ -176,8 +174,7 @@ def run_noise_sweep(
     move with the variance scaling rather than with sampling luck. No outage
     by default: accuracy should respond to the measurement noise alone, and
     an optional (start_s, end_s) window is for combined stress runs. As in
-    run_outage_sweep, NEES is skipped and every argument is checked before
-    the first run.
+    run_outage_sweep, every argument is checked before the first run.
     """
     # NoiseCfg refuses a negative variance too, but without naming the entry
     _check_each("var_ranges", var_ranges, lambda v: v >= 0.0, "must be >= 0")
@@ -193,7 +190,6 @@ def run_noise_sweep(
             noise=NoiseCfg(var_range_m2=vr, var_angle_deg2=va),
             imu_err=imu_err or _SWEEP_IMU_ERR,
             outages=outages,
-            compute_nees=False,
         )
         for vr, va in grid
     ]

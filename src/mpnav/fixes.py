@@ -38,15 +38,13 @@ class Fix:
     """One position solution handed to the fusion filter."""
 
     p: np.ndarray
-    cov: np.ndarray  # 3x3, m^2
+    cov: np.ndarray  # over every unknown: p (3x3, m^2), or (p, yaw) (4x4) with a yaw
     residual: float  # RMS equation misfit, m
     n_paths: int = 1
     path_residuals: list = field(default_factory=list)
     # present when the solver co-estimated a nav-frame yaw misalignment of
     # the attitude used to globalize body-frame arrival angles
     yaw: float | None = None
-    yaw_var: float = 0.0
-    yaw_pos_cov: np.ndarray | None = None  # cov(p, yaw), shape (3,)
 
 
 def _angle_std_rad(var_angle_deg2: float) -> float:
@@ -136,8 +134,8 @@ def sbr_fix(
     estimate_yaw appends one unknown: a common nav-frame yaw misalignment of
     the attitude that globalized the arrival angles. Its column per path is
     (L_k - leg_k) * (z_hat x u_arr_k), linearized at first-pass leg values,
-    which makes the second pass 4x4. The estimate and its variance land in
-    Fix.yaw / Fix.yaw_var so a fusion filter can correct heading from the
+    which makes the second pass 4x4. The estimate lands in Fix.yaw and
+    Fix.cov spans (p, yaw), so a fusion filter can correct heading from the
     same measurements. Needs K >= 3 for vertical-wall paths: u_dep + u_arr
     and the yaw column are then all horizontal, and the K=2 horizontal
     subsystem has more unknowns than equations, so the condition check
@@ -217,20 +215,13 @@ def sbr_fix(
     j_all = np.einsum("ab,kbj,kjc->kac", n_inv, wbp, rhs)
     sig2 = np.array([var_range_m2, va, va, va_arr, va_arr])
     j_p = j_all[:, :3]
-    cov = np.einsum("kic,c,kjc->ij", j_p, sig2, j_p)
-    fix = Fix(
-        p=p,
-        cov=cov,
-        residual=residual,
-        n_paths=K,
-        path_residuals=path_residuals,
-    )
+    cov = np.zeros((len(theta), len(theta)))
+    cov[:3, :3] = np.einsum("kic,c,kjc->ij", j_p, sig2, j_p)
     if estimate_yaw:
         j_psi = j_all[:, 3]
-        fix.yaw = psi
-        fix.yaw_var = float(np.einsum("kc,c,kc->", j_psi, sig2, j_psi))
-        fix.yaw_pos_cov = np.einsum("kic,c,kc->i", j_p, sig2, j_psi)
-    return fix
+        cov[3, 3] = np.einsum("kc,c,kc->", j_psi, sig2, j_psi)
+        cov[:3, 3] = cov[3, :3] = np.einsum("kic,c,kc->i", j_p, sig2, j_psi)
+    return Fix(p=p, cov=cov, residual=residual, n_paths=K, path_residuals=path_residuals, yaw=psi)
 
 
 def sbr_locus_residuals(bs_positions, lengths, u_deps, u_arrs, ref_p) -> np.ndarray:

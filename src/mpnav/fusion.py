@@ -44,8 +44,8 @@ class NumericError(RuntimeError):
 @dataclass(frozen=True)
 class UkfParams:
     """Sigma-point scaling of the prediction step and the NIS gate of the
-    updates. Frozen, so that the prediction constants derived from the
-    fields on first use cannot go stale."""
+    updates. Frozen, so that the prediction constants built from the fields
+    at construction cannot go stale."""
 
     alpha: float = 0.5
     beta: float = 2.0
@@ -58,16 +58,16 @@ class UkfParams:
                 raise ValueError(f"{name} must be finite")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        # the sigma-point spread alpha^2 (n + kappa) must stay positive
-        if not self.kappa > -N_ERR:
-            raise ValueError(f"kappa must be > -{N_ERR}")
+        # built now, so that a sigma-point spread _ut_weights refuses is a
+        # bad parameter set
+        self._predict_constants
         if not self.nis_gate > 0.0:
             raise ValueError("nis_gate must be > 0")
 
     @cached_property
     def _predict_constants(self):
         """(n + lambda, wm, wc) of a prediction step over the error state,
-        the weights read-only; built once per parameter set, on first use."""
+        the weights read-only; built once per parameter set."""
         n_lam, wm, wc = _ut_weights(N_ERR, self.alpha, self.beta, self.kappa)
         wm.flags.writeable = wc.flags.writeable = False
         return n_lam, wm, wc
@@ -92,7 +92,6 @@ class FilterState:
     made P computed it, else None. Every step returns a new state; none
     changes one in place."""
 
-    t: float
     p: np.ndarray
     v: np.ndarray
     q_bn: np.ndarray
@@ -121,8 +120,10 @@ class UpdateInfo:
 
 def _ut_weights(n: int, alpha: float, beta: float, kappa: float):
     """n + lambda and the (mean, cov) weights of the scaled unscented
-    transform over n dimensions."""
+    transform over n dimensions; ValueError unless n + lambda, as computed, is > 0."""
     lam = alpha**2 * (n + kappa) - n
+    if not n + lam > 0.0:
+        raise ValueError(f"the sigma-point spread alpha^2 ({n} + kappa) must be > 0, not {n + lam!r}")
     wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
     wc = wm.copy()
     wm[0] = lam / (n + lam)
@@ -171,10 +172,10 @@ def _finalize_cov(P: np.ndarray):
 def predict(fs: FilterState, gyros, accels, dts, params: UkfParams, Q) -> FilterState:
     """Propagate through the mechanization over a batch of IMU samples.
 
-    gyros/accels: (m, 3) arrays, dts: (m,) per-sample intervals covering
-    (fs.t, fs.t + sum(dts)]. Each sigma point is mechanized with its own bias
-    subvector, the whole interval in one call; the process noise density Q
-    (15x15, from process_noise) enters as Q * elapsed time.
+    gyros/accels: (m, 3) arrays, dts: (m,) positive per-sample intervals.
+    Each sigma point is mechanized with its own bias subvector, the whole
+    interval in one call; the process noise density Q (15x15, from
+    process_noise) enters as Q * elapsed time.
     """
     if (dts <= 0.0).any():
         raise ValueError("IMU intervals must be positive")
@@ -200,7 +201,6 @@ def predict(fs: FilterState, gyros, accels, dts, params: UkfParams, Q) -> Filter
     P = (wc * err.T) @ err + Q * elapsed
     P, eigmin = _finalize_cov(P)
     return FilterState(
-        t=fs.t + elapsed,
         p=p_mean,
         v=v_mean,
         q_bn=q_mean,
@@ -252,7 +252,7 @@ def _kf_update(fs: FilterState, nu, PHt, S, gate):
     dx = K @ nu
     P, eigmin = _finalize_cov(fs.P - K @ S @ K.T)
     p, v, q, bg, ba = _correct(fs, dx)
-    out = FilterState(t=fs.t, p=p, v=v, q_bn=q, b_g=bg, b_a=ba, P=P, min_eig=eigmin)
+    out = FilterState(p=p, v=v, q_bn=q, b_g=bg, b_a=ba, P=P, min_eig=eigmin)
     return out, UpdateInfo(nis=nis, accepted=True)
 
 

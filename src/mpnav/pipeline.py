@@ -49,6 +49,8 @@ from .synth import (
 
 # variance added to each position fix's covariance, m^2 per axis
 R_FLOOR_M2 = 1e-4
+# the floor of a fix's covariance over (p, yaw); a fix of n unknowns takes [:n, :n]
+_R_FLOOR = np.diag([R_FLOOR_M2] * 3 + [1e-8])
 # reflected paths per joint fix: the strongest admitted ones of an epoch
 MAX_SBR_PATHS = 16
 
@@ -102,7 +104,7 @@ class RunSetup:
     odo_noise_std: float = 0.05
     include_double_bounce: bool = False
     use_body_aoa: bool = True
-    compute_nees: bool = True
+    compute_nees: bool = False
 
     def __post_init__(self):
         if self.duration_s <= 0:
@@ -163,9 +165,10 @@ def _offsets(epoch_of_row, n_epochs):
     return np.concatenate([[0], np.cumsum(np.bincount(epoch_of_row, minlength=n_epochs))])
 
 
-def _synth_epochs(setup: RunSetup, arrays: SceneArrays, ue, att, epoch_t, rng):
+def _synth_epochs(setup: RunSetup, arrays: SceneArrays, ue, att, blocked, rng):
     """Radio records of consecutive epochs, numbered from 0, at UE
-    positions ue (n, 3), attitudes att (n, 3) and times epoch_t (n,).
+    positions ue (n, 3) and attitudes att (n, 3); blocked (n,) marks the
+    epochs inside an outage.
 
     Visibility and reflection geometry for the stack of epoch positions,
     then one noise block from rng in the draw order. Returns (los, sbr)
@@ -204,7 +207,7 @@ def _synth_epochs(setup: RunSetup, arrays: SceneArrays, ue, att, epoch_t, rng):
     rss = setup.path_loss.rss(
         np.concatenate([d, ln]), bounces=np.concatenate([np.zeros(n_los, dtype=int), bounces])
     )
-    keep = ~outage_mask(epoch_t, setup.outages)[le]
+    keep = ~blocked[le]
     los = (le[keep], lb[keep], noisy[:n_los][keep], rss[:n_los][keep])
     return los, (re, rb, noisy[n_los:], rss[n_los:], bounces, body)
 
@@ -249,6 +252,7 @@ def synth_measurements(setup: RunSetup) -> MeasurementSet:
     arrays = SceneArrays(stations, setup.scenario.walls)
     n_epochs = len(epoch_idx)
     epoch_t = times[epoch_idx]
+    blocked = outage_mask(epoch_t, setup.outages)
     walls_per_epoch = arrays.n_walls * (arrays.n_walls if setup.include_double_bounce else 1)
     step = max(1, _CHUNK_TRIPLES // max(1, arrays.n_bs * walls_per_epoch))
     # the LoS columns, then the SBR ones, each grown by every chunk's rows
@@ -256,7 +260,7 @@ def synth_measurements(setup: RunSetup) -> MeasurementSet:
     for e0 in range(0, n_epochs, step):
         rows = epoch_idx[e0 : e0 + step]
         los, sbr = _synth_epochs(
-            setup, arrays, truth.p[rows], truth.att[rows], epoch_t[e0 : e0 + step], streams["obs"]
+            setup, arrays, truth.p[rows], truth.att[rows], blocked[e0 : e0 + step], streams["obs"]
         )
         chunk = (los[0] + e0, *los[1:], sbr[0] + e0, *sbr[1:])
         if cols is None:
@@ -290,7 +294,7 @@ class RunResult:
     err_enu: np.ndarray  # p_est minus the truth position per epoch
     err_3d: np.ndarray
     arc_m: np.ndarray  # cumulative truth arc length at epochs
-    nees: np.ndarray  # NaN when truth biases unknown
+    nees: np.ndarray  # NaN unless setup.compute_nees and the truth biases are known
     min_eig_p: np.ndarray
     counters: dict
     final_state: FilterState
@@ -316,7 +320,6 @@ def _init_filter(setup: RunSetup, truth: Trajectory, rng) -> FilterState:
         )
     )
     return FilterState(
-        t=float(truth.t[0]),
         p=truth.p[0] + dp,
         v=truth.v[0] + dv,
         q_bn=q0,
@@ -384,8 +387,8 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
     odo_t, odo_v = ms.odo_t, ms.odo_v
 
     dt_obs = 1.0 / setup.rates.obs_hz
-    # odometer speed over each epoch interval
-    odo_j = np.minimum(np.searchsorted(odo_t, ms.epoch_t - 1e-9), len(odo_v) - 1)
+    # odometer speed over each epoch interval: the latest sample at or before the epoch
+    odo_j = np.maximum(np.searchsorted(odo_t, ms.epoch_t + 1e-9, side="right") - 1, 0)
     odo_speed = odo_v[odo_j].tolist()
     epoch_idx = ms.epoch_idx.tolist()
     n_epochs = len(epoch_idx)
@@ -411,7 +414,6 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
     los, sbr = ms.los, ms.sbr
     los_off, sbr_off = los.off.tolist(), sbr.off.tolist()
     los_rtt, los_rss = los.obs[:, 0].tolist(), los.rss.tolist()
-    r_floor = R_FLOOR_M2 * np.eye(3)
     truth_bg, truth_ba = (None, None) if ms.truth_biases is None else ms.truth_biases
     if setup.compute_nees and truth_bg is not None:
         att_ep = truth.att[ms.epoch_idx]
@@ -454,7 +456,7 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
             n_near = int(np.count_nonzero(near))
             counters["los_rejected_motion"] += len(rows) - n_near
             counters["los_admitted"] += n_near
-            for p, r_mat in zip(fix.p[near], fix.cov[near] + r_floor):
+            for p, r_mat in zip(fix.p[near], fix.cov[near] + _R_FLOOR[:3, :3]):
                 fs, info = update_position(fs, p, r_mat, setup.ukf)
                 if info.accepted:
                     accepted_any = True
@@ -492,14 +494,12 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
                 elif not motion_gate(fix.p, last_accept_p, travel_budget, setup.gate_cfg):
                     counters["sbr_fix_rejected_motion"] += 1
                 else:
-                    if fix.yaw is not None:
-                        r_mat = np.zeros((4, 4))
-                        r_mat[:3, :3] = fix.cov + r_floor
-                        r_mat[3, 3] = fix.yaw_var + 1e-8
-                        r_mat[:3, 3] = r_mat[3, :3] = fix.yaw_pos_cov
-                        fs, info = update_position_yaw(fs, fix, r_mat, setup.ukf)
+                    n = len(fix.cov)
+                    r_mat = fix.cov + _R_FLOOR[:n, :n]
+                    if fix.yaw is None:
+                        fs, info = update_position(fs, fix.p, r_mat, setup.ukf)
                     else:
-                        fs, info = update_position(fs, fix.p, fix.cov + r_floor, setup.ukf)
+                        fs, info = update_position_yaw(fs, fix, r_mat, setup.ukf)
                     if info.accepted:
                         accepted_any = True
                         counters["sbr_updates"] += 1
@@ -534,10 +534,6 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
     )
 
 
-def run(setup: RunSetup) -> RunResult:
-    return run_filter(synth_measurements(setup), setup)
-
-
 def run_pair(setup: RunSetup):
     """Run the with/without-reflections arms on one shared measurement set
     (common random numbers). Returns (result_with, result_without)."""
@@ -551,15 +547,17 @@ def run_pair(setup: RunSetup):
 # measurement-log bridging
 
 
-def _radio_columns(cols, epoch_of_t, station, n_epochs, sbr=False):
+def _radio_columns(cols, epoch_of_t, station, n_epochs, sbr=False, blocked=None):
     """RadioRecords of one kind from the log reader's columns, rows ordered
     by epoch and, within an epoch, by file order; rows whose time epoch_of_t
-    maps to no epoch are left out. station maps station ids to scenario
-    indices."""
+    maps to no epoch, or to an epoch the mask blocked (n_epochs,) marks, are
+    left out. station maps station ids to scenario indices."""
     lookup = np.array([station.get(i, -1) for i in cols.ids], dtype=int)
     epochs = np.array(
         [epoch_of_t.get(round(t, 6), -1) for t in cols.values[:, 0].tolist()], dtype=int
     )
+    if blocked is not None:
+        epochs[blocked[epochs] & (epochs >= 0)] = -1
     on_grid = np.flatnonzero(epochs >= 0)
     rows = on_grid[np.argsort(epochs[on_grid], kind="stable")]
     out = RadioRecords(
@@ -625,8 +623,7 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
         raise ValueError(f"log names base stations not in the scenario: {sorted(unknown)}")
     epoch_t = times[epoch_idx]
     epoch_of_t = {round(t, 6): e for e, t in enumerate(epoch_t.tolist())}
-    blocked = outage_mask(epoch_t, setup.outages).tolist()
-    los_epoch_of_t = {t: e for t, e in epoch_of_t.items() if not blocked[e]}
+    blocked = outage_mask(epoch_t, setup.outages)
     n_epochs = len(epoch_idx)
     return MeasurementSet(
         truth=truth,
@@ -639,7 +636,7 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
         accel=imu.values[:, 4:7].copy(),
         odo_t=odo_t.copy(),
         odo_v=odo.values[:, 1].copy(),
-        los=_radio_columns(los, los_epoch_of_t, station, n_epochs),
+        los=_radio_columns(los, epoch_of_t, station, n_epochs, blocked=blocked),
         sbr=_radio_columns(sbr, epoch_of_t, station, n_epochs, sbr=True),
         truth_biases=None,
     )

@@ -28,13 +28,17 @@ _PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 _SIGN = np.array([[1.0, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]])
 
 
-def _sum_rows(p: np.ndarray) -> np.ndarray:
-    """((p[0] + p[1]) + p[2]) + p[3] over the second-to-last axis, as a
-    C-ordered array: normalize's component sum depends on the layout."""
-    out = np.add(p[..., 0, :], p[..., 1, :], order="C")
-    out += p[..., 2, :]
-    out += p[..., 3, :]
-    return out
+def _factors(b: np.ndarray) -> np.ndarray:
+    """The factor matrices F(b), shape (..., 4, 4), as views with a column
+    stride of two elements: with no unit-stride matrix axis, a row-times-
+    matrix matmul runs in numpy's own loop, which sums a's w, x, y, z terms
+    in that order, and never in BLAS, whose kernels fuse or regroup sums."""
+    b = np.asarray(b, dtype=float)
+    f = np.empty(b.shape[:-1] + (4, 4, 2))[..., 0]
+    # mode "clip" gathers into the buffer with no temporary; every index is in range
+    np.take(b, _PERM, axis=-1, out=f, mode="clip")
+    f *= _SIGN
+    return f
 
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -44,8 +48,8 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     folded into a factor leaves every rounding of the written-out
     difference unchanged.
     """
-    b = np.asarray(b, dtype=float)
-    return _sum_rows(np.asarray(a, dtype=float)[..., :, None] * (b[..., _PERM] * _SIGN))
+    a = np.asarray(a, dtype=float)
+    return np.matmul(a[..., None, :], _factors(b))[..., 0, :]
 
 
 def chain(q: np.ndarray, dq: np.ndarray) -> np.ndarray:
@@ -53,18 +57,12 @@ def chain(q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     factor; returns every partial product, shape (m, ..., 4).
 
     Equal bit for bit to repeating q = normalize(multiply(q, dq[k])): every
-    step's signed factors are taken at once, and each step's product is one
-    stacked row-times-matrix matmul. The factor matrices are views with a
-    column stride of two elements, so that no matrix axis has unit stride:
-    numpy then multiplies in its own loop, which sums a's w, x, y, z terms
-    in that order as multiply does, and never in BLAS, whose kernels fuse
-    or regroup the sums.
+    step's factors are taken at once, and each step's product is the
+    stacked row-times-matrix matmul of multiply.
     """
-    dq = np.asarray(dq, dtype=float)
-    factors = np.empty(dq.shape[:-1] + (4, 4, 2))[..., 0]
-    np.multiply(dq[..., _PERM], _SIGN, out=factors)
+    factors = _factors(dq)
     q = np.asarray(q, dtype=float)
-    out = np.empty(dq.shape[:1] + np.broadcast_shapes(q.shape, dq.shape[1:]))
+    out = np.empty(factors.shape[:1] + np.broadcast_shapes(q.shape, factors.shape[1:-1]))
     for k, f in enumerate(factors):
         q = out[k] = normalize(np.matmul(q[..., None, :], f)[..., 0, :])
     return out

@@ -92,16 +92,13 @@ class PathLossModel:
     """Log-distance path loss with a fixed per-bounce reflection penalty."""
 
     tx_power_dbm: float = 30.0
-    pl0_db: float = 61.4  # loss at d0; free-space value for 28 GHz at 1 m
+    pl0_db: float = 61.4  # loss at 1 m; free-space value for 28 GHz
     exponent: float = 2.0
     reflection_loss_db: float = 6.0
-    d0_m: float = 1.0
 
     def __post_init__(self):
         if self.exponent <= 0:
             raise ValueError("path-loss exponent must be > 0")
-        if self.d0_m <= 0:
-            raise ValueError("reference distance d0_m must be > 0")
 
     def rss(self, path_length_m, bounces=0):
         """Received power, dBm; accepts scalars or arrays."""
@@ -111,14 +108,14 @@ class PathLossModel:
         val = (
             self.tx_power_dbm
             - self.pl0_db
-            - 10.0 * self.exponent * np.log10(d / self.d0_m)
+            - 10.0 * self.exponent * np.log10(d)
             - np.asarray(bounces) * self.reflection_loss_db
         )
         return float(val) if np.ndim(val) == 0 else val
 
     def distance_from_rss(self, rss_dbm: float) -> float:
         """Range implied by RSS under the direct-path (zero-bounce) model."""
-        return self.d0_m * 10.0 ** (
+        return 10.0 ** (
             (self.tx_power_dbm - self.pl0_db - rss_dbm) / (10.0 * self.exponent)
         )
 
@@ -152,15 +149,13 @@ class ImuErrorModel:
         if self.bias_mode == "gaussian":
             b_g = rng.normal(0.0, self.gyro_bias_std, 3)
             b_a = rng.normal(0.0, self.accel_bias_std, 3)
-        elif self.bias_mode == "fixed_magnitude":
+        else:  # fixed_magnitude, the only other mode __post_init__ admits
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
             b_g = math.sqrt(3.0) * self.gyro_bias_std * u
             w = rng.standard_normal(3)
             w /= np.linalg.norm(w)
             b_a = math.sqrt(3.0) * self.accel_bias_std * w
-        else:
-            raise ValueError(f"unknown bias_mode {self.bias_mode!r}")
         return b_g, b_a
 
 
@@ -190,8 +185,6 @@ def apply_noise(obs, cfg: NoiseCfg, rng, los=None, body=None):
     followed by an (n2, 5) draw, so a whole run's block reproduces
     epoch-by-epoch draws.
     """
-    if cfg.var_range_m2 < 0 or cfg.var_angle_deg2 < 0:
-        raise ValueError("noise variances must be >= 0")
     obs = np.asarray(obs, dtype=float)
     los = np.zeros(len(obs), dtype=bool) if los is None else np.asarray(los, dtype=bool)
     z = rng.standard_normal((len(obs), 5))

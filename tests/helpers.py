@@ -577,8 +577,9 @@ def sbr_fix_svd(
     estimate_yaw appends one unknown: a common nav-frame yaw misalignment of
     the attitude that globalized the arrival angles. Its column per path is
     (L_k - leg_k) * (z_hat x u_arr_k), linearized at first-pass leg values.
-    The estimate and its variance land in Fix.yaw / Fix.yaw_var so a fusion
-    filter can correct heading from the same measurements. Needs K >= 3 for
+    The estimate lands in Fix.yaw and its variance and covariance with p in
+    the last row and column of a 4x4 Fix.cov, so a fusion filter can correct
+    heading from the same measurements. Needs K >= 3 for
     vertical-wall paths: u_dep + u_arr and the yaw column are then all
     horizontal, and the K=2 horizontal subsystem has more unknowns than
     equations, so the condition check reports no fix.
@@ -673,20 +674,20 @@ def sbr_fix_svd(
         sig2[cols] = [var_range_m2, va, va, va_arr, va_arr]
     j_all = vt.T @ ((u_svd.T @ (row_w[:, None] * rhs)) / s[:, None])
     j_p = j_all[:3]
-    cov = (j_p * sig2) @ j_p.T
-    fix = Fix(
+    cov = np.zeros((4, 4) if estimate_yaw else (3, 3))
+    cov[:3, :3] = (j_p * sig2) @ j_p.T
+    if estimate_yaw:
+        j_psi = j_all[3 + K]
+        cov[3, 3] = (j_psi * sig2) @ j_psi
+        cov[:3, 3] = cov[3, :3] = (j_p * sig2) @ j_psi
+    return Fix(
         p=p,
         cov=cov,
         residual=residual,
         n_paths=K,
         path_residuals=path_residuals,
+        yaw=psi,
     )
-    if estimate_yaw:
-        j_psi = j_all[3 + K]
-        fix.yaw = psi
-        fix.yaw_var = float((j_psi * sig2) @ j_psi)
-        fix.yaw_pos_cov = (j_p * sig2) @ j_psi
-    return fix
 
 
 def mechanize_step(p, v, q, b_g, b_a, gyro, accel, dt):
@@ -745,7 +746,6 @@ def predict_reference(fs, gyros, accels, dts, params, Q):
     P = (wc * err.T) @ err + Q * elapsed
     P, eigmin = fusion._finalize_cov(P)
     return fusion.FilterState(
-        t=fs.t + elapsed,
         p=p_mean,
         v=v_mean,
         q_bn=q_mean,
@@ -1454,7 +1454,8 @@ def run_filter_per_record(ms, epochs, setup):
             Q,
         )
         prev_idx = idx
-        j = min(int(np.searchsorted(odo_t, t - 1e-9)), len(odo_v) - 1)
+        # the latest odometer sample at or before the epoch, else the first
+        j = max(int(np.searchsorted(odo_t, t + 1e-9, side="right")) - 1, 0)
         travel_budget += abs(odo_v[j]) * dt_obs
 
         accepted_any = False
@@ -1501,10 +1502,7 @@ def run_filter_per_record(ms, epochs, setup):
                     counters["sbr_fix_rejected_motion"] += 1
                 else:
                     if fix.yaw is not None:
-                        r4 = np.zeros((4, 4))
-                        r4[:3, :3] = fix.cov + R_FLOOR_M2 * np.eye(3)
-                        r4[3, 3] = fix.yaw_var + 1e-8
-                        r4[:3, 3] = r4[3, :3] = fix.yaw_pos_cov
+                        r4 = fix.cov + np.diag([R_FLOOR_M2] * 3 + [1e-8])
                         fs, info = update_position_yaw(fs, fix, r4, setup.ukf)
                     else:
                         r_mat = fix.cov + R_FLOOR_M2 * np.eye(3)

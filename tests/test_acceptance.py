@@ -33,7 +33,7 @@ from mpnav.fixes import los_fix, sbr_fix
 from mpnav.fusion import update_position
 from mpnav.gates import GateConfig, oori_check
 from mpnav.ins import drift_profile, mechanize_arrays
-from mpnav.pipeline import Rates, RunSetup, run
+from mpnav.pipeline import Rates, RunSetup, run_filter, synth_measurements
 from mpnav.scene import mirror_point, ring_scenario, trajectory_poses
 from mpnav.synth import ImuErrorModel, NoiseCfg, PathLossModel, synth_imu
 
@@ -238,8 +238,10 @@ def test_criterion_6_filter_consistency():
     worst_eig = np.inf
     setup = None
     for seed in range(n_runs):
-        setup = RunSetup(scenario=scenario, duration_s=60.0, seed=seed, rates=rates)
-        res = run(setup)
+        setup = RunSetup(
+            scenario=scenario, duration_s=60.0, seed=seed, rates=rates, compute_nees=True
+        )
+        res = run_filter(synth_measurements(setup), setup)
         nees.append(res.nees)
         finals.append(res.final_state)
         worst_eig = min(worst_eig, float(res.min_eig_p.min()))

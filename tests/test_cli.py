@@ -786,7 +786,6 @@ DEFAULT_KEYS = {
         "pl0_db": 61.4,
         "exponent": 2.0,
         "reflection_loss_db": 6.0,
-        "d0_m": 1.0,
     },
     "noise": {"var_range_m2": 0.5, "var_angle_deg2": 0.01},
     "imu_error": {
@@ -850,7 +849,6 @@ OFF_DEFAULT_KEYS = {
         "pl0_db": 60.0,
         "exponent": 2.2,
         "reflection_loss_db": 8.0,
-        "d0_m": 2.0,
     },
     "noise": {"var_range_m2": 1.0, "var_angle_deg2": 0.02},
     "imu_error": {
@@ -919,8 +917,9 @@ def test_every_key_off_its_default_changes_some_output(tmp_path):
         dict(RING_3S, scenario={"preset": "ring", "params": {"reflection_loss_db": 20.0}}),
         dict(RING_3S, outages=[{"t_start_s": 1.0, "t_end_s": 2.0}]),
         *(dict(RING_3S, ukf={key: 0.0}) for key in ("q_pos", "q_vel", "q_att", "q_bias_gyro", "q_bias_accel")),
+        dict(RING_3S, path_loss={"d0_m": 1.0}),
     ],
-    ids=["trapezoid", "ring_reflection_loss", "outage_object", "q_pos", "q_vel", "q_att", "q_bias_gyro", "q_bias_accel"],
+    ids=["trapezoid", "ring_reflection_loss", "outage_object", "q_pos", "q_vel", "q_att", "q_bias_gyro", "q_bias_accel", "d0_m"],
 )
 def test_removed_setting_exits_2(tmp_path, capsys, cfg):
     out = tmp_path / "out"
@@ -1028,6 +1027,66 @@ def test_overflowing_drift_profile_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:")
     assert "Warning" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(RING_3S, imu_error={"gyro_bias_std_rps": 1e200}),
+        dict(RING_3S, imu_error={"accel_noise_density": 1e200}),
+        dict(RING_3S, init_errors={"pos_std_m": 1e200}),
+        dict(RING_3S, init_errors={"vel_std_mps": 1e200}),
+        {
+            "mode": "outage-sweep",
+            "outage_sweep": {
+                "durations_s": [1.0],
+                "speeds_mps": [8.0],
+                "seeds": [0],
+                "pre_s": 1.0,
+                "post_s": 0.0,
+                "imu_error": {"gyro_bias_std_rps": 1e200},
+            },
+        },
+        dict(RING_3S, duration_s=1e12),
+        {
+            "mode": "noise-sweep",
+            "noise_sweep": {"var_ranges_m2": [0.5], "var_angles_deg2": [0.01], "seeds": [0], "duration_s": 1e13},
+        },
+    ],
+    ids=[
+        "gyro_bias_std",
+        "accel_noise_density",
+        "pos_std",
+        "vel_std",
+        "outage_sweep_gyro_bias_std",
+        "duration_72_tib",
+        "noise_sweep_duration_146_tib",
+    ],
+)
+def test_overflow_or_oversized_run_exits_4(tmp_path, capsys, cfg):
+    # a Python float past the float range, or an array numpy refuses at once
+    # (72.8 and 146 TiB), so no case allocates more than a small run does
+    out = tmp_path / "out"
+    assert main([str(write_config(tmp_path, cfg)), "--output-dir", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "ukf",
+    [{"alpha": 1e-300}, {"alpha": 1e-160}, {"kappa": -14.999999999999998}],
+    ids=["alpha_1e-300", "alpha_1e-160", "kappa_just_above_minus_15"],
+)
+def test_spread_that_rounds_to_zero_exits_2(tmp_path, capsys, ukf):
+    # alpha^2 (15 + kappa) is positive, but lambda = alpha^2 (15 + kappa) - 15
+    # rounds to -15, so the spread 15 + lambda the weights divide by is 0
+    out = tmp_path / "out"
+    assert main([str(write_config(tmp_path, dict(RING_3S, ukf=ukf))), "--output-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ukf: the sigma-point spread")
     assert not out.exists()
 
 

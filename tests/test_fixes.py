@@ -18,6 +18,7 @@ from helpers import (
     synth_sbr,
 )
 
+from mpnav import fixes
 from mpnav.fixes import los_fix, sbr_fix, sbr_locus_residuals
 from mpnav.scene import (
     SPEED_OF_LIGHT,
@@ -241,16 +242,18 @@ def test_sbr_fix_matches_svd_reference():
                         continue
                     solved[n_paths] += 1
                     assert np.allclose(fix.p, ref.p, rtol=0.0, atol=1e-8)
-                    assert np.allclose(fix.cov, ref.cov, rtol=1e-7, atol=1e-9 * np.abs(ref.cov).max())
+                    assert fix.cov.shape == ref.cov.shape
+                    pos, ref_pos = fix.cov[:3, :3], ref.cov[:3, :3]
+                    assert np.allclose(pos, ref_pos, rtol=1e-7, atol=1e-9 * np.abs(ref_pos).max())
                     assert fix.residual == pytest.approx(ref.residual, rel=1e-6, abs=1e-9)
                     assert fix.path_residuals == pytest.approx(ref.path_residuals, rel=1e-6, abs=1e-9)
                     assert fix.n_paths == ref.n_paths == n_paths
                     if ref.yaw is None:
-                        assert fix.yaw is None and fix.yaw_pos_cov is None
+                        assert fix.yaw is None and fix.cov.shape == (3, 3)
                         continue
                     assert fix.yaw == pytest.approx(ref.yaw, abs=1e-10)
-                    assert fix.yaw_var == pytest.approx(ref.yaw_var, rel=1e-7, abs=1e-20)
-                    assert np.allclose(fix.yaw_pos_cov, ref.yaw_pos_cov, rtol=1e-7, atol=1e-15)
+                    assert fix.cov[3, 3] == pytest.approx(ref.cov[3, 3], rel=1e-7, abs=1e-20)
+                    assert np.allclose(fix.cov[:3, 3], ref.cov[:3, 3], rtol=1e-7, atol=1e-15)
     # every size must exercise the comparison, not only the rejections
     assert min(solved.values()) > 20, solved
 
@@ -319,8 +322,56 @@ def test_sbr_fix_yaw_coestimation():
     )
     assert fix is not None
     assert fix.yaw == pytest.approx(0.0, abs=1e-9)
-    assert fix.yaw_var > 0.0
-    assert fix.yaw_pos_cov.shape == (3,)
+    assert fix.cov.shape == (4, 4)
+    assert fix.cov[3, 3] > 0.0
+
+
+class _EinsumSpy:
+    """Stands in for numpy in mpnav.fixes: every call passes through, and
+    each einsum's result is kept under its subscripts."""
+
+    def __init__(self):
+        self.results = {}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, subscripts, *operands, **kwargs):
+        out = self.results[subscripts] = np.einsum(subscripts, *operands, **kwargs)
+        return out
+
+
+def test_sbr_fix_yaw_covariance_is_the_three_blocks(monkeypatch):
+    # the 4x4 covariance over (p, yaw) is symmetric and holds, bit for bit,
+    # the position, yaw and cross-covariance sums the solver takes, each
+    # packed as it is summed
+    rng = np.random.default_rng(12)
+    cfg = NoiseCfg(var_range_m2=0.5, var_angle_deg2=0.01)
+    done = 0
+    while done < 10:
+        scene, ue = random_multi_path_scene(rng, n_paths=4)
+        spy = _EinsumSpy()
+        monkeypatch.setattr(fixes, "np", spy)
+        fix = sbr_fix(
+            *sbr_columns(noisy_pairs(sbr_pairs(scene, ue), cfg, rng)),
+            cfg.var_range_m2,
+            cfg.var_angle_deg2,
+            var_aoa_extra_rad2=1e-6,
+            estimate_yaw=True,
+        )
+        monkeypatch.undo()
+        if fix is None:
+            continue
+        done += 1
+        blocks = spy.results
+        assert fix.cov.shape == (4, 4)
+        # the position sum is symmetric up to its rounding, the yaw row and
+        # column are one array
+        assert np.allclose(fix.cov, fix.cov.T, rtol=1e-12, atol=0.0)
+        assert fix.cov[3, :3].tobytes() == fix.cov[:3, 3].tobytes()
+        assert fix.cov[:3, :3].tobytes() == blocks["kic,c,kjc->ij"].tobytes()
+        assert fix.cov[3, 3] == blocks["kc,c,kc->"]
+        assert fix.cov[:3, 3].tobytes() == blocks["kic,c,kc->i"].tobytes()
 
 
 def test_sbr_locus_residual_and_vectorized():

@@ -34,9 +34,8 @@ UP_ACCEL = np.array([0.0, 0.0, -GRAVITY[2]])
 NO_NOISE = process_noise(0.0, 0.0)
 
 
-def level_state(P=None, t=0.0):
+def level_state(P=None):
     return FilterState(
-        t=t,
         p=np.zeros(3),
         v=np.zeros(3),
         q_bn=identity(),
@@ -91,7 +90,6 @@ def test_predict_tracks_mechanization():
     dts = np.full(n, 0.01)
     out = predict(fs, gyros, accels, dts, UkfParams(), NO_NOISE)
     p, v, _ = mechanize_arrays(fs.p, fs.v, fs.q_bn, np.zeros(3), np.zeros(3), gyros, accels, dts)
-    assert out.t == pytest.approx(0.5)
     assert out.p == pytest.approx(p[-1], abs=1e-9)
     assert out.v == pytest.approx(v[-1], abs=1e-9)
     _, _, yaw = quat.to_euler(out.q_bn)
@@ -103,7 +101,6 @@ def test_predict_matches_per_sample_reference(monkeypatch):
     # as stepping every sigma point one IMU sample at a time
     rng = np.random.default_rng(21)
     fs = FilterState(
-        t=3.0,
         p=np.array([10.0, -4.0, 1.5]),
         v=np.array([7.5, 2.0, 0.1]),
         q_bn=quat.from_euler(0.02, -0.01, 1.1),
@@ -122,7 +119,6 @@ def test_predict_matches_per_sample_reference(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(fusion, "mechanize_arrays", mechanize_per_sample)
             ref = predict(fs, gyros, accels, dts, params, Q)
-        assert got.t == ref.t
         for name in ("p", "v", "q_bn", "b_g", "b_a", "P"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
@@ -137,7 +133,6 @@ def test_predict_matches_numpy_reference():
     for m in (1, 10, 37):
         a = rng.normal(size=(N_ERR, N_ERR))
         fs = FilterState(
-            t=float(m),
             p=rng.normal(0.0, 100.0, 3),
             v=rng.normal(0.0, 8.0, 3),
             q_bn=quat.normalize(rng.normal(size=4)),
@@ -152,7 +147,6 @@ def test_predict_matches_numpy_reference():
         dts = rng.uniform(0.005, 0.05, m)
         got = predict(fs, gyros, accels, dts, params, Q)
         ref = predict_reference(fs, gyros, accels, dts, params, Q)
-        assert got.t == ref.t
         assert got.min_eig == ref.min_eig
         for name in ("p", "v", "q_bn", "b_g", "b_a", "P"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), (m, name)
@@ -258,7 +252,7 @@ def test_update_position_matches_linear_kf():
     # position + yaw: the yaw row is the third row of R(q) on the attitude
     # block, and its innovation is the fix's yaw offset itself
     q0 = quat.from_euler(0.1, -0.2, 0.7)
-    fs0 = FilterState(t=0.0, p=np.array([1.0, 2.0, 0.5]), v=np.zeros(3), q_bn=q0, P=P0)
+    fs0 = FilterState(p=np.array([1.0, 2.0, 0.5]), v=np.zeros(3), q_bn=q0, P=P0)
     fix = SimpleNamespace(p=np.array([1.5, 1.8, 0.4]), yaw=0.3)
     R4 = np.diag([0.5, 0.7, 0.9, 0.05])
     R4[:3, 3] = R4[3, :3] = [0.01, -0.02, 0.005]
@@ -304,9 +298,7 @@ def test_update_position_yaw_corrects_heading():
     # +0.01 (the correction, nav frame) should pull most of it out
     psi = 0.01
     P0 = np.diag([1.0] * 6 + [4e-4] * 3 + [1e-6] * 6)
-    fs0 = FilterState(
-        t=0.0, p=np.zeros(3), v=np.zeros(3), q_bn=quat.from_euler(0.0, 0.0, -psi), P=P0
-    )
+    fs0 = FilterState(p=np.zeros(3), v=np.zeros(3), q_bn=quat.from_euler(0.0, 0.0, -psi), P=P0)
     fix = SimpleNamespace(p=np.zeros(3), yaw=psi)
     R = np.diag([0.01, 0.01, 0.01, 1e-8])
     fs, info = update_position_yaw(fs0, fix, R, UkfParams())
@@ -362,7 +354,6 @@ def test_process_noise_from_imu_densities():
 def test_error_vector_pairs_with_injection():
     rng = np.random.default_rng(9)
     fs = FilterState(
-        t=0.0,
         p=rng.normal(size=3),
         v=rng.normal(size=3),
         q_bn=quat.normalize(rng.normal(size=4)),
@@ -419,7 +410,6 @@ def test_correct_matches_inject():
     angles = np.concatenate([[0.0, 1e-300, 1e-16], 10.0 ** rng.uniform(-16.0, math.log10(math.pi), 1000)])
     for k, angle in enumerate(angles):
         fs = FilterState(
-            t=0.0,
             p=rng.normal(size=3),
             v=rng.normal(size=3),
             q_bn=quat.normalize(rng.normal(size=4)),

@@ -35,7 +35,6 @@ from mpnav.pipeline import (
     RunSetup,
     _rng_streams,
     measurement_set_from_records,
-    run,
     run_filter,
     run_pair,
     screen_sbr,
@@ -223,7 +222,6 @@ def sweep_case_400s():
         noise=NoiseCfg(),
         imu_err=ImuErrorModel(bias_mode="fixed_magnitude"),
         outages=[OutageWindow(10.0, 410.0)],
-        compute_nees=False,
     )
 
 
@@ -259,7 +257,9 @@ def test_no_pose_objects_on_the_run_path(monkeypatch, tmp_path):
     monkeypatch.setattr(
         scene.Pose, "__post_init__", lambda self: built.append(1) or post_init(self)
     )
-    setup = fast_setup(duration_s=20.0, seed=2, outages=[OutageWindow(8.0, 12.0)])
+    setup = fast_setup(
+        duration_s=20.0, seed=2, outages=[OutageWindow(8.0, 12.0)], compute_nees=True
+    )
     ms = synth_measurements(setup)
     res = run_filter(ms, setup)
     assert np.isfinite(res.nees).all()
@@ -396,7 +396,8 @@ def test_run_pair_outage_improvement():
 
 
 def test_counters_consistent_and_cov_psd():
-    res = run(fast_setup(seed=2))
+    setup = fast_setup(seed=2, compute_nees=True)
+    res = run_filter(synth_measurements(setup), setup)
     c = res.counters
     assert c["los_total"] == (
         c["los_admitted"] + c["los_rejected_consistency"] + c["los_rejected_motion"]
@@ -437,8 +438,45 @@ def test_min_eig_p_is_the_per_epoch_eigvalsh(monkeypatch):
     assert res.min_eig_p.tobytes() == explicit.tobytes()
 
 
+def test_nees_is_opt_in():
+    # no output file holds NEES, so a default run leaves it unset
+    setup = fast_setup(seed=2, duration_s=5.0)
+    res = run_filter(synth_measurements(setup), setup)
+    assert np.isnan(res.nees).all()
+
+
+def test_odometer_is_read_causally(monkeypatch):
+    # at odo_hz 5 and obs_hz 10 every other epoch falls between two odometer
+    # samples; its travel budget takes the sample before it, not the next
+    setup = RunSetup(
+        scenario=ring_scenario(speed_mps=8.0),
+        duration_s=3.0,
+        with_sbr=False,
+        rates=Rates(imu_hz=100.0, obs_hz=10.0, odo_hz=5.0),
+    )
+    ms = synth_measurements(setup)
+    ms.odo_v = np.arange(1.0, len(ms.odo_t) + 1.0)  # speed k + 1 marks sample k
+    budgets = []
+
+    def gate(candidate_p, prior_p, odo_dist_m, cfg):
+        budgets.append(odo_dist_m)
+        # no update, so the budget only grows
+        return np.zeros(len(candidate_p), dtype=bool)
+
+    monkeypatch.setattr(pipeline, "classify_los", lambda *args: True)
+    monkeypatch.setattr(pipeline, "motion_gate", gate)
+    run_filter(ms, setup)
+    assert len(budgets) == len(ms.epoch_t)
+    read = np.rint(np.diff(budgets, prepend=0.0) / 0.1).astype(int) - 1
+    odo_t = ms.odo_t.tolist()
+    latest = [max(k for k, t in enumerate(odo_t) if t <= te + 1e-9) for te in ms.epoch_t.tolist()]
+    assert read.tolist() == latest
+    assert (ms.odo_t[read] < ms.epoch_t - 1e-9).sum() == len(ms.epoch_t) // 2
+
+
 def test_without_sbr_never_touches_reflections():
-    res = run(fast_setup(seed=2, with_sbr=False))
+    setup = fast_setup(seed=2, with_sbr=False)
+    res = run_filter(synth_measurements(setup), setup)
     c = res.counters
     assert c["sbr_total"] == 0
     assert c["sbr_updates"] == 0
@@ -446,7 +484,7 @@ def test_without_sbr_never_touches_reflections():
 
 
 def test_measurement_log_round_trip(tmp_path):
-    setup = fast_setup(duration_s=10.0, seed=6)
+    setup = fast_setup(duration_s=10.0, seed=6, compute_nees=True)
     ms = synth_measurements(setup)
     path = tmp_path / "run.jsonl"
     write_measurement_log(path, ms)

@@ -77,6 +77,21 @@ def test_kernels_match_componentwise_reference(left, right):
     assert quat.to_rotvec(product).tobytes() == quat.to_rotvec(multiply_componentwise(a, b)).tobytes()
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [((4,), (4,)), ((4,), (31, 4)), ((31, 4), (4,)), ((31, 4), (31, 4)), ((200, 4), (200, 4))],
+    ids=["1d", "1d_left", "1d_right", "stacked_31", "stacked_200"],
+)
+def test_multiply_is_the_componentwise_product(left, right):
+    # one row-times-matrix kernel for every shape, a single quaternion
+    # included, sums in the componentwise order on every draw
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        a = rng.standard_normal(left)
+        b = rng.standard_normal(right)
+        assert quat.multiply(a, b).tobytes() == multiply_componentwise(a, b).tobytes()
+
+
 def test_rotate_preserves_length_and_conjugate_inverts():
     rng = np.random.default_rng(3)
     q = random_unit_quats(rng, 40)
