@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import shutil
 import sys
@@ -192,6 +193,22 @@ def _pop_blocks(d, keys, prefix=""):
     return kwargs
 
 
+def _name_overflow(exc, blocks):
+    """Raise exc, a run's OverflowError, as one that names the config key of
+    the first float of blocks ({config block: built block}) whose square
+    leaves the float range, or as it is when there is none. The filter
+    squares every standard deviation and noise density of the imu_error
+    and init_errors blocks into its covariances, and a Python float's
+    OverflowError names no setting."""
+    for where, block in blocks.items():
+        for f in fields(block):
+            value = getattr(block, f.name)
+            if f.type == "float" and math.isinf(value * value):
+                key = f"{where}.{_RENAMED.get(f.name, f.name)}"
+                raise OverflowError(f"{key} = {value!r}: its square, a filter variance, is out of range") from exc
+    raise exc
+
+
 def _build_scenario(cfg, config_dir: Path) -> Scenario:
     if "scenario" not in cfg:
         raise ConfigError("config: missing required key 'scenario'")
@@ -264,7 +281,10 @@ def _run_single(cfg, config_dir, seed_override):
         write_log = False
     else:
         ms = synth_measurements(setup)
-    result = run_filter(ms, setup)
+    try:
+        result = run_filter(ms, setup)
+    except OverflowError as exc:
+        _name_overflow(exc, {"init_errors": setup.init_err, "imu_error": setup.imu_err})
     label = "with" if setup.with_sbr else "without"
     try:
         summary = evaluate.single_run_summary(result, label)
@@ -349,6 +369,10 @@ def _run_sweep(cfg, mode, seed_override):
         sweep = runner(**kwargs)
     except (GeometryError, np.linalg.LinAlgError):
         raise
+    except OverflowError as exc:
+        # the drift profile runs no filter
+        filtered = "imu_err" in kwargs and mode != "drift-profile"
+        _name_overflow(exc, {f"{where}.imu_error": kwargs["imu_err"]} if filtered else {})
     except evaluate.SweepArgumentError as exc:
         key = next(key for key, (arg, *_) in spec.items() if arg == exc.arg)
         entry = "" if exc.index is None else f"[{exc.index}]"

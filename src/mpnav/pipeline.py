@@ -551,18 +551,36 @@ def _radio_columns(cols, epoch_of_t, station, n_epochs, sbr=False, blocked=None)
     """RadioRecords of one kind from the log reader's columns, rows ordered
     by epoch and, within an epoch, by file order; rows whose time epoch_of_t
     maps to no epoch, or to an epoch the mask blocked (n_epochs,) marks, are
-    left out. station maps station ids to scenario indices."""
-    lookup = np.array([station.get(i, -1) for i in cols.ids], dtype=int)
-    epochs = np.array(
-        [epoch_of_t.get(round(t, 6), -1) for t in cols.values[:, 0].tolist()], dtype=int
+    left out. station maps station ids to scenario indices.
+
+    Epochs are looked up once per run of rows with equal time. When every
+    row is kept and the rows are already in epoch order, as the log writer
+    writes them, the columns are views of the reader's buffers (bs too when
+    the reader numbered the stations in the scenario's order); otherwise
+    the kept rows are gathered, stably sorted by epoch."""
+    t = cols.values[:, 0]
+    new_run = np.ones(len(t), dtype=bool)
+    np.not_equal(t[1:], t[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    run_epochs = np.array(
+        [epoch_of_t.get(round(x, 6), -1) for x in t[starts].tolist()], dtype=int
     )
     if blocked is not None:
-        epochs[blocked[epochs] & (epochs >= 0)] = -1
-    on_grid = np.flatnonzero(epochs >= 0)
-    rows = on_grid[np.argsort(epochs[on_grid], kind="stable")]
+        run_epochs[blocked[run_epochs] & (run_epochs >= 0)] = -1
+    bounds = np.append(starts, len(t))
+    if np.all(run_epochs >= 0) and np.all(run_epochs[1:] >= run_epochs[:-1]):
+        rows = slice(None)
+        off = bounds[np.searchsorted(run_epochs, np.arange(n_epochs + 1))]
+    else:
+        epochs = np.repeat(run_epochs, np.diff(bounds))
+        on_grid = np.flatnonzero(epochs >= 0)
+        rows = on_grid[np.argsort(epochs[on_grid], kind="stable")]
+        off = _offsets(epochs[rows], n_epochs)
+    lookup = np.array([station[i] for i in cols.ids], dtype=int)
+    bs = cols.bs[rows]
     out = RadioRecords(
-        off=_offsets(epochs[rows], n_epochs),
-        bs=lookup[cols.bs[rows]],
+        off=off,
+        bs=bs if np.array_equal(lookup, np.arange(len(lookup))) else lookup[bs],
         obs=cols.values[rows, 1:6],
         rss=cols.values[rows, 6],
     )
@@ -577,7 +595,10 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
     (synth.read_measurement_log); the truth trajectory still comes from the
     scenario (the log carries no truth), and bias truth is unknown, so
     consistency statistics are unavailable on ingested runs. LoS records at
-    an epoch inside setup.outages are dropped, as synthesis drops them.
+    an epoch inside setup.outages are dropped, as synthesis drops them. The
+    IMU and odometer columns, and the radio columns of a log in the
+    writer's order, are views of the reader's buffers, so each record is
+    held once.
 
     Raises ValueError when the log cannot feed the filter: an IMU sample
     count other than the scenario's, an IMU time other than the scenario's
@@ -593,8 +614,11 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
         raise ValueError(
             f"log has {len(imu)} IMU samples, scenario expects {n_samples}"
         )
-    # the filter steps by the scenario's sample times, not by the log's
-    for k, (t, want) in enumerate(zip(imu.values[:, 0].tolist(), times.tolist())):
+    # the filter steps by the scenario's sample times, not by the log's;
+    # only the times that differ in a bit are rounded and compared again
+    imu_t = imu.values[:, 0]
+    for k in np.flatnonzero(imu_t != times[:-1]).tolist():
+        t, want = float(imu_t[k]), float(times[k])
         if round(t, 6) != round(want, 6):
             raise ValueError(f"IMU sample {k} has t_s {t!r}, scenario expects {want!r}")
     if not len(odo):
@@ -616,9 +640,8 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
             raise ValueError(f"{kind} record {k} has {key} {float(cols.values[k, 1])!r}, not > 0")
     stations = setup.scenario.base_stations
     station = {bs.id: b for b, bs in enumerate(stations)}
-    unknown = {
-        cols.ids[b] for cols in (los, sbr) for b in np.unique(cols.bs).tolist()
-    } - station.keys()
+    # the reader lists each station its radio records name once, in ids
+    unknown = {*los.ids, *sbr.ids} - station.keys()
     if unknown:
         raise ValueError(f"log names base stations not in the scenario: {sorted(unknown)}")
     epoch_t = times[epoch_idx]
@@ -630,12 +653,11 @@ def measurement_set_from_records(records: dict, setup: RunSetup) -> MeasurementS
         bs_ids=tuple(station),
         epoch_idx=epoch_idx,
         epoch_t=epoch_t,
-        # contiguous copies of the reader's strided column views
-        imu_t=imu.values[:, 0].copy(),
-        gyro=imu.values[:, 1:4].copy(),
-        accel=imu.values[:, 4:7].copy(),
-        odo_t=odo_t.copy(),
-        odo_v=odo.values[:, 1].copy(),
+        imu_t=imu_t,
+        gyro=imu.values[:, 1:4],
+        accel=imu.values[:, 4:7],
+        odo_t=odo_t,
+        odo_v=odo.values[:, 1],
         los=_radio_columns(los, epoch_of_t, station, n_epochs, blocked=blocked),
         sbr=_radio_columns(sbr, epoch_of_t, station, n_epochs, sbr=True),
         truth_biases=None,

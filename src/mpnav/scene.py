@@ -14,6 +14,7 @@ horizontal, angles in radians everywhere inside the package.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,24 @@ class GeometryError(ValueError):
 
 
 def _floats(v, what, shape=()):
-    """v, a number or nested lists of numbers, as a float array of the given
-    shape (None matches any length); raises GeometryError naming what unless
-    every entry is a finite number (never a bool or a string)."""
+    """v, a number or nested lists of numbers, as a float (shape ()) or a
+    float array of the given shape (None matches any length); raises
+    GeometryError naming what unless every entry is a finite number (never
+    a bool or a string)."""
+    # values that are already floats skip the array round trip: a Python
+    # float or an int numpy holds as int64 (a bool's type is bool), or a
+    # float64 array of the shape
+    if not shape:
+        if (type(v) is float or (type(v) is int and -(2**63) <= v < 2**63)) and math.isfinite(v):
+            return float(v)
+    elif (
+        type(v) is np.ndarray
+        and v.dtype == np.float64
+        and v.ndim == len(shape)
+        and all(n in (None, m) for n, m in zip(shape, v.shape))
+        and np.isfinite(v).all()
+    ):
+        return v.copy()
     try:
         a = np.asarray(v)
     except ValueError:  # ragged lists
@@ -45,7 +61,7 @@ def _floats(v, what, shape=()):
         raise GeometryError(
             f"{what} must be " + (f"finite numbers of shape ({dims})" if shape else "a finite number")
         )
-    return a.astype(float)
+    return a.astype(float) if shape else float(a)
 
 
 @dataclass
@@ -77,8 +93,8 @@ class Wall:
         where = f"wall {self.id!r}"
         self.a = _floats(self.a, f"{where}: footprint start", (2,))
         self.b = _floats(self.b, f"{where}: footprint end", (2,))
-        self.z0 = float(_floats(self.z0, f"{where}: base height"))
-        self.h = float(_floats(self.h, f"{where}: height"))
+        self.z0 = _floats(self.z0, f"{where}: base height")
+        self.h = _floats(self.h, f"{where}: height")
         d = self.b - self.a
         self.length = float(np.hypot(d[0], d[1]))
         if self.length <= 0.0 or self.h <= 0.0:
@@ -221,10 +237,10 @@ def trajectory_poses(spec: dict, times) -> Trajectory:
 
 def _circle(spec, times):
     cx, cy = _floats(spec.get("center_en_m"), "circle trajectory center_en_m", (2,)).tolist()
-    r = float(_floats(spec.get("radius_m"), "circle trajectory radius_m"))
-    speed = float(_floats(spec.get("speed_mps"), "circle trajectory speed_mps"))
-    z = float(_floats(spec.get("z_m", 0.0), "circle trajectory z_m"))
-    phase = float(_floats(spec.get("phase_rad", 0.0), "circle trajectory phase_rad"))
+    r = _floats(spec.get("radius_m"), "circle trajectory radius_m")
+    speed = _floats(spec.get("speed_mps"), "circle trajectory speed_mps")
+    z = _floats(spec.get("z_m", 0.0), "circle trajectory z_m")
+    phase = _floats(spec.get("phase_rad", 0.0), "circle trajectory phase_rad")
     ccw = spec.get("ccw", True)
     if not isinstance(ccw, bool):
         raise GeometryError("circle trajectory ccw must be true or false")
@@ -246,7 +262,7 @@ def _circle(spec, times):
 
 def _waypoints(spec, times):
     pts = _floats(spec.get("points_enu_m"), "waypoints trajectory points_enu_m", (None, 3))
-    speed = float(_floats(spec.get("speed_mps"), "waypoints trajectory speed_mps"))
+    speed = _floats(spec.get("speed_mps"), "waypoints trajectory speed_mps")
     if pts.shape[0] < 2:
         raise GeometryError("waypoints trajectory needs >= 2 ENU points")
     if speed <= 0.0:

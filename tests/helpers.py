@@ -26,8 +26,11 @@ behind mpnav.pipeline.synth_measurements), synth_measurements_unchunked
 (all epochs in one pass, behind its epoch chunks), run_filter_per_record (the
 record-by-record filter loop behind mpnav.pipeline.run_filter),
 write_log_json (json.dumps per record, behind
-mpnav.synth.write_measurement_log) and read_measurement_log_per_record (one
-record object per line, behind mpnav.synth.read_measurement_log).
+mpnav.synth.write_measurement_log), read_measurement_log_per_record (one
+record object per line, behind mpnav.synth.read_measurement_log) and
+radio_columns_per_row (an epoch looked up per row and every kept row
+gathered, behind the radio columns of
+mpnav.pipeline.measurement_set_from_records).
 los_columns and sbr_columns turn records into the column arguments of
 mpnav.fixes.los_fix and sbr_fix.
 """
@@ -1402,6 +1405,42 @@ def log_columns(records: dict) -> dict:
     for kind in ("los", "sbr"):
         out[kind].ids = tuple(station)
     out["sbr"].bounces = np.array([r.truth_bounces for r in records["sbr"]], dtype=np.int64)
+    return out
+
+
+def radio_columns_per_row(cols, setup, kind):
+    """Reference for the radio columns of
+    mpnav.pipeline.measurement_set_from_records: each row of cols (the log
+    reader's LogColumns of kind 'los' or 'sbr') looked up on the epoch grid
+    by its own rounded time, and the kept rows (on the grid; for LoS, at an
+    epoch outside setup.outages) gathered in a stable sort by epoch, every
+    column a copy. Returns a RadioRecords."""
+    from mpnav.pipeline import _epoch_indices
+    from mpnav.synth import RadioRecords, outage_mask
+
+    epoch_idx = _epoch_indices(setup)[0]
+    epoch_t = epoch_idx / setup.rates.imu_hz
+    epoch_of_t = {round(t, 6): e for e, t in enumerate(epoch_t.tolist())}
+    epochs = np.array(
+        [epoch_of_t.get(round(t, 6), -1) for t in cols.values[:, 0].tolist()], dtype=int
+    )
+    if kind == "los":
+        blocked = outage_mask(epoch_t, setup.outages)
+        epochs[blocked[epochs] & (epochs >= 0)] = -1
+    on_grid = np.flatnonzero(epochs >= 0)
+    rows = on_grid[np.argsort(epochs[on_grid], kind="stable")]
+    station = {bs.id: b for b, bs in enumerate(setup.scenario.base_stations)}
+    lookup = np.array([station[i] for i in cols.ids], dtype=int)
+    counts = np.bincount(epochs[rows], minlength=len(epoch_t))
+    out = RadioRecords(
+        off=np.concatenate([[0], np.cumsum(counts)]),
+        bs=lookup[cols.bs[rows]],
+        obs=cols.values[rows, 1:6],
+        rss=cols.values[rows, 6],
+    )
+    if kind == "sbr":
+        out.bounces = cols.bounces[rows]
+        out.body = cols.values[rows, 7:9]
     return out
 
 

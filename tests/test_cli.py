@@ -511,6 +511,33 @@ def test_log_replay_applies_the_outages(tmp_path, with_sbr):
     assert int(counts["los_total"]) < int(read_summary(tmp_path / "log")["los_total"])
 
 
+def test_log_replay_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs about 18 ms and 1.2 MiB per process; np.unique loads it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mpnav
+
+    ring = dict(RING_3S, duration_s=2)
+    write_config(tmp_path, ring, "ring.json")
+    write_config(tmp_path, dict(ring, with_sbr=False, measurement_log="ring/measurements.jsonl"), "replay.json")
+    assert main([str(tmp_path / "ring.json"), "--output-dir", str(tmp_path / "ring")]) == EXIT_OK
+    src = str(Path(mpnav.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, mpnav.cli; "
+        "rc = mpnav.cli.main(['replay.json', '--output-dir', 'replay']); "
+        "print(rc, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, cwd=tmp_path
+    )
+    assert out.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "replay" / "errors_without.csv").is_file()
+
+
 def test_without_sbr_label(tmp_path):
     cfg = write_config(tmp_path, mini_config(with_sbr=False))
     out = tmp_path / "out"
@@ -1030,6 +1057,15 @@ def test_overflowing_drift_profile_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def keys_holding(cfg, value):
+    """The keys of a config's nested mappings that hold value."""
+    for key, v in cfg.items():
+        if isinstance(v, dict):
+            yield from keys_holding(v, value)
+        elif v == value:
+            yield key
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -1073,6 +1109,9 @@ def test_overflow_or_oversized_run_exits_4(tmp_path, capsys, cfg):
     assert err.startswith("numeric failure:")
     assert "Traceback" not in err
     assert not out.exists()
+    # a Python float whose square overflows is named by its config key
+    for key in keys_holding(cfg, 1e200):
+        assert f"{key} = 1e+200" in err
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from helpers import (
     double_bounce_path,
     epoch_records,
     log_records,
+    radio_columns_per_row,
     run_filter_per_record,
     sbr_screen_per_record,
     synth_epochs_per_epoch,
@@ -515,6 +516,119 @@ def test_log_with_wrong_imu_count_rejected(tmp_path):
     write_measurement_log(path, ms_short)
     with pytest.raises(ValueError):
         measurement_set_from_records(read_measurement_log(path), setup)
+
+
+@pytest.fixture(scope="module")
+def ring_log_10s(tmp_path_factory):
+    """A 10 s ring-drive log at the preset rates, in the writer's order, and
+    the setup that made it."""
+    setup = RunSetup(scenario=ring_scenario(speed_mps=8.0), duration_s=10.0, seed=0)
+    path = tmp_path_factory.mktemp("ring") / "ring.jsonl"
+    write_measurement_log(path, synth_measurements(setup))
+    return path, setup
+
+
+def reader_buffers(cols):
+    return [a for a in (cols.values, cols.bs, cols.bounces) if a is not None]
+
+
+def test_writer_ordered_log_is_ingested_as_views(ring_log_10s):
+    path, setup = ring_log_10s
+    cols = read_measurement_log(path)
+    ms = measurement_set_from_records(cols, setup)
+    columns = {
+        "imu": (ms.imu_t, ms.gyro, ms.accel),
+        "odo": (ms.odo_t, ms.odo_v),
+        "los": (ms.los.bs, ms.los.obs, ms.los.rss),
+        "sbr": (ms.sbr.bs, ms.sbr.obs, ms.sbr.rss, ms.sbr.bounces, ms.sbr.body),
+    }
+    for kind, arrays in columns.items():
+        for k, a in enumerate(arrays):
+            assert any(np.shares_memory(a, b) for b in reader_buffers(cols[kind])), (kind, k)
+    for kind in ("los", "sbr"):
+        assert_same_records(getattr(ms, kind), radio_columns_per_row(cols[kind], setup, kind))
+
+
+def assert_same_records(got, want):
+    for name in ("off", "bs", "obs", "rss", "bounces", "body"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+
+
+def radio_line_numbers(lines, kind):
+    return [k for k, line in enumerate(lines) if f'"kind": "{kind}"' in line]
+
+
+@pytest.mark.parametrize("variant", ["out_of_epoch_order", "off_grid_row", "outage"])
+def test_other_logs_are_gathered_as_before(tmp_path, ring_log_10s, variant):
+    # logs the writer does not make: the rows are gathered by epoch into
+    # the arrays the per-row reference builds, bit for bit
+    path, setup = ring_log_10s
+    lines = path.read_text().splitlines(keepends=True)
+    gathered = ["los"]
+    if variant == "out_of_epoch_order":
+        radio = radio_line_numbers(lines, "los") + radio_line_numbers(lines, "sbr")
+        radio.sort()
+        shuffled = np.random.default_rng(3).permutation(radio)
+        lines = [lines[k] for k in range(radio[0])] + [lines[k] for k in shuffled.tolist()]
+        gathered = ["los", "sbr"]
+    elif variant == "off_grid_row":
+        k = radio_line_numbers(lines, "los")[100]
+        record = json.loads(lines[k])
+        record["t_s"] += 0.013
+        lines[k] = json.dumps(record, sort_keys=True) + "\n"
+    else:
+        setup = replace(setup, outages=[OutageWindow(2.0, 4.0)])
+    log = tmp_path / "variant.jsonl"
+    log.write_text("".join(lines))
+    cols = read_measurement_log(log)
+    ms = measurement_set_from_records(cols, setup)
+    for kind in ("los", "sbr"):
+        got = getattr(ms, kind)
+        assert_same_records(got, radio_columns_per_row(cols[kind], setup, kind))
+        shared = any(np.shares_memory(got.obs, b) for b in reader_buffers(cols[kind]))
+        assert shared == (kind not in gathered), kind
+    t = cols["los"].values[:, 0]
+    blocked = int(np.count_nonzero((t >= 2.0) & (t <= 4.0)))
+    dropped = {"out_of_epoch_order": 0, "off_grid_row": 1, "outage": blocked}[variant]
+    assert dropped > 0 or variant == "out_of_epoch_order"
+    assert len(ms.los) == len(cols["los"]) - dropped
+
+
+def test_ingest_memory_holds_no_second_copy(ring_log_10s):
+    # gathering every column (and a per-row list of times and epochs) took
+    # 629 KiB here, for 463 KiB of the reader's columns and 78 KiB of truth
+    path, setup = ring_log_10s
+    cols = read_measurement_log(path)
+    measurement_set_from_records(cols, setup)
+    tracemalloc.start()
+    try:
+        ms = measurement_set_from_records(cols, setup)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(a.nbytes for c in cols.values() for a in reader_buffers(c))
+    truth = sum(a.nbytes for a in vars(ms.truth).values() if isinstance(a, np.ndarray))
+    assert peak <= truth + nbytes // 4, (peak, truth, nbytes)
+
+
+def test_imu_times_within_the_grid_match_are_accepted(ring_log_10s):
+    # a time off by less than the 1 us the grid is matched at differs in a
+    # bit but not once rounded; one off by 1 ms is named
+    path, setup = ring_log_10s
+    cols = read_measurement_log(path)
+    values = cols["imu"].values.copy()
+    values[7, 0] += 1e-9
+    imu = replace(cols["imu"], values=values)
+    ms = measurement_set_from_records(dict(cols, imu=imu), setup)
+    assert ms.imu_t[7] == values[7, 0]
+    values[9, 0] += 1e-3
+    with pytest.raises(ValueError, match=r"^IMU sample 9 has t_s 0\.091, scenario expects 0\.09$"):
+        measurement_set_from_records(dict(cols, imu=imu), setup)
 
 
 def test_setup_validation():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from helpers import (
@@ -25,6 +27,7 @@ from mpnav.scene import (
     SceneArrays,
     Trajectory,
     Wall,
+    _floats,
     angles_from_unit,
     load_scenario,
     mirror_point,
@@ -54,6 +57,76 @@ def test_wall_validation():
         Wall(id="bad", a=[0, 0], b=[1, 0], h=0.0)
     with pytest.raises(GeometryError):
         BaseStation(id="bad", p=[np.nan, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "value, shape",
+    [
+        (True, ()),
+        (np.bool_(False), ()),
+        ("1.0", ()),
+        (math.nan, ()),
+        (math.inf, ()),
+        (-math.inf, ()),
+        (2**70, ()),
+        (None, ()),
+        (np.array([1.0, 2.0]), ()),
+        (1.0, (2,)),
+        ([True, False], (2,)),
+        (np.array([True, False]), (2,)),
+        (["1", "2"], (2,)),
+        ([0.0, math.nan], (2,)),
+        (np.array([0.0, np.nan]), (2,)),
+        (np.array([np.inf, 0.0]), (2,)),
+        ([1.0, 2.0, 3.0], (2,)),
+        (np.zeros(3), (2,)),
+        (np.zeros((2, 1)), (2,)),
+        ([[1.0, 2.0, 3.0], [4.0, 5.0]], (None, 3)),
+        (np.zeros((4, 2)), (None, 3)),
+    ],
+    ids=[
+        "bool",
+        "numpy_bool",
+        "string",
+        "nan",
+        "inf",
+        "minus_inf",
+        "int_beyond_int64",
+        "null",
+        "array_for_a_number",
+        "number_for_an_array",
+        "bool_list",
+        "bool_array",
+        "string_list",
+        "nan_in_list",
+        "nan_in_array",
+        "inf_in_array",
+        "list_too_long",
+        "array_too_long",
+        "array_of_rank_2",
+        "ragged_rows",
+        "rows_too_short",
+    ],
+)
+def test_floats_refusal_names_the_value(value, shape):
+    dims = ", ".join("n" if n is None else str(n) for n in shape)
+    expected = f"finite numbers of shape ({dims})" if shape else "a finite number"
+    with pytest.raises(GeometryError) as err:
+        _floats(value, "wall 'w': height", shape)
+    assert str(err.value) == f"wall 'w': height must be {expected}"
+
+
+def test_floats_accepts_numbers_as_floats():
+    for value in (2.5, 3, -(2**63), np.float64(2.5), np.int32(3)):
+        got = _floats(value, "x")
+        assert type(got) is float and got == float(value)
+    for value in (np.array([1.0, -2.0]), np.array([1, 2]), np.array([1.0, 2.0], dtype=np.float32), [1, 2.5]):
+        got = _floats(value, "x", (2,))
+        assert got.dtype == np.float64 and got.shape == (2,)
+        assert np.array_equal(got, np.asarray(value, dtype=float))
+        assert not np.shares_memory(got, value)
+    rows = np.arange(12.0).reshape(4, 3)
+    assert np.array_equal(_floats(rows, "x", (None, 3)), rows)
 
 
 def test_mirror_point_plane_x50():
