@@ -21,7 +21,7 @@ and solves a 3x3 normal system in p (4x4 with a yaw unknown).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class Fix:
     cov: np.ndarray  # over every unknown: p (3x3, m^2), or (p, yaw) (4x4) with a yaw
     residual: float  # RMS equation misfit, m
     n_paths: int = 1
-    path_residuals: list = field(default_factory=list)
     # present when the solver co-estimated a nav-frame yaw misalignment of
     # the attitude used to globalize body-frame arrival angles
     yaw: float | None = None
@@ -195,7 +194,6 @@ def sbr_fix(
     if estimate_yaw:
         r += psi * (lengths - legs)[:, None] * zxu
     residual = float(np.sqrt(np.mean(r**2)))
-    path_residuals = np.linalg.norm(r, axis=1).tolist()
 
     # First-order sensitivity: the reduced system maps each path's equation
     # perturbation dy_k - dA_k x onto theta; columns per path are the inputs
@@ -221,7 +219,7 @@ def sbr_fix(
         j_psi = j_all[:, 3]
         cov[3, 3] = np.einsum("kc,c,kc->", j_psi, sig2, j_psi)
         cov[:3, 3] = cov[3, :3] = np.einsum("kic,c,kc->i", j_p, sig2, j_psi)
-    return Fix(p=p, cov=cov, residual=residual, n_paths=K, path_residuals=path_residuals, yaw=psi)
+    return Fix(p=p, cov=cov, residual=residual, n_paths=K, yaw=psi)
 
 
 def sbr_locus_residuals(bs_positions, lengths, u_deps, u_arrs, ref_p) -> np.ndarray:

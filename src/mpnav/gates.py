@@ -25,7 +25,7 @@ class GateConfig:
 
     def __post_init__(self):
         for name in ("range_consistency_m", "elevation_eps_rad", "residual_m", "motion_margin_m"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails too; inf admits everything
                 raise ValueError(f"{name} must be >= 0")
 
 

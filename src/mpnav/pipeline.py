@@ -369,9 +369,12 @@ def screen_sbr(sbr: RadioRecords, rows: slice, bs_p, q_bn, p_ref, setup: RunSetu
 def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
     """Gated estimation loop over one measurement set.
 
-    Per epoch: prediction, then the epoch's LoS records (screened one by
-    one, fixed and motion-gated as a batch, applied as sequential updates,
-    since each NIS gate sees the previous update), then one joint fix over
+    The LoS steps that read no filter state run once per run, before the
+    loop: every LoS record is screened for range consistency, one call
+    fixes all the admitted ones, and their measurement covariances are
+    formed. Per epoch: prediction, then the epoch's LoS fixes (motion-gated
+    as a batch, applied as sequential updates, since each NIS gate sees the
+    previous update), then the bounce-order screen and one joint fix over
     the admitted reflected paths. The motion gate compares candidate fixes
     against the last accepted posterior, with a travel budget accumulated
     from odometer speed since that posterior, so the bound stays meaningful
@@ -386,22 +389,33 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
     arc_dense = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(p_dense, axis=0), axis=1))])
     odo_t, odo_v = ms.odo_t, ms.odo_v
 
-    dt_obs = 1.0 / setup.rates.obs_hz
-    # odometer speed over each epoch interval: the latest sample at or before the epoch
+    # odometer travel over each epoch interval: the latest sample at or before the epoch
     odo_j = np.maximum(np.searchsorted(odo_t, ms.epoch_t + 1e-9, side="right") - 1, 0)
-    odo_speed = odo_v[odo_j].tolist()
+    travel = (np.abs(odo_v[odo_j]) * (1.0 / setup.rates.obs_hz)).tolist()
     epoch_idx = ms.epoch_idx.tolist()
     n_epochs = len(epoch_idx)
     out_est = np.empty((n_epochs, 3))
     out_nees = np.full(n_epochs, np.nan)
     out_eig = np.empty(n_epochs)
+
+    # the consistency screen and the LoS fixes read no filter state, so each
+    # record is screened and each admitted one fixed once, before the loop;
+    # epoch e's admitted rows are los_cut[e]:los_cut[e + 1] of the fixes
+    los, sbr = ms.los, ms.sbr
+    rtt_rss = zip(los.obs[:, 0].tolist(), los.rss.tolist())
+    admitted = np.flatnonzero([classify_los(*r, setup.path_loss, setup.gate_cfg) for r in rtt_rss])
+    fix = los_fix(
+        bs_p[los.bs[admitted]], los.obs[admitted], setup.noise.var_range_m2, setup.noise.var_angle_deg2
+    )
+    los_p, los_r = fix.p, fix.cov + _R_FLOOR[:3, :3]
+    los_cut = np.searchsorted(admitted, los.off).tolist()
     counters = {
-        "los_total": 0,
+        "los_total": len(los),
         "los_admitted": 0,
-        "los_rejected_consistency": 0,
+        "los_rejected_consistency": len(los) - len(admitted),
         "los_rejected_motion": 0,
         "los_nis_skipped": 0,
-        "sbr_total": 0,
+        "sbr_total": len(sbr) if setup.with_sbr else 0,
         "sbr_admitted": 0,
         "sbr_rejected_elevation": 0,
         "sbr_rejected_residual": 0,
@@ -411,9 +425,7 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
         "sbr_updates": 0,
     }
 
-    los, sbr = ms.los, ms.sbr
-    los_off, sbr_off = los.off.tolist(), sbr.off.tolist()
-    los_rtt, los_rss = los.obs[:, 0].tolist(), los.rss.tolist()
+    sbr_off = sbr.off.tolist()
     truth_bg, truth_ba = (None, None) if ms.truth_biases is None else ms.truth_biases
     if setup.compute_nees and truth_bg is not None:
         att_ep = truth.att[ms.epoch_idx]
@@ -434,29 +446,16 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
         )
         prev_idx = idx
 
-        travel_budget += abs(odo_speed[e_i]) * dt_obs
+        travel_budget += travel[e_i]
 
         accepted_any = False
-        a, b = los_off[e_i], los_off[e_i + 1]
-        counters["los_total"] += b - a
-        rows = [
-            k
-            for k in range(a, b)
-            if classify_los(los_rtt[k], los_rss[k], setup.path_loss, setup.gate_cfg)
-        ]
-        counters["los_rejected_consistency"] += b - a - len(rows)
-        if rows:
-            fix = los_fix(
-                bs_p[los.bs[rows]],
-                los.obs[rows],
-                setup.noise.var_range_m2,
-                setup.noise.var_angle_deg2,
-            )
-            near = motion_gate(fix.p, last_accept_p, travel_budget, setup.gate_cfg)
+        a, b = los_cut[e_i], los_cut[e_i + 1]
+        if b > a:
+            near = motion_gate(los_p[a:b], last_accept_p, travel_budget, setup.gate_cfg)
             n_near = int(np.count_nonzero(near))
-            counters["los_rejected_motion"] += len(rows) - n_near
+            counters["los_rejected_motion"] += b - a - n_near
             counters["los_admitted"] += n_near
-            for p, r_mat in zip(fix.p[near], fix.cov[near] + _R_FLOOR[:3, :3]):
+            for p, r_mat in zip(los_p[a:b][near], los_r[a:b][near]):
                 fs, info = update_position(fs, p, r_mat, setup.ukf)
                 if info.accepted:
                     accepted_any = True
@@ -464,8 +463,6 @@ def run_filter(ms: MeasurementSet, setup: RunSetup) -> RunResult:
                     counters["los_nis_skipped"] += 1
 
         a, b = sbr_off[e_i], sbr_off[e_i + 1]
-        if setup.with_sbr:
-            counters["sbr_total"] += b - a
         if setup.with_sbr and b - a >= 2:
             path_p, path_obs, counts = screen_sbr(sbr, slice(a, b), bs_p, fs.q_bn, fs.p, setup)
             for key, n in counts.items():

@@ -50,6 +50,8 @@ class NoiseCfg:
     def __post_init__(self):
         if self.var_range_m2 < 0 or self.var_angle_deg2 < 0:
             raise ValueError("noise variances must be >= 0")
+        if not (math.isfinite(self.var_range_m2) and math.isfinite(self.var_angle_deg2)):
+            raise ValueError("noise variances must be finite")
 
 
 @dataclass
@@ -99,6 +101,9 @@ class PathLossModel:
     def __post_init__(self):
         if self.exponent <= 0:
             raise ValueError("path-loss exponent must be > 0")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
 
     def rss(self, path_length_m, bounces=0):
         """Received power, dBm; accepts scalars or arrays."""

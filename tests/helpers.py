@@ -658,7 +658,6 @@ def sbr_fix_svd(
             rows = slice(3 * k, 3 * k + 3)
             r[rows] += psi * (lengths[k] - legs[k]) * np.array([-u_arr[1], u_arr[0], 0.0])
     residual = float(np.sqrt(np.mean(r**2)))
-    path_residuals = [float(np.linalg.norm(r[3 * k : 3 * k + 3])) for k in range(K)]
 
     # First-order sensitivity: A dx = dy - dA x, columns per input
     # [L_k, aod_az_k, aod_el_k, aoa_az_k, aoa_el_k].
@@ -683,14 +682,7 @@ def sbr_fix_svd(
         j_psi = j_all[3 + K]
         cov[3, 3] = (j_psi * sig2) @ j_psi
         cov[:3, 3] = cov[3, :3] = (j_p * sig2) @ j_psi
-    return Fix(
-        p=p,
-        cov=cov,
-        residual=residual,
-        n_paths=K,
-        path_residuals=path_residuals,
-        yaw=psi,
-    )
+    return Fix(p=p, cov=cov, residual=residual, n_paths=K, yaw=psi)
 
 
 def mechanize_step(p, v, q, b_g, b_a, gyro, accel, dt):

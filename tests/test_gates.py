@@ -25,8 +25,12 @@ def pose_at(p, t=0.0):
 
 
 def test_gate_config_validation():
-    with pytest.raises(ValueError):
-        GateConfig(range_consistency_m=-1.0)
+    # a NaN threshold would fail every comparison silently; inf admits everything
+    for name in ("range_consistency_m", "elevation_eps_rad", "residual_m", "motion_margin_m"):
+        for bad in (-1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+                GateConfig(**{name: bad})
+        assert getattr(GateConfig(**{name: math.inf}), name) == math.inf
 
 
 def test_classify_los_noise_free():

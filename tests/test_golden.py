@@ -62,6 +62,9 @@ CASES = {
     "replay_los": _preset(
         "single_ring", with_sbr=False, measurement_log="single_ring/measurements.jsonl"
     ),
+    "replay_sbr": _preset(
+        "single_ring", with_sbr=True, measurement_log="single_ring/measurements.jsonl"
+    ),
     "ring_10s_double_bounce": _ring_10s(include_double_bounce=True),
     "ring_10s_no_body_aoa": _ring_10s(use_body_aoa=False),
     "ring_10s_odo_5hz": dict(

@@ -30,6 +30,7 @@ from test_tracer_contract import ROOT, load_tracer
 import mpnav.cli
 from mpnav import evaluate, pipeline, quat, scene
 from mpnav.evaluate import _SWEEP_RATES
+from mpnav.gates import GateConfig, classify_los
 from mpnav.ins import drift_profile
 from mpnav.pipeline import (
     Rates,
@@ -629,6 +630,71 @@ def test_imu_times_within_the_grid_match_are_accepted(ring_log_10s):
     values[9, 0] += 1e-3
     with pytest.raises(ValueError, match=r"^IMU sample 9 has t_s 0\.091, scenario expects 0\.09$"):
         measurement_set_from_records(dict(cols, imu=imu), setup)
+
+
+def ring_10s_measurements(ring_log_10s, source):
+    """The 10 s ring drive's measurement set, synthesized or replayed from
+    its writer-ordered log, and the setup that made it."""
+    path, setup = ring_log_10s
+    if source == "synthesized":
+        return synth_measurements(setup), setup
+    return measurement_set_from_records(read_measurement_log(path), setup), setup
+
+
+@pytest.mark.parametrize("source", ["synthesized", "replayed"])
+def test_los_screen_and_fix_run_once_before_the_epoch_loop(monkeypatch, ring_log_10s, source):
+    # each LoS record is screened once, on scalars, and one los_fix call
+    # fixes the admitted rows, all before the first prediction; a tight
+    # consistency gate rejects some of the records
+    ms, setup = ring_10s_measurements(ring_log_10s, source)
+    setup = replace(setup, gate_cfg=GateConfig(range_consistency_m=0.5))
+    n = len(ms.los)
+    admitted = [
+        k
+        for k in range(n)
+        if classify_los(float(ms.los.obs[k, 0]), float(ms.los.rss[k]), setup.path_loss, setup.gate_cfg)
+    ]
+    assert 0 < len(admitted) < n
+    bs_p = np.stack([bs.p for bs in setup.scenario.base_stations])
+    calls, fixed = [], []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, type(args[0])))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    los_fix = pipeline.los_fix
+
+    def fix_spy(stations, obs, *args):
+        calls.append(("los_fix", type(stations)))
+        fixed.append((stations.copy(), obs.copy()))
+        return los_fix(stations, obs, *args)
+
+    monkeypatch.setattr(pipeline, "classify_los", spy("classify_los", pipeline.classify_los))
+    monkeypatch.setattr(pipeline, "los_fix", fix_spy)
+    monkeypatch.setattr(pipeline, "predict", spy("predict", pipeline.predict))
+    for with_sbr in (True, False):
+        calls.clear()
+        fixed.clear()
+        res = run_filter(ms, replace(setup, with_sbr=with_sbr))
+        assert calls[: n + 1] == [("classify_los", float)] * n + [("los_fix", np.ndarray)]
+        assert {name for name, _ in calls[n + 1 :]} == {"predict"}
+        [(stations, obs)] = fixed
+        assert stations.tobytes() == bs_p[ms.los.bs[admitted]].tobytes()
+        assert obs.tobytes() == ms.los.obs[admitted].tobytes()
+        assert res.counters["los_rejected_consistency"] == n - len(admitted)
+
+
+@pytest.mark.parametrize("source", ["synthesized", "replayed"])
+def test_radio_totals_are_the_column_lengths(ring_log_10s, source):
+    ms, setup = ring_10s_measurements(ring_log_10s, source)
+    for with_sbr in (True, False):
+        c = run_filter(ms, replace(setup, with_sbr=with_sbr)).counters
+        assert c["los_total"] == len(ms.los) > 0
+        assert c["sbr_total"] == (len(ms.sbr) if with_sbr else 0)
+    assert len(ms.sbr) > 0
 
 
 def test_setup_validation():

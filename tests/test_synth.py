@@ -113,8 +113,15 @@ def test_path_loss_model():
     assert arr.shape == (2,)
     with pytest.raises(ValueError):
         PLM.rss(0.0)
-    with pytest.raises(ValueError):
-        PathLossModel(exponent=0.0)
+    for bad in (0.0, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="^path-loss exponent must be > 0$"):
+            PathLossModel(exponent=bad)
+    for name in ("tx_power_dbm", "pl0_db", "exponent", "reflection_loss_db"):
+        for bad in (math.nan, math.inf, -math.inf):
+            if name == "exponent" and bad < 0:
+                continue  # refused above, as not > 0
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                PathLossModel(**{name: bad})
 
 
 def sample_los():
@@ -161,8 +168,13 @@ def test_apply_noise_deterministic_and_draw_count():
     rng2 = np.random.default_rng(9)
     rng2.standard_normal(5 * len(obs))
     assert np.array_equal(apply_noise(obs, cfg, rng2, los=los)[0], second_after_zero)
-    with pytest.raises(ValueError):
-        NoiseCfg(var_range_m2=-1.0)
+    for key in ("var_range_m2", "var_angle_deg2"):
+        for bad in (-1.0, -math.inf):
+            with pytest.raises(ValueError, match="^noise variances must be >= 0$"):
+                NoiseCfg(**{key: bad})
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^noise variances must be finite$"):
+                NoiseCfg(**{key: bad})
 
 
 def test_apply_noise_statistics():
